@@ -59,10 +59,13 @@ from .ranks import (
     PRIME_TABLE,
     RankBudgetError,
     RankConfig,
+    RankInvariantError,
     RankReport,
+    exact_rank_profile,
     rank_exact,
     rank_mod_p,
     rank_multimodular,
+    rank_profile_mod_p,
 )
 
 __version__ = "0.1.0"
@@ -87,6 +90,7 @@ __all__ = [
     "PolynomialError",
     "RankBudgetError",
     "RankConfig",
+    "RankInvariantError",
     "RankReport",
     "RankedBlock",
     "SmoothFiberInvariants",
@@ -102,6 +106,7 @@ __all__ = [
     "dim_graded",
     "e2_piece",
     "emit_term_list",
+    "exact_rank_profile",
     "find_fixtures",
     "get_fixture",
     "graded_monomials",
@@ -114,6 +119,7 @@ __all__ = [
     "rank_exact",
     "rank_mod_p",
     "rank_multimodular",
+    "rank_profile_mod_p",
     "smooth_euler",
     "smooth_hodge_prim",
 ]

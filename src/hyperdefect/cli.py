@@ -1,7 +1,7 @@
 """Command-line front end: defect, hodge and corpus subcommands.
 
 Exit codes: 0 success, 1 corpus mismatch, 2 input/validation error,
-3 exact-rank budget exceeded.
+3 exact-rank budget exceeded, 4 a computed rank broke an invariant.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from .polynomials import (
     parse_expression,
     parse_term_list,
 )
-from .ranks import PRIME_TABLE, RankBudgetError, RankConfig
+from .ranks import PRIME_TABLE, RankBudgetError, RankConfig, RankInvariantError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 def _rank_config(args) -> RankConfig:
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except RankBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RankInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (PolynomialError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,11 +9,13 @@ degree), B (wedge, upper degree) and the full assembly [[A,0],[D,B]] at
 grading k*d,
 
     mu    = dim(degree k*d - m basis) - rank B
-    nu    = mu - gamma           (gamma the t^{(k-1)d} series coefficient)
+    nu    = mu - gamma           (gamma the t^{k*d} series coefficient)
     rank(d1) = rank full - rank A - rank B
     e2 dimension = nu - rank(d1)
 
-and for m = 5, k = 3 that dimension is the defect h^4(X) - h^2(X) when
+Gamma is the primitive Hodge number that Griffiths' residue map pairs
+with B's target degree k*d - m, since R_{(q+1)d-m} = H^{n-q,q}_prim.  For
+m = 5, k = 3 the E2 dimension is the defect h^4(X) - h^2(X) when
 all singular points are isolated and weighted homogeneous and 1 is not a
 spectral number of any of them.  All arithmetic is exact integers.
 """
@@ -26,7 +28,7 @@ from math import comb
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
 from .monomials import dim_graded
 from .polynomials import HomogeneousForm, VariableCountError
-from .ranks import RankConfig, RankReport, rank_multimodular
+from .ranks import RankConfig, RankInvariantError, RankReport, rank_multimodular
 
 
 def smooth_euler(n: int, d: int) -> int:
@@ -157,8 +159,26 @@ class E2Report:
         }
 
 
-def _ranked(matrix, cfg: RankConfig) -> RankedBlock:
-    return RankedBlock(matrix.rows, matrix.cols, rank_multimodular(matrix, cfg))
+def _ranked(matrix, report: RankReport) -> RankedBlock:
+    return RankedBlock(matrix.rows, matrix.cols, report)
+
+
+def _check_ranks(wedge_low: RankedBlock, wedge_high: RankedBlock, full: RankedBlock) -> None:
+    """Raise RankInvariantError unless, for every prime, each rank lies in
+    [0, min(rows, cols)] and rank(full) >= rank(A) + rank(B)."""
+    blocks = {"wedge_low": wedge_low, "wedge_high": wedge_high, "full": full}
+    for name, block in blocks.items():
+        bound = min(block.rows, block.cols)
+        for p, r in block.report.per_prime:
+            if not 0 <= r <= bound:
+                raise RankInvariantError(f"{name}: rank {r} mod {p} outside [0, {bound}]")
+    for (p, low), (_, high), (_, whole) in zip(
+        wedge_low.report.per_prime, wedge_high.report.per_prime, full.report.per_prime
+    ):
+        if whole < low + high:
+            raise RankInvariantError(
+                f"full: rank {whole} mod {p} below wedge_low + wedge_high = {low} + {high}"
+            )
 
 
 def e2_piece(
@@ -166,8 +186,11 @@ def e2_piece(
 ) -> E2Report:
     """Assemble the graded map at grading multiplier*d and count its E2 piece.
 
-    Requires at least 3 variables and multiplier >= 2.  Rank-engine errors
-    propagate; disagreement between primes is visible on the block reports.
+    Requires at least 3 variables and multiplier >= 2.  `full` is
+    eliminated once per prime with B's columns first, which gives the
+    ranks of B and of `full` together.  Rank-engine errors propagate, as
+    does RankInvariantError when a per-prime rank breaks a bound;
+    disagreement between primes is visible on the block reports.
     """
     m = form.variable_count
     if m < 3:
@@ -176,11 +199,13 @@ def e2_piece(
         raise ValueError(f"multiplier must be >= 2, got {multiplier}")
     cfg = config or RankConfig()
     blocks: PhiBlocks = assemble_phi(form, multiplier)
-    wedge_low = _ranked(blocks.wedge_low, cfg)
-    wedge_high = _ranked(blocks.wedge_high, cfg)
-    full = _ranked(blocks.full, cfg)
+    wedge_low = _ranked(blocks.wedge_low, rank_multimodular(blocks.wedge_low, cfg))
+    full_report = rank_multimodular(blocks.full, cfg, trailing=blocks.wedge_high)
+    wedge_high = _ranked(blocks.wedge_high, full_report.trailing)
+    full = _ranked(blocks.full, full_report)
+    _check_ranks(wedge_low, wedge_high, full)
     d = form.degree
-    gamma = _series_coefficient(_prim_series(m, d), (multiplier - 1) * d)
+    gamma = _series_coefficient(_prim_series(m, d), multiplier * d)
     mu = dim_graded(m, multiplier * d - m) - wedge_high.rank
     nu = mu - gamma
     rank_d1 = full.rank - wedge_low.rank - wedge_high.rank

@@ -1,19 +1,32 @@
 """Exact ranks of sparse integer matrices.
 
-Three engines:
+Both engines return the column rank profile: the pivot columns, in
+increasing order, of an elimination that walks the columns left to
+right.  Its length is the rank, and the number of its entries below k is
+the rank of the leading k columns, so one elimination gives the rank of
+every leading column block at once.
 
-* `rank_mod_p` eliminates over a prime field.  The default path is a
-  blocked dense Gaussian elimination whose inner products run in float64
-  BLAS; every intermediate value is an integer below 2**53, so the result
-  is exact and bit-deterministic.  Primes >= 2**20 fall back to an int64
-  row-reduction, and `method="minpivot"` selects a division-free sweep
-  that picks the smallest pivot by magnitude with a fewest-nonzeros tie
-  break (the classic heuristic for keeping entries small).
-* `rank_exact` is fraction-free (Bareiss) elimination over the integers:
-  no rounding, no modular reduction, rank over the rationals.
-* `rank_multimodular` runs several primes, reports the per-prime ranks
-  with their consensus (the max, a guaranteed lower bound), and certifies
-  against the exact engine when asked or when the matrix is small.
+* `rank_profile_mod_p` eliminates over the field with p elements.  It
+  densifies once, straight from the sparse triplets (each Python-int
+  entry reduced mod p), and runs a blocked right-looking elimination that
+  pivots on the first nonzero row, so the result is deterministic.  Panel
+  products update the trailing matrix in place through float64 BLAS.
+  Every value is an integer: a panel product of width w adds at most
+  w*(p-1)**2 to a magnitude, and reduction x - floor(x/p)*p with a
+  correctly rounded quotient is exact while |x| + p < 2**53.  Reduction is
+  delayed: the trailing matrix absorbs panel products unreduced for as
+  long as that bound allows, and only the panel and its pivot rows are
+  reduced before use.  The width follows from p: float64 with w <= 64
+  while w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
+  p < 2**31.
+* `rank_exact` is fraction-free (Bareiss) elimination over the integers,
+  read from the entries as Python ints: no rounding, no modular
+  reduction, no size limit on coefficients; rank over the rationals.
+* `rank_multimodular` runs the configured primes, reports the per-prime
+  ranks with their consensus (the max, a guaranteed lower bound), and
+  certifies against the exact engine when asked or when the matrix is
+  small.  Given the trailing column block of the matrix, it reports that
+  block's rank from the same eliminations.
 
 A "bad" prime can only lower a rank, never raise it, so disagreement
 between primes is reported rather than fatal.
@@ -21,6 +34,7 @@ between primes is reported rather than fatal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +47,18 @@ DEFAULT_PRIMES = PRIME_TABLE[:3]
 
 EXACT_CELL_BUDGET = 1 << 20
 
-_BLOCKED_PRIME_LIMIT = 1 << 20  # keeps panel dot products exact in float64
-_MINPIVOT_PRIME_LIMIT = 1 << 30  # cross-multiplication must fit in int64
-_PANEL = 128
+_PANEL = 64  # widest panel; narrower when p is too large for float64
+_CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
+_FLOAT_EXACT = 2**53
+_INT_EXACT = 2**63
 
 
 class RankBudgetError(Exception):
     """Exact elimination refused: matrix exceeds the configured budget."""
+
+
+class RankInvariantError(RuntimeError):
+    """A computed rank contradicts a bound that every correct rank obeys."""
 
 
 def _is_prime(n: int) -> bool:
@@ -89,16 +108,43 @@ class RankConfig:
         if self.dense_threshold < 0:
             raise ValueError("dense_threshold must be >= 0")
 
+    def certifies(self, rows: int, cols: int) -> bool:
+        """Whether a rows x cols matrix gets an exact rank."""
+        small = max(rows, cols) <= self.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
+        return self.exact or small
+
 
 @dataclass(frozen=True)
 class RankReport:
-    """Per-prime ranks, their consensus, and optional exact certification."""
+    """Per-prime ranks, their consensus, and optional exact certification.
+
+    `trailing`, when present, is the report of a trailing column block,
+    read off the same eliminations (see `rank_multimodular`).
+    """
 
     per_prime: tuple[tuple[int, int], ...]
     consensus: int
     agreed: bool
     exact_rank: int | None = None
     certified: bool = False
+    trailing: RankReport | None = None
+
+    @classmethod
+    def of(
+        cls,
+        per_prime: tuple[tuple[int, int], ...],
+        exact_rank: int | None,
+        trailing: RankReport | None = None,
+    ) -> RankReport:
+        consensus = max(r for _, r in per_prime)
+        return cls(
+            per_prime=per_prime,
+            consensus=consensus,
+            agreed=len({r for _, r in per_prime}) == 1,
+            exact_rank=exact_rank,
+            certified=exact_rank is not None and exact_rank == consensus,
+            trailing=trailing,
+        )
 
     @property
     def rank(self) -> int:
@@ -115,168 +161,195 @@ class RankReport:
         }
 
 
-def _as_dense(matrix: SparseIntMatrix | np.ndarray) -> np.ndarray:
+def _shape(matrix: SparseIntMatrix | np.ndarray) -> tuple[int, int]:
     if isinstance(matrix, SparseIntMatrix):
-        return matrix.to_dense()
-    dense = np.asarray(matrix)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {dense.shape}")
-    return dense.astype(np.int64)
+        return matrix.rows, matrix.cols
+    shape = np.shape(matrix)
+    if len(shape) != 2:
+        raise ValueError(f"expected a 2-d array, got shape {shape}")
+    return shape
 
 
-def _rank_blocked_f64(reduced: np.ndarray, p: int) -> int:
-    """Blocked right-looking elimination mod p, exact in float64.
+def _kernel(p: int) -> tuple[type, int, int]:
+    """(dtype, panel width, delay) of the elimination mod p.
 
-    `reduced` holds int64 entries already in [0, p) with p < 2**20, so any
-    dot product of panel length stays below 2**53 and BLAS sums it without
-    rounding; np.mod on integral floats is exact.
+    A panel product of width w adds at most w*(p-1)**2 to a magnitude;
+    `delay` such products fit below the exactness limit of the dtype, so
+    no value the kernel forms exceeds delay*w*(p-1)**2 + p in magnitude.
     """
-    a, b = reduced.shape
-    A = reduced.astype(np.float64)
-    rank = 0
+    square = (p - 1) ** 2
+    dtype, limit = np.float64, _FLOAT_EXACT
+    width = min(_PANEL, (limit - p - 1) // square)
+    if width < 1:
+        dtype, limit, width = np.int64, _INT_EXACT, 1
+    return dtype, width, (limit - p - 1) // (width * square)
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """Reduce the integral entries of `x` into [0, p), in place, as x - floor(x/p)*p.
+
+    Exact while |x| + p stays below the dtype's exactness limit.  In
+    float64 no correction is needed: x/p lies at least 1/p away from any
+    integer it does not equal, and correct rounding moves it by at most
+    |x/p| * 2**-53 < 1/p, so the floor of the rounded quotient is the
+    true floor; the product floor*p is an integer below 2**53 and exact.
+    """
+    if x.dtype == np.float64:
+        q = x / p
+        np.floor(q, out=q)
+    else:
+        q = x // p
+    q *= p
+    x -= q
+
+
+def _dense_mod_p(
+    matrix: SparseIntMatrix | np.ndarray, p: int, dtype: type, rotate: int = 0
+) -> np.ndarray:
+    """Dense `dtype` array of the entries mod p, columns rotated left by `rotate`."""
+    rows, cols = _shape(matrix)
+    if isinstance(matrix, SparseIntMatrix):
+        dense = np.zeros((rows, cols), dtype=dtype)
+        if matrix.entries:
+            r, c, v = zip(*matrix.entries)
+            columns = np.asarray(c)
+            if rotate:
+                columns = (columns - rotate) % cols
+            dense[np.asarray(r), columns] = [x % p for x in v]
+        return dense
+    reduced = np.asarray(matrix).astype(np.int64) % p
+    if rotate:
+        reduced = np.roll(reduced, -rotate, axis=1)
+    return reduced.astype(dtype)
+
+
+def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray, buffer) -> None:
+    """target -= left @ right, in row chunks through one scratch buffer."""
+    width = target.shape[1]
+    for start in range(0, target.shape[0], _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, target.shape[0])
+        product = buffer[: (stop - start) * width].reshape(stop - start, width)
+        np.matmul(left[start:stop], right, out=product)
+        target[start:stop] -= product
+
+
+def _reduce_rows(x: np.ndarray, p: int) -> None:
+    for start in range(0, x.shape[0], _CHUNK_ROWS):
+        _reduce(x[start : start + _CHUNK_ROWS], p)
+
+
+def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
+    """Column rank profile of A mod p; A (entries in [0, p)) is overwritten.
+
+    Each panel of `width` columns is copied out and factored column by
+    column into a unit lower triangle of multipliers and the pivot rows;
+    the pivot rows' trailing parts are solved against that triangle, and
+    the trailing matrix takes the panel product unreduced until `delay`
+    products have accumulated.
+    """
+    nrows, ncols = A.shape
+    buffer = np.empty(min(nrows, _CHUNK_ROWS) * ncols, dtype=A.dtype)
+    profile: list[int] = []
     row = 0
-    col = 0
-    while row < a and col < b:
-        hi = min(col + _PANEL, b)
-        r0 = row
-        pivot_cols: list[int] = []
-        inverses: list[float] = []
-        for c in range(col, hi):
-            nonzero = np.nonzero(A[row:a, c])[0]
+    pending = 0
+    for col in range(0, ncols, width):
+        if row == nrows:
+            break
+        hi = min(col + width, ncols)
+        panel = A[row:, col:hi].copy()
+        _reduce(panel, p)
+        height = panel.shape[0]
+        pivots: list[int] = []
+        t = 0
+        for j in range(hi - col):
+            column = panel[t:, j]
+            _reduce(column, p)
+            nonzero = np.flatnonzero(column)
             if nonzero.size == 0:
                 continue
-            i = row + int(nonzero[0])
-            if i != row:
-                A[[row, i]] = A[[i, row]]
-            inv = float(pow(int(A[row, c]), p - 2, p))
-            A[row, c:hi] = np.mod(A[row, c:hi] * inv, p)
-            multipliers = A[row + 1 : a, c].copy()
-            if multipliers.size:
-                A[row + 1 : a, c + 1 : hi] = np.mod(
-                    A[row + 1 : a, c + 1 : hi] - np.outer(multipliers, A[row, c + 1 : hi]), p
-                )
-                A[row + 1 : a, c] = multipliers
-            pivot_cols.append(c)
-            inverses.append(inv)
-            rank += 1
-            row += 1
-            if row == a:
+            i = t + int(nonzero[0])
+            if i != t:
+                panel[[t, i]] = panel[[i, t]]
+                A[[row + t, row + i], hi:] = A[[row + i, row + t], hi:]
+            multipliers = panel[t + 1 :, j]
+            multipliers *= pow(int(panel[t, j]), p - 2, p)
+            _reduce(multipliers, p)
+            head = panel[t, j + 1 :]
+            _reduce(head, p)
+            panel[t + 1 :, j + 1 :] -= np.outer(multipliers, head)
+            pivots.append(j)
+            t += 1
+            if t == height:
                 break
-        if pivot_cols and hi < b and row < a:
-            # propagate the panel onto the trailing columns
-            trailing = A[r0:row, hi:b]
-            trailing[0] = np.mod(trailing[0] * inverses[0], p)
-            for t in range(1, len(pivot_cols)):
-                left = A[r0 + t, pivot_cols[:t]]
-                trailing[t] = np.mod(trailing[t] - left @ trailing[:t], p)
-                trailing[t] = np.mod(trailing[t] * inverses[t], p)
-            multipliers = A[row:a, pivot_cols]
-            A[row:a, hi:b] = np.mod(A[row:a, hi:b] - multipliers @ trailing, p)
-        col = hi
-    return rank
+        profile.extend(col + j for j in pivots)
+        if t and hi < ncols and t < height:
+            upper = A[row : row + t, hi:]
+            _reduce(upper, p)
+            for s in range(1, t):
+                upper[s] -= panel[s, pivots[:s]] @ upper[:s]
+                _reduce(upper[s], p)
+            trailing = A[row + t :, hi:]
+            _subtract_product(trailing, panel[t:, pivots], upper, buffer)
+            pending += 1
+            if pending == delay:
+                _reduce_rows(trailing, p)
+                pending = 0
+        row += t
+    return profile
 
 
-def _rank_rowreduce_i64(reduced: np.ndarray, p: int) -> int:
-    """Plain row reduction mod p in int64; valid for any p < 2**31."""
-    A = reduced.copy()
-    a, b = A.shape
-    row = 0
-    for c in range(b):
-        nonzero = np.nonzero(A[row:a, c])[0]
-        if nonzero.size == 0:
-            continue
-        i = row + int(nonzero[0])
-        if i != row:
-            A[[row, i]] = A[[i, row]]
-        inv = pow(int(A[row, c]), p - 2, p)
-        A[row, c:] = A[row, c:] * inv % p
-        multipliers = A[row + 1 : a, c]
-        if multipliers.size:
-            A[row + 1 : a, c:] = (A[row + 1 : a, c:] - multipliers[:, None] * A[row, c:]) % p
-        row += 1
-        if row == a:
-            break
-    return row
+def rank_profile_mod_p(
+    matrix: SparseIntMatrix | np.ndarray, p: int, rotate: int = 0
+) -> tuple[int, ...]:
+    """Column rank profile over the field with p elements, for any prime p < 2**31.
 
-
-def _rank_minpivot(signed: np.ndarray, p: int) -> int:
-    """Right-to-left division-free sweep with the small-pivot heuristic.
-
-    Pivot: smallest |value| in the current column, ties broken by fewest
-    nonzeros in the remaining columns, then lowest row.  Rows update by
-    cross-multiplication (new = old*pivot - colentry*pivotrow mod p), the
-    pivot row is removed, and the column retired.
-    """
-    A = signed.copy()
-    a, b = A.shape
-    rank = 0
-    while a > 0 and b > 0:
-        column = A[:a, b - 1]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size == 0:
-            b -= 1
-            continue
-        magnitudes = np.abs(column[nonzero])
-        candidates = nonzero[magnitudes == magnitudes.min()]
-        if candidates.size > 1:
-            counts = np.count_nonzero(A[candidates, : b - 1], axis=1)
-            i0 = int(candidates[np.argmin(counts)])
-        else:
-            i0 = int(candidates[0])
-        pivot = int(A[i0, b - 1])
-        pivot_row = A[i0, : b - 1].copy()
-        A[:a, : b - 1] = np.fmod(
-            A[:a, : b - 1] * pivot - np.outer(A[:a, b - 1], pivot_row), p
-        )
-        if i0 < a - 1:
-            A[i0 : a - 1, : b - 1] = A[i0 + 1 : a, : b - 1]
-        a -= 1
-        b -= 1
-        rank += 1
-    return rank
-
-
-def rank_mod_p(matrix: SparseIntMatrix | np.ndarray, p: int, method: str = "auto") -> int:
-    """Rank of an integer matrix over the field with p elements.
-
-    Deterministic for fixed (matrix, p, method).  `method` is one of
-    "auto", "blocked", "rowreduce", "minpivot".
+    With `rotate` = k the columns are eliminated in the order [k:, :k] and
+    the profile indexes that order.  Deterministic for fixed inputs.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    dense = _as_dense(matrix)
-    if min(dense.shape) == 0:
-        return 0
-    if method == "auto":
-        method = "blocked" if p < _BLOCKED_PRIME_LIMIT else "rowreduce"
-    if method == "blocked":
-        if p >= _BLOCKED_PRIME_LIMIT:
-            raise ValueError(f"blocked elimination needs p < {_BLOCKED_PRIME_LIMIT}")
-        return _rank_blocked_f64(np.mod(dense, p), p)
-    if method == "rowreduce":
-        return _rank_rowreduce_i64(np.mod(dense, p), p)
-    if method == "minpivot":
-        if p >= _MINPIVOT_PRIME_LIMIT:
-            raise ValueError(f"minpivot elimination needs p < {_MINPIVOT_PRIME_LIMIT}")
-        return _rank_minpivot(np.fmod(dense, p), p)
-    raise ValueError(f"unknown method {method!r}")
+    if not 2 <= p < 2**31:
+        raise ValueError(f"prime {p} outside [2, 2**31)")
+    dtype, width, delay = _kernel(p)
+    dense = _dense_mod_p(matrix, p, dtype, rotate)
+    return tuple(_eliminate(dense, p, width, delay))
 
 
-def rank_exact(matrix: SparseIntMatrix | np.ndarray, max_cells: int = EXACT_CELL_BUDGET) -> int:
-    """Rank over the rationals by fraction-free integer elimination.
+def rank_mod_p(matrix: SparseIntMatrix | np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over the field with p elements."""
+    return len(rank_profile_mod_p(matrix, p))
+
+
+def _python_rows(matrix: SparseIntMatrix | np.ndarray, rotate: int) -> list[list[int]]:
+    rows, cols = _shape(matrix)
+    if isinstance(matrix, SparseIntMatrix):
+        dense = [[0] * cols for _ in range(rows)]
+        for r, c, v in matrix.entries:
+            dense[r][(c - rotate) % cols] = v
+        return dense
+    return [
+        [int(v) for v in row[rotate:] + row[:rotate]] for row in np.asarray(matrix).tolist()
+    ]
+
+
+def exact_rank_profile(
+    matrix: SparseIntMatrix | np.ndarray, max_cells: int = EXACT_CELL_BUDGET, rotate: int = 0
+) -> tuple[int, ...]:
+    """Column rank profile over the rationals by fraction-free elimination.
 
     Bareiss updates (pivot*entry - colentry*pivotentry) // previous_pivot
     keep every intermediate value an exact integer minor; pivots are
-    chosen of minimal magnitude to limit growth.  Raises RankBudgetError
-    when rows*cols exceeds `max_cells` (fall back to the modular engine).
+    chosen of minimal magnitude to limit growth (the profile does not
+    depend on that choice).  `rotate` works as in `rank_profile_mod_p`.
+    Raises RankBudgetError when rows*cols exceeds `max_cells`.
     """
-    dense = _as_dense(matrix)
-    rows, cols = dense.shape
+    rows, cols = _shape(matrix)
     if rows * cols > max_cells:
         raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {max_cells} cells")
     if min(rows, cols) == 0:
-        return 0
-    A = [[int(v) for v in row] for row in dense]
+        return ()
+    A = _python_rows(matrix, rotate)
+    profile: list[int] = []
     previous = 1
     r = 0
     for c in range(cols):
@@ -305,14 +378,22 @@ def rank_exact(matrix: SparseIntMatrix | np.ndarray, max_cells: int = EXACT_CELL
             else:
                 other[c + 1 :] = [pivot * x // previous for x in other[c + 1 :]]
         previous = pivot
+        profile.append(c)
         r += 1
         if r == rows:
             break
-    return r
+    return tuple(profile)
+
+
+def rank_exact(matrix: SparseIntMatrix | np.ndarray, max_cells: int = EXACT_CELL_BUDGET) -> int:
+    """Rank over the rationals; raises RankBudgetError above `max_cells` cells."""
+    return len(exact_rank_profile(matrix, max_cells))
 
 
 def rank_multimodular(
-    matrix: SparseIntMatrix | np.ndarray, config: RankConfig | None = None
+    matrix: SparseIntMatrix | np.ndarray,
+    config: RankConfig | None = None,
+    trailing: SparseIntMatrix | np.ndarray | None = None,
 ) -> RankReport:
     """Rank report over the configured primes, optionally certified exactly.
 
@@ -320,21 +401,37 @@ def rank_multimodular(
     bound on the true rank).  The exact engine runs when `config.exact`
     is set, or automatically when both dimensions are at most
     `config.dense_threshold`.
+
+    `trailing` names the trailing column block of `matrix`: its last
+    trailing.cols columns hold `trailing` in their last trailing.rows rows
+    and zeros above.  The columns are then eliminated with that block
+    first, and the report's `trailing` field carries its ranks, counted
+    from the same profiles.  Its exact rank comes from the same Bareiss
+    run when the whole matrix is certified, else from its own run when it
+    qualifies by itself.
     """
     cfg = config or RankConfig()
-    dense = _as_dense(matrix)
-    per_prime = tuple((p, rank_mod_p(dense, p)) for p in cfg.primes)
-    consensus = max(r for _, r in per_prime)
-    agreed = len({r for _, r in per_prime}) == 1
-    exact = None
-    rows, cols = dense.shape
-    small = max(rows, cols) <= cfg.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
-    if cfg.exact or small:
-        exact = rank_exact(dense)
-    return RankReport(
-        per_prime=per_prime,
-        consensus=consensus,
-        agreed=agreed,
-        exact_rank=exact,
-        certified=exact is not None and exact == consensus,
+    rows, cols = _shape(matrix)
+    rotate = 0
+    if trailing is not None:
+        block_rows, block_cols = _shape(trailing)
+        if block_rows > rows or block_cols > cols:
+            raise ValueError(f"trailing block {block_rows}x{block_cols} exceeds {rows}x{cols}")
+        rotate = cols - block_cols
+    profiles = [(p, rank_profile_mod_p(matrix, p, rotate)) for p in cfg.primes]
+    exact = exact_rank_profile(matrix, rotate=rotate) if cfg.certifies(rows, cols) else None
+    block = None
+    if trailing is not None:
+        exact_block = None
+        if exact is not None:
+            exact_block = bisect_left(exact, block_cols)
+        elif cfg.certifies(block_rows, block_cols):
+            exact_block = rank_exact(trailing)
+        block = RankReport.of(
+            tuple((p, bisect_left(profile, block_cols)) for p, profile in profiles), exact_block
+        )
+    return RankReport.of(
+        tuple((p, len(profile)) for p, profile in profiles),
+        None if exact is None else len(exact),
+        block,
     )

@@ -38,6 +38,35 @@ def rational_rank(matrix) -> int:
     return rank
 
 
+def rowreduce_rank(matrix, p: int) -> int:
+    """Plain unblocked row reduction mod p in int64; valid for any p < 2**31."""
+    if isinstance(matrix, SparseIntMatrix):
+        dense = matrix.to_dense().tolist()
+    else:
+        dense = np.asarray(matrix).tolist()
+    A = np.array([[int(v) % p for v in row] for row in dense], dtype=np.int64)
+    if A.size == 0:
+        return 0
+    a, b = A.shape
+    row = 0
+    for c in range(b):
+        nonzero = np.nonzero(A[row:a, c])[0]
+        if nonzero.size == 0:
+            continue
+        i = row + int(nonzero[0])
+        if i != row:
+            A[[row, i]] = A[[i, row]]
+        inv = pow(int(A[row, c]), p - 2, p)
+        A[row, c:] = A[row, c:] * inv % p
+        multipliers = A[row + 1 : a, c]
+        if multipliers.size:
+            A[row + 1 : a, c:] = (A[row + 1 : a, c:] - multipliers[:, None] * A[row, c:]) % p
+        row += 1
+        if row == a:
+            break
+    return row
+
+
 def sparse_from_dense(array) -> SparseIntMatrix:
     arr = np.asarray(array)
     entries = sorted(

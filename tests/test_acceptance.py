@@ -48,15 +48,15 @@ def test_criterion_02_quintic_16_nodes(corpus):
 
 
 def test_criterion_03_quintic_118a(corpus):
-    _check_fixture(corpus, 3, "quintic-vgw-118a", 19, 101, 300.0)
+    _check_fixture(corpus, 3, "quintic-vgw-118a", 19, 101, 30.0)
 
 
 def test_criterion_04_quintic_118b(corpus):
-    _check_fixture(corpus, 4, "quintic-vgw-118b", 18, 101, 300.0)
+    _check_fixture(corpus, 4, "quintic-vgw-118b", 18, 101, 30.0)
 
 
 def test_criterion_05_quintic_130(corpus):
-    _check_fixture(corpus, 5, "quintic-vanstraten-130", 29, 101, 300.0)
+    _check_fixture(corpus, 5, "quintic-vanstraten-130", 29, 101, 30.0)
 
 
 def test_criterion_06_quartic(corpus):
@@ -64,11 +64,11 @@ def test_criterion_06_quartic(corpus):
 
 
 def test_criterion_07_sextic_285(corpus):
-    _check_fixture(corpus, 7, "sextic-285-nodes", 40, 255, 1800.0)
+    _check_fixture(corpus, 7, "sextic-285-nodes", 40, 255, 60.0)
 
 
 def test_criterion_08_sextic_90(corpus):
-    _check_fixture(corpus, 8, "sextic-90-points", 30, 255, 1800.0)
+    _check_fixture(corpus, 8, "sextic-90-points", 30, 255, 60.0)
 
 
 def test_criterion_09_exact_certification():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hyperdefect
+from hyperdefect import ranks
 from hyperdefect.cli import main
 from hyperdefect.polynomials import parse_expression, emit_term_list
 
@@ -105,8 +106,31 @@ def test_defect_exact_certifies_small_degree(capsys):
 def test_defect_k2_routes_to_raw_report(capsys):
     code, out, _ = run(capsys, "defect", "--expr", SEGRE, "--k", "2")
     assert code == 0
-    assert "e2 dim:  5" in out
+    # gamma = h^{2,1} = 5 of a smooth cubic threefold absorbs mu = dim R_1 = 5
+    assert "gamma:   5" in out
+    assert "e2 dim:  0" in out
     assert "defect" not in out
+
+
+def test_defect_huge_coefficient_is_not_an_overflow(capsys):
+    # 2^70 does not fit int64: ranks reduce Python ints mod p or stay in Python ints
+    code, out, err = run(capsys, "defect", "--expr", "2^70*x^3+y^3+z^3+u^3+v^3", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["defect"] == 0
+    assert all(block["certified"] for block in payload["ranks"].values())
+
+
+def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
+    real = ranks.rank_profile_mod_p
+    monkeypatch.setattr(
+        ranks,
+        "rank_profile_mod_p",
+        lambda matrix, p, rotate=0: real(matrix, p, rotate) + (len(real(matrix, p, rotate)),),
+    )
+    code, _, err = run(capsys, "defect", "--expr", SEGRE)
+    assert code == 4
+    assert "wedge_low: rank 1 mod 32633 outside [0, 0]" in err
 
 
 def test_defect_four_variables_routes_to_raw_report(capsys):
@@ -198,7 +222,8 @@ def test_defect_k2_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["multiplier"] == 2
-    assert payload["e2_dim"] == 5
+    assert payload["gamma"] == 5
+    assert payload["e2_dim"] == 0
     assert "ranks" in payload
 
 

@@ -19,7 +19,9 @@ from hyperdefect.polynomials import (
     VariableCountError,
     parse_expression,
 )
-from hyperdefect.ranks import RankConfig
+from hyperdefect import ranks
+from hyperdefect.monomials import dim_graded
+from hyperdefect.ranks import RankConfig, RankInvariantError
 
 
 def euler_series_oracle(n, d):
@@ -165,10 +167,70 @@ def test_degenerate_inputs_do_not_crash():
 def test_multiplier_two_report_runs():
     report = e2_piece(get_fixture("segre-cubic").build(), 2)
     assert report.multiplier == 2
-    assert report.gamma == 0
+    # gamma is the t^{2d} coefficient, h^{2,1} = 5 of a smooth cubic threefold
+    assert report.gamma == 5
     assert report.mu == 5
-    assert report.e2_dim == 5
+    assert report.e2_dim == 0
     assert report.rank_d1 == 0
+
+
+def _full_shape(m, d, k):
+    e_low, e_high = (k - 2) * d - (m - 1), (k - 1) * d - (m - 1)
+    rows = m * (dim_graded(m, e_low) + dim_graded(m, e_high))
+    cols = dim_graded(m, e_low + d - 1) + dim_graded(m, e_high + d - 1)
+    return rows, cols
+
+
+FERMAT_SHAPES = [
+    (m, d, k)
+    for m in range(3, 7)
+    for d in range(2, 5)
+    for k in range(2, 5)
+    if max(_full_shape(m, d, k)) <= 600
+]
+
+
+@pytest.mark.parametrize("m,d,k", FERMAT_SHAPES)
+def test_smooth_fermat_e2_vanishes(m, d, k):
+    # a smooth hypersurface has no E2 term: mu - gamma = rank d1 at every (m, d, k)
+    names = tuple(f"x{i}" for i in range(m))
+    form = HomogeneousForm.from_polynomial(
+        parse_expression("+".join(f"{v}^{d}" for v in names), names)
+    )
+    report = e2_piece(form, k, RankConfig(primes=(32633,)))
+    assert report.e2_dim == 0, (m, d, k, report.gamma, report.mu, report.rank_d1)
+
+
+def test_fermat_shapes_cover_the_grid():
+    assert len(FERMAT_SHAPES) >= 30
+    assert {(m, k) for m, _, k in FERMAT_SHAPES} == {
+        (m, k) for m in range(3, 7) for k in range(2, 5)
+    }
+
+
+def test_rank_above_its_shape_is_refused(monkeypatch):
+    real = ranks.rank_profile_mod_p
+
+    def one_pivot_too_many(matrix, p, rotate=0):
+        profile = real(matrix, p, rotate)
+        return profile + (len(profile),) * (rotate == 0)
+
+    monkeypatch.setattr(ranks, "rank_profile_mod_p", one_pivot_too_many)
+    with pytest.raises(RankInvariantError, match=r"wedge_low: rank 6 mod 32633 outside \[0, 5\]"):
+        e2_piece(get_fixture("quartic-one-point").build(), 3)
+
+
+def test_full_rank_below_its_blocks_is_refused(monkeypatch):
+    real = ranks.rank_profile_mod_p
+
+    def drop_pivots_outside_the_leading_block(matrix, p, rotate=0):
+        profile = real(matrix, p, rotate)
+        lead = matrix.cols - rotate
+        return tuple(c for c in profile if c < lead) if rotate and p == 32647 else profile
+
+    monkeypatch.setattr(ranks, "rank_profile_mod_p", drop_pivots_outside_the_leading_block)
+    with pytest.raises(RankInvariantError, match="full: rank 267 mod 32647 below"):
+        e2_piece(get_fixture("quartic-one-point").build(), 3)
 
 
 def test_e2_piece_validates_arguments():

@@ -3,22 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rational_rank, sparse_from_dense
+from helpers import rational_rank, rowreduce_rank, sparse_from_dense
 from hyperdefect.fixtures import get_fixture
 from hyperdefect.koszul import SparseIntMatrix, assemble_phi
+from hyperdefect.polynomials import HomogeneousForm, parse_expression
 from hyperdefect.ranks import (
     DEFAULT_PRIMES,
     PRIME_TABLE,
     RankBudgetError,
     RankConfig,
     RankReport,
+    _kernel,
+    _reduce,
+    exact_rank_profile,
     rank_exact,
     rank_mod_p,
     rank_multimodular,
+    rank_profile_mod_p,
 )
 
-BLOCKED_PRIMES = (2, 3, 32749, 524287)  # all below the float64-blocked limit
-BIG_PRIME = 2147483647  # forces the int64 row-reduction path
+BLOCKED_PRIMES = (2, 3, 32749, 524287)  # float64 kernel at the full panel width
+EDGE_PRIME = 94906249  # largest prime the float64 kernel takes (panel width 1)
+BIG_PRIME = 2147483647  # int64 kernel, the largest prime RankConfig accepts
 
 
 small_matrices = st.integers(min_value=1, max_value=7).flatmap(
@@ -30,6 +36,9 @@ small_matrices = st.integers(min_value=1, max_value=7).flatmap(
         )
     )
 )
+
+
+dims = st.integers(min_value=1, max_value=4)
 
 
 def test_prime_table_is_prime_and_fifteen_bit():
@@ -89,12 +98,10 @@ def test_methods_cross_panel_boundaries():
     left = rng.randint(-4, 5, size=(220, 60)).astype(np.int64)
     right = rng.randint(-4, 5, size=(60, 300)).astype(np.int64)
     product = left @ right  # rank <= 60
-    for p in BLOCKED_PRIMES:
-        blocked = rank_mod_p(product, p, method="blocked")
-        rowreduce = rank_mod_p(product, p, method="rowreduce")
-        minpivot = rank_mod_p(product, p, method="minpivot")
-        assert blocked == rowreduce == minpivot
-        assert blocked <= 60
+    for p in BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME):
+        rank = rank_mod_p(product, p)
+        assert rank == rowreduce_rank(product, p)
+        assert rank <= 60
     assert rank_mod_p(product, BIG_PRIME) == rank_mod_p(product, 32749)
 
 
@@ -111,21 +118,107 @@ def test_method_validation():
     with pytest.raises(ValueError):
         rank_mod_p(np.eye(2), 4)
     with pytest.raises(ValueError):
-        rank_mod_p(np.eye(2), 3, method="nonsense")
+        rank_mod_p(np.ones((2, 2, 2)), 3)
     with pytest.raises(ValueError):
-        rank_mod_p(np.eye(2), BIG_PRIME, method="blocked")
+        rank_mod_p(np.eye(2), 2**31 + 11)
+    # every prime RankConfig accepts goes through the one engine
+    assert _kernel(EDGE_PRIME)[0] is np.float64
+    assert _kernel(EDGE_PRIME + 48)[0] is np.int64
+    for p in (2, EDGE_PRIME, EDGE_PRIME + 48, BIG_PRIME):
+        assert rank_mod_p(np.eye(2), p) == 2
 
 
-@given(small_matrices, st.sampled_from(BLOCKED_PRIMES))
+@given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME)))
 @settings(max_examples=120, deadline=None)
 def test_engines_agree_and_bound_the_rational_rank(rows, p):
     dense = np.array(rows, dtype=np.int64)
     expected = rational_rank(dense)
-    modular = rank_mod_p(dense, p, method="blocked")
-    assert modular == rank_mod_p(dense, p, method="rowreduce")
-    assert modular == rank_mod_p(dense, p, method="minpivot")
+    modular = rank_mod_p(dense, p)
+    assert modular == rowreduce_rank(dense, p)
     assert modular <= expected
     assert rank_exact(dense) == expected
+
+
+def _leading_counts(profile, cols):
+    return [sum(1 for c in profile if c < k) for k in range(cols + 1)]
+
+
+@given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME)))
+@settings(max_examples=80, deadline=None)
+def test_profile_prefix_counts_leading_block_ranks(rows, p):
+    dense = np.array(rows, dtype=np.int64)
+    cols = dense.shape[1]
+    modular = _leading_counts(rank_profile_mod_p(dense, p), cols)
+    exact = _leading_counts(exact_rank_profile(dense), cols)
+    for k in range(cols + 1):
+        assert modular[k] == rowreduce_rank(dense[:, :k], p)
+        assert exact[k] == rational_rank(dense[:, :k])
+
+
+@given(dims, dims, dims, dims, st.sampled_from(BLOCKED_PRIMES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_rotated_block_triangular_profile(a1, b1, a2, b2, p, data):
+    # full = [[A, 0], [D, B]] eliminated as [[0, A], [B, D]]: B's columns first
+    entry = st.integers(min_value=-5, max_value=5)
+    grid = lambda r, c: np.array(
+        data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)),
+        dtype=np.int64,
+    )
+    top, bottom, coupling = grid(a1, b1), grid(a2, b2), grid(a2, b1)
+    full = np.block([[top, np.zeros((a1, b2), dtype=np.int64)], [coupling, bottom]])
+    rotated = np.block([[np.zeros((a1, b2), dtype=np.int64), top], [bottom, coupling]])
+    profile = rank_profile_mod_p(sparse_from_dense(full), p, rotate=b1)
+    assert profile == rank_profile_mod_p(rotated, p)
+    counts = _leading_counts(profile, b1 + b2)
+    for k in range(b1 + b2 + 1):
+        assert counts[k] == rowreduce_rank(rotated[:, :k], p)
+    assert counts[b2] == rowreduce_rank(bottom, p)
+    assert counts[-1] == rowreduce_rank(full, p)
+    exact = exact_rank_profile(sparse_from_dense(full), rotate=b1)
+    assert exact == exact_rank_profile(rotated)
+    report = rank_multimodular(full, RankConfig(primes=(p,)), trailing=bottom)
+    assert report.per_prime == ((p, counts[-1]),)
+    assert report.trailing.per_prime == ((p, counts[b2]),)
+    assert report.exact_rank == rational_rank(full)
+    assert report.trailing.exact_rank == rational_rank(bottom)
+
+
+def test_trailing_block_certification_follows_its_own_shape():
+    curve = HomogeneousForm.from_polynomial(parse_expression("x^4+y^4+z^4", ("x", "y", "z")))
+    blocks = assemble_phi(curve, 3)  # B 84x55, full 102x76
+    exact_b, exact_full = rank_exact(blocks.wedge_high), rank_exact(blocks.full)
+    # B qualifies for exact certification and full does not: B gets its own run
+    alone = rank_multimodular(blocks.full, RankConfig(), trailing=blocks.wedge_high)
+    assert alone.exact_rank is None and not alone.certified
+    assert alone.trailing.exact_rank == exact_b and alone.trailing.certified
+    neither = rank_multimodular(
+        blocks.full, RankConfig(dense_threshold=83), trailing=blocks.wedge_high
+    )
+    assert neither.trailing.exact_rank is None
+    # one Bareiss run over full certifies both
+    both = rank_multimodular(blocks.full, RankConfig(exact=True), trailing=blocks.wedge_high)
+    assert (both.exact_rank, both.trailing.exact_rank) == (exact_full, exact_b)
+    assert both.certified and both.trailing.certified
+    assert both.trailing == rank_multimodular(blocks.wedge_high, RankConfig(exact=True))
+    with pytest.raises(ValueError):
+        rank_multimodular(blocks.wedge_high, trailing=blocks.full)
+
+
+@pytest.mark.parametrize("p", [32749, EDGE_PRIME, BIG_PRIME])
+def test_in_place_reduction_is_exact_at_its_edges(p):
+    dtype, width, delay = _kernel(p)
+    largest = delay * width * (p - 1) ** 2  # most negative value the kernel forms
+    limit = 2**53 if dtype is np.float64 else 2**63
+    assert largest + p < limit
+    edges = [0, 1, p - 1, p, 2 * p, -p, -1, -(p - 1), (p - 1) ** 2, p * (p - 1)]
+    edges += [-largest, -largest + 1, -largest + p - 1, -(largest // p) * p]
+    edges += [-(largest // p) * p - 1, -(largest // p) * p + 1, -(largest // p - 1) * p]
+    rng = np.random.default_rng(p)
+    edges += [int(v) for v in rng.integers(-largest, p, size=2000)]
+    values = np.array(edges, dtype=dtype)
+    assert values.astype(object).tolist() == edges  # every input is represented exactly
+    _reduce(values, p)
+    assert [int(v) for v in values] == [v % p for v in edges]
 
 
 @given(small_matrices)
@@ -156,8 +249,6 @@ def test_rank_invariant_under_permutation_and_sign(rows, rng):
     assert rank_mod_p(flipped, 32719) == rank_mod_p(dense, 32719)
 
 
-dims = st.integers(min_value=1, max_value=4)
-
 
 @given(dims, dims, dims, dims, st.data())
 @settings(max_examples=60, deadline=None)
@@ -179,18 +270,17 @@ def test_fixture_blocks_certify_across_engines():
     blocks = assemble_phi(get_fixture("segre-cubic").build(), 3)
     for matrix in (blocks.wedge_high, blocks.full):
         exact = rank_exact(matrix)
+        assert exact == rational_rank(matrix)
         for p in DEFAULT_PRIMES:
             assert rank_mod_p(matrix, p) == exact
-            assert rank_mod_p(matrix, p, method="minpivot") == exact
+            assert rowreduce_rank(matrix, p) == exact
 
 
 def test_blocked_agrees_with_rowreduce_at_scale():
     # 1001 columns: eight panels, rank-deficient columns, full trailing updates
     matrix = assemble_phi(get_fixture("quintic-16-nodes").build(), 3).wedge_high
     p = DEFAULT_PRIMES[0]
-    assert rank_mod_p(matrix, p, method="blocked") == rank_mod_p(
-        matrix, p, method="rowreduce"
-    )
+    assert rank_mod_p(matrix, p) == rowreduce_rank(matrix, p)
 
 
 def test_reports_are_deterministic():
