@@ -1,7 +1,9 @@
 """Command-line front end: defect, hodge and corpus subcommands.
 
 Exit codes: 0 success, 1 corpus mismatch, 2 input/validation error,
-3 exact-rank budget exceeded, 4 a computed rank broke an invariant.
+3 a size budget exceeded (the exact-rank budget, or the modular budget
+checked on `full`'s shape before any block is built), 4 a computed rank
+broke an invariant.
 """
 
 from __future__ import annotations
@@ -98,11 +100,7 @@ def _cmd_defect(args) -> int:
         report = e2_piece(form, args.k, cfg)
         if args.json:
             payload = report.as_dict()
-            payload["ranks"] = {
-                "wedge_low": report.wedge_low.report.as_dict(),
-                "wedge_high": report.wedge_high.report.as_dict(),
-                "full": report.full.report.as_dict(),
-            }
+            payload["ranks"] = {name: rep.as_dict() for name, rep in report.rank_reports.items()}
             print(json.dumps(payload, indent=2))
         else:
             _print_e2(report)

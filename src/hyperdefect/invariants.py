@@ -28,7 +28,14 @@ from math import comb
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
 from .monomials import dim_graded
 from .polynomials import HomogeneousForm, VariableCountError
-from .ranks import RankConfig, RankInvariantError, RankReport, rank_multimodular
+from .ranks import (
+    MODULAR_CELL_BUDGET,
+    RankBudgetError,
+    RankConfig,
+    RankInvariantError,
+    RankReport,
+    rank_multimodular,
+)
 
 
 def smooth_euler(n: int, d: int) -> int:
@@ -136,12 +143,16 @@ class E2Report:
     e2_dim: int
 
     @property
+    def rank_reports(self) -> dict[str, RankReport]:
+        return {
+            "wedge_low": self.wedge_low.report,
+            "wedge_high": self.wedge_high.report,
+            "full": self.full.report,
+        }
+
+    @property
     def prime_disagreement(self) -> bool:
-        return not (
-            self.wedge_low.report.agreed
-            and self.wedge_high.report.agreed
-            and self.full.report.agreed
-        )
+        return not all(report.agreed for report in self.rank_reports.values())
 
     def as_dict(self) -> dict:
         return {
@@ -188,15 +199,22 @@ def e2_piece(
 
     Requires at least 3 variables and multiplier >= 2.  `full` is
     eliminated once per prime with B's columns first, which gives the
-    ranks of B and of `full` together.  Rank-engine errors propagate, as
-    does RankInvariantError when a per-prime rank breaks a bound;
-    disagreement between primes is visible on the block reports.
+    ranks of B and of `full` together.  Raises RankBudgetError, before
+    building anything, when `full` would exceed MODULAR_CELL_BUDGET
+    cells.  Rank-engine errors propagate, as does RankInvariantError when
+    a per-prime rank breaks a bound; disagreement between primes is
+    visible on the block reports.
     """
     m = form.variable_count
     if m < 3:
         raise VariableCountError(f"need at least 3 variables, got {m}")
     if multiplier < 2:
         raise ValueError(f"multiplier must be >= 2, got {multiplier}")
+    rows, cols = PhiDegrees.of(m, form.degree, multiplier).full_shape
+    if rows * cols > MODULAR_CELL_BUDGET:
+        raise RankBudgetError(
+            f"full block {rows}x{cols} exceeds the modular budget of {MODULAR_CELL_BUDGET} cells"
+        )
     cfg = config or RankConfig()
     blocks: PhiBlocks = assemble_phi(form, multiplier)
     wedge_low = _ranked(blocks.wedge_low, rank_multimodular(blocks.wedge_low, cfg))
@@ -250,11 +268,7 @@ class DefectReport:
 
     @property
     def rank_reports(self) -> dict[str, RankReport]:
-        return {
-            "wedge_low": self.e2.wedge_low.report,
-            "wedge_high": self.e2.wedge_high.report,
-            "full": self.e2.full.report,
-        }
+        return self.e2.rank_reports
 
     def as_dict(self) -> dict:
         return {
@@ -311,19 +325,17 @@ class LocalVanishingData:
 
     `dim_vanishing` is the total vanishing cohomology, `dim_monodromy_kernel`
     the kernel of the monodromy logarithm inside the unipotent part.  The
-    optional fields feed the Hodge-graded report: `dim_unipotent` is the
-    unipotent part itself and `gr2_vanishing` its F^2-graded dimension.
-    For ordinary double points in odd fiber dimension all four equal the
-    number of singular points.
+    optional `gr2_vanishing`, the F^2-graded dimension of the unipotent
+    part, feeds the Hodge-graded report.  For ordinary double points in
+    odd fiber dimension all three equal the number of singular points.
     """
 
     dim_vanishing: int
     dim_monodromy_kernel: int
-    dim_unipotent: int | None = None  # informational; not consumed by ih_report
     gr2_vanishing: int | None = None
 
     def __post_init__(self):
-        for name in ("dim_vanishing", "dim_monodromy_kernel", "dim_unipotent", "gr2_vanishing"):
+        for name in ("dim_vanishing", "dim_monodromy_kernel", "gr2_vanishing"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -333,7 +345,6 @@ class LocalVanishingData:
         return cls(
             dim_vanishing=count,
             dim_monodromy_kernel=count,
-            dim_unipotent=count,
             gr2_vanishing=count,
         )
 

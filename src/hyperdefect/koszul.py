@@ -19,46 +19,90 @@ from typing import Iterable
 
 import numpy as np
 
-from .monomials import dim_graded, graded_monomials, monomial_index
+from .monomials import dim_graded, exponent_array, monomial_indices
 from .polynomials import HomogeneousForm
 
 # to_dense targets int64; block entries are tiny but guard anyway
 _DENSE_LIMIT = 2**62
 
 
-@dataclass(frozen=True)
 class SparseIntMatrix:
-    """Immutable sparse integer matrix in sorted triplet form."""
+    """Immutable sparse integer matrix in coordinate form.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
+    `r` and `c` are int64 arrays of row and column indices, sorted by
+    (row, column) without repeats; `v` holds the nonzero values as Python
+    ints, so coefficient size is unlimited.  Built from (row, col, value)
+    triplets, or from the three arrays by `from_arrays`; either way the
+    shape, range, nonzero values and strict order are checked.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"negative shape {self.rows}x{self.cols}")
-        previous = None
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-            if v == 0:
-                raise ValueError(f"stored zero at ({r}, {c})")
-            if previous is not None and (r, c) <= previous:
-                raise ValueError(f"entries not strictly sorted at ({r}, {c})")
-            previous = (r, c)
+    __slots__ = ("rows", "cols", "r", "c", "v")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]):
+        entries = tuple(entries)
+        self._set(rows, cols, *([e[k] for e in entries] for k in range(3)))
+
+    @classmethod
+    def from_arrays(cls, rows: int, cols: int, r, c, v) -> SparseIntMatrix:
+        """Matrix from row, column and value sequences of one length."""
+        matrix = cls.__new__(cls)
+        matrix._set(rows, cols, r, c, v)
+        return matrix
+
+    def _set(self, rows: int, cols: int, r, c, v) -> None:
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative shape {rows}x{cols}")
+        try:
+            r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"entry index outside {rows}x{cols}") from None
+        v = np.array(v, dtype=object)
+        if not r.ndim == c.ndim == v.ndim == 1 or not len(r) == len(c) == len(v):
+            raise ValueError("row, column and value arrays must be 1-d of one length")
+        outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"entry ({r[i]}, {c[i]}) outside {rows}x{cols}")
+        if not all(v):
+            i = v.tolist().index(0)
+            raise ValueError(f"stored zero at ({r[i]}, {c[i]})")
+        step, shift = np.diff(r), np.diff(c)
+        unsorted = np.flatnonzero((step < 0) | ((step == 0) & (shift <= 0)))
+        if unsorted.size:
+            i = unsorted[0] + 1
+            raise ValueError(f"entries not strictly sorted at ({r[i]}, {c[i]})")
+        for array in (r, c, v):
+            array.flags.writeable = False
+        for name, value in zip(self.__slots__, (rows, cols, r, c, v)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseIntMatrix is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseIntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.v)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The (row, col, value) triplets in order, as Python ints."""
+        return tuple(zip(self.r.tolist(), self.c.tolist(), self.v.tolist()))
 
     def to_dense(self) -> np.ndarray:
         """Dense int64 array; raises if any entry would not fit."""
         dense = np.zeros((self.rows, self.cols), dtype=np.int64)
-        if self.entries:
-            r, c, v = zip(*self.entries)
-            if max(abs(x) for x in v) >= _DENSE_LIMIT:
+        if self.nnz:
+            if max(abs(x) for x in self.v.tolist()) >= _DENSE_LIMIT:
                 raise OverflowError("entry too large for int64 densification")
-            dense[np.asarray(r), np.asarray(c)] = np.asarray(v, dtype=np.int64)
+            dense[self.r, self.c] = self.v.astype(np.int64)
         return dense
 
     def to_triplet_text(self) -> str:
@@ -68,19 +112,6 @@ class SparseIntMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _accumulate(rows: int, cols: int, items: Iterable[tuple[int, int, int]]) -> SparseIntMatrix:
-    acc: dict[tuple[int, int], int] = {}
-    for r, c, v in items:
-        key = (r, c)
-        new = acc.get(key, 0) + v
-        if new:
-            acc[key] = new
-        elif key in acc:
-            del acc[key]
-    entries = tuple(sorted((r, c, v) for (r, c), v in acc.items()))
-    return SparseIntMatrix(rows, cols, entries)
-
-
 def build_wedge_block(form: HomogeneousForm, e: int) -> SparseIntMatrix:
     """Matrix of wedging with df on coefficient monomials of degree e.
 
@@ -88,23 +119,34 @@ def build_wedge_block(form: HomogeneousForm, e: int) -> SparseIntMatrix:
     e+d-1 basis: each term c*x^t of f with t_j > 0 contributes t_j*c at
     column a + t - unit_j.  For e < 0 the block has no rows (columns are
     still sized by the target degree so adjacent blocks line up).
+
+    The rank order of a graded basis is lexicographic (descending), and
+    so invariant under translation: sorting the shifts t - unit_j once
+    sorts the columns of every row.  The shift is injective, so no
+    column repeats within a row.
     """
     m = form.variable_count
-    d = form.degree
-    source = list(graded_monomials(m, e))
-    cols = dim_graded(m, e + d - 1)
-    items: list[tuple[int, int, int]] = []
+    source = exponent_array(m, e)
+    size = len(source)
+    r, c, v = [], [], []
     for j in range(m):
-        base = j * len(source)
-        for t, coefficient in form.poly.items():
-            tj = t[j]
-            if tj == 0:
-                continue
-            shift = t[:j] + (tj - 1,) + t[j + 1 :]
-            for row, a in enumerate(source):
-                target = tuple(x + y for x, y in zip(a, shift))
-                items.append((base + row, monomial_index(target), tj * coefficient))
-    return _accumulate(m * len(source), cols, items)
+        shifted = sorted(
+            (
+                (t[:j] + (t[j] - 1,) + t[j + 1 :], t[j] * coefficient)
+                for t, coefficient in form.poly.items()
+                if t[j]
+            ),
+            reverse=True,
+        )
+        shifts = np.array([shift for shift, _ in shifted], dtype=np.int64).reshape(-1, m)
+        columns = monomial_indices(source[:, None, :] + shifts[None, :, :])
+        values = np.empty(columns.shape, dtype=object)
+        values[:] = [value for _, value in shifted]
+        r.append(np.repeat(j * size + np.arange(size), len(shifted)))
+        c.append(columns.ravel())
+        v.append(values.ravel())
+    cols = dim_graded(m, e + form.degree - 1)
+    return SparseIntMatrix.from_arrays(m * size, cols, *map(np.concatenate, (r, c, v)))
 
 
 def build_derivative_block(m: int, e: int) -> SparseIntMatrix:
@@ -113,18 +155,19 @@ def build_derivative_block(m: int, e: int) -> SparseIntMatrix:
     Component j sends x^a to a_j * x^(a - unit_j); independent of f.
     Empty for e <= 0 (no columns at e = 0, no rows below).
     """
-    source = list(graded_monomials(m, e))
-    cols = dim_graded(m, e - 1)
-    items: list[tuple[int, int, int]] = []
+    source = exponent_array(m, e)
+    size = len(source)
+    r, c, v = [], [], []
     for j in range(m):
-        base = j * len(source)
-        for row, a in enumerate(source):
-            aj = a[j]
-            if aj == 0:
-                continue
-            target = a[:j] + (aj - 1,) + a[j + 1 :]
-            items.append((base + row, monomial_index(target), aj))
-    return _accumulate(m * len(source), cols, items)
+        used = np.flatnonzero(source[:, j])
+        targets = source[used]
+        targets[:, j] -= 1
+        r.append(j * size + used)
+        c.append(monomial_indices(targets))
+        v.append(source[used, j])
+    return SparseIntMatrix.from_arrays(
+        m * size, dim_graded(m, e - 1), *map(np.concatenate, (r, c, v))
+    )
 
 
 @dataclass(frozen=True)
@@ -138,6 +181,21 @@ class PhiDegrees:
     source_high: int
     target_low: int
     target_high: int
+
+    @classmethod
+    def of(cls, m: int, d: int, multiplier: int) -> PhiDegrees:
+        """Source coefficient degrees (multiplier-2)*d - (m-1) and
+        (multiplier-1)*d - (m-1); targets are one wedge degree above each."""
+        low = (multiplier - 2) * d - (m - 1)
+        high = (multiplier - 1) * d - (m - 1)
+        return cls(m, d, multiplier, low, high, low + d - 1, high + d - 1)
+
+    @property
+    def full_shape(self) -> tuple[int, int]:
+        """(rows, cols) of `full`, from the basis sizes alone."""
+        m = self.m
+        rows = m * (dim_graded(m, self.source_low) + dim_graded(m, self.source_high))
+        return rows, dim_graded(m, self.target_low) + dim_graded(m, self.target_high)
 
 
 @dataclass(frozen=True)
@@ -157,33 +215,47 @@ class PhiBlocks:
     degrees: PhiDegrees
 
 
+def _side_by_side(
+    left: SparseIntMatrix, right: SparseIntMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value arrays of [left, right], in order, unsorted.
+
+    An entry's position is the number of entries before it in its own
+    block plus those of the other block in earlier rows (for a `right`
+    entry: in its row too, since left's columns come first).
+    """
+    at_left = np.searchsorted(right.r, left.r) + np.arange(left.nnz)
+    at_right = np.searchsorted(left.r, right.r, side="right") + np.arange(right.nnz)
+    r = np.empty(left.nnz + right.nnz, dtype=np.int64)
+    c = np.empty_like(r)
+    v = np.empty(len(r), dtype=object)
+    r[at_left], r[at_right] = left.r, right.r
+    c[at_left], c[at_right] = left.c, right.c + left.cols
+    v[at_left], v[at_right] = left.v, right.v
+    return r, c, v
+
+
 def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     """Build the graded map at target grading multiplier*d.
 
-    Source coefficient degrees are (multiplier-2)*d - (m-1) and
-    (multiplier-1)*d - (m-1); targets are one wedge degree above each.
-    Empty blocks are allowed (small d or multiplier = 2).
+    Degrees as in `PhiDegrees.of`.  Empty blocks are allowed (small d or
+    multiplier = 2).
     """
     if multiplier < 2:
         raise ValueError(f"multiplier must be >= 2, got {multiplier}")
     m = form.variable_count
-    d = form.degree
-    e_low = (multiplier - 2) * d - (m - 1)
-    e_high = (multiplier - 1) * d - (m - 1)
-    wedge_low = build_wedge_block(form, e_low)
-    wedge_high = build_wedge_block(form, e_high)
-    derivative = build_derivative_block(m, e_high)
+    degrees = PhiDegrees.of(m, form.degree, multiplier)
+    wedge_low = build_wedge_block(form, degrees.source_low)
+    wedge_high = build_wedge_block(form, degrees.source_high)
+    derivative = build_derivative_block(m, degrees.source_high)
     assert derivative.cols == wedge_low.cols
     assert derivative.rows == wedge_high.rows
-    row_offset = wedge_low.rows
-    col_offset = wedge_low.cols
-    items = list(wedge_low.entries)
-    items.extend((r + row_offset, c, v) for r, c, v in derivative.entries)
-    items.extend((r + row_offset, c + col_offset, v) for r, c, v in wedge_high.entries)
-    full = SparseIntMatrix(
+    lower = _side_by_side(derivative, wedge_high)
+    full = SparseIntMatrix.from_arrays(
         wedge_low.rows + wedge_high.rows,
         wedge_low.cols + wedge_high.cols,
-        tuple(sorted(items)),
+        np.concatenate((wedge_low.r, lower[0] + wedge_low.rows)),
+        np.concatenate((wedge_low.c, lower[1])),
+        np.concatenate((wedge_low.v, lower[2])),
     )
-    degrees = PhiDegrees(m, d, multiplier, e_low, e_high, e_low + d - 1, e_high + d - 1)
     return PhiBlocks(wedge_low, wedge_high, derivative, full, degrees)

@@ -4,7 +4,8 @@ Degree-e monomials in m variables are numbered 0 .. C(e+m-1, m-1)-1 by
 descending first exponent, then recursively on the remaining variables,
 so x^e comes first and the pure power of the last variable comes last.
 The rank has a closed form as a sum of binomial offsets, which is what
-matrix row/column addressing uses throughout the package.
+matrix row/column addressing uses throughout the package; it vectorises
+over an array of exponent vectors (`monomial_indices`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 def dim_graded(m: int, e: int) -> int:
@@ -38,6 +41,32 @@ def monomial_index(exponents: Sequence[int]) -> int:
         remaining -= exponents[r]
         index += comb(remaining + m - 2 - r, m - 1 - r)
     return index
+
+
+def monomial_indices(exponents: np.ndarray) -> np.ndarray:
+    """`monomial_index` of every exponent vector along the last axis.
+
+    Exponents must be non-negative; the binomials come from exact
+    integer tables, so the result is exact wherever it fits in int64.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    m = exponents.shape[-1]
+    # remaining[..., r] = sum of exponents r+1 .. m-1
+    remaining = np.cumsum(exponents[..., :0:-1], axis=-1)[..., ::-1]
+    index = np.zeros(exponents.shape[:-1], dtype=np.int64)
+    if remaining.size == 0:
+        return index
+    top = int(remaining.max())
+    for r in range(m - 1):
+        k = m - 1 - r
+        table = np.array([comb(n + k - 1, k) for n in range(top + 1)], dtype=np.int64)
+        index += table[remaining[..., r]]
+    return index
+
+
+def exponent_array(m: int, e: int) -> np.ndarray:
+    """All degree-e exponent vectors in rank order, as a (dim, m) int64 array."""
+    return np.array(list(graded_monomials(m, e)), dtype=np.int64).reshape(-1, m)
 
 
 def index_monomial(m: int, e: int, i: int) -> tuple[int, ...]:

@@ -7,18 +7,31 @@ the rank of the leading k columns, so one elimination gives the rank of
 every leading column block at once.
 
 * `rank_profile_mod_p` eliminates over the field with p elements.  It
-  densifies once, straight from the sparse triplets (each Python-int
-  entry reduced mod p), and runs a blocked right-looking elimination that
-  pivots on the first nonzero row, so the result is deterministic.  Panel
-  products update the trailing matrix in place through float64 BLAS.
-  Every value is an integer: a panel product of width w adds at most
+  densifies once, straight from the coordinate arrays (entries reduced
+  mod p in one int64 pass, or one Python-int pass when some entry does
+  not fit), and runs a blocked right-looking elimination that pivots on
+  the first nonzero row, so the result is deterministic.  Each panel of
+  up to 64 columns is copied out column-major and factored recursively,
+  as in the CUP decomposition (Jeannerod, Pernet and Storjohann, J.
+  Symbolic Comput. 2013): halve the columns, factor the left half, solve
+  the right half's rows beside its pivots with one product by the
+  inverse of its unit lower triangle, update the rows below with one
+  product, and factor the right half.  Only ranges of at most 8 columns
+  are factored column by column.  The panel's pivot rows are then solved
+  across the trailing columns with one product by the inverse of the
+  panel's unit lower triangle, and the trailing matrix takes the panel
+  product in place.  All products run in float64 BLAS on integer values:
+  a product of inner dimension w with operands in [0, p) adds at most
   w*(p-1)**2 to a magnitude, and reduction x - floor(x/p)*p with a
-  correctly rounded quotient is exact while |x| + p < 2**53.  Reduction is
-  delayed: the trailing matrix absorbs panel products unreduced for as
-  long as that bound allows, and only the panel and its pivot rows are
-  reduced before use.  The width follows from p: float64 with w <= 64
-  while w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
-  p < 2**31.
+  correctly rounded quotient is exact while |x| + p < 2**53.  Every
+  operand is reduced before a product, and within a panel an entry takes
+  at most one product term per pivot column left of it, so it stays
+  within one panel width's bound.  Reduction of the trailing matrix is
+  delayed: it absorbs panel products unreduced for as long as the bound
+  allows.  The width follows from p: float64 with w <= 64 while
+  w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
+  p < 2**31.  Any elimination that walks the columns in order finds the
+  same profile, because the profile is a property of the matrix.
 * `rank_exact` is fraction-free (Bareiss) elimination over the integers,
   read from the entries as Python ints: no rounding, no modular
   reduction, no size limit on coefficients; rank over the rationals.
@@ -46,15 +59,18 @@ PRIME_TABLE = (32633, 32647, 32653, 32687, 32693, 32707, 32713, 32717, 32719, 32
 DEFAULT_PRIMES = PRIME_TABLE[:3]
 
 EXACT_CELL_BUDGET = 1 << 20
+# largest matrix the E2 count hands to the modular engine: 256 MB as float64
+MODULAR_CELL_BUDGET = 1 << 25
 
 _PANEL = 64  # widest panel; narrower when p is too large for float64
+_LEAF = 8  # column ranges this narrow are factored one column at a time
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
 _FLOAT_EXACT = 2**53
 _INT_EXACT = 2**63
 
 
 class RankBudgetError(Exception):
-    """Exact elimination refused: matrix exceeds the configured budget."""
+    """Elimination refused: the matrix exceeds a cell budget."""
 
 
 class RankInvariantError(RuntimeError):
@@ -210,12 +226,12 @@ def _dense_mod_p(
     rows, cols = _shape(matrix)
     if isinstance(matrix, SparseIntMatrix):
         dense = np.zeros((rows, cols), dtype=dtype)
-        if matrix.entries:
-            r, c, v = zip(*matrix.entries)
-            columns = np.asarray(c)
-            if rotate:
-                columns = (columns - rotate) % cols
-            dense[np.asarray(r), columns] = [x % p for x in v]
+        try:
+            residues = matrix.v.astype(np.int64) % p
+        except OverflowError:
+            residues = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
+        columns = (matrix.c - rotate) % cols if rotate else matrix.c
+        dense[matrix.r, columns] = residues
         return dense
     reduced = np.asarray(matrix).astype(np.int64) % p
     if rotate:
@@ -238,17 +254,115 @@ def _reduce_rows(x: np.ndarray, p: int) -> None:
         _reduce(x[start : start + _CHUNK_ROWS], p)
 
 
+def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of the unit lower triangle under the diagonal of `lower`.
+
+    Entries of `lower` below the diagonal must lie in [0, p); the diagonal
+    and what lies above it are ignored.  Forward substitution, one row per
+    step, each a product of inner dimension below the row count.
+    """
+    t = lower.shape[0]
+    inverse = np.eye(t, dtype=lower.dtype)
+    for s in range(1, t):
+        row = -(lower[s, :s] @ inverse[:s, :s])
+        _reduce(row, p)
+        inverse[s, :s] = row
+    return inverse
+
+
+def _take(columns: np.ndarray, indices: list[int]) -> np.ndarray:
+    """columns[:, indices], as a view when the indices are consecutive."""
+    if indices[-1] - indices[0] == len(indices) - 1:
+        return columns[:, indices[0] : indices[-1] + 1]
+    return columns[:, indices]
+
+
+def _factor(
+    panel: np.ndarray, trailing: np.ndarray, work: np.ndarray, p: int, lo: int, hi: int, top: int
+) -> tuple[list[int], np.ndarray]:
+    """Factor columns [lo, hi) of `panel` below row `top`, recursively.
+
+    Returns the pivot columns and the inverse mod p of their unit lower
+    triangle of multipliers.  The s-th pivot ends in row top + s, its
+    multipliers below it in its column; row swaps move whole panel rows
+    and the same rows of `trailing`.  A range wider than _LEAF is split
+    in two: the left half is factored, the right half's rows beside its
+    pivots are solved with one product by that half's inverse triangle,
+    the rows below take one product of the multipliers with them (formed
+    in `work`, room for the panel's height times its right half), and the
+    right half is factored below the left half's pivots.  Every operand
+    of a product is reduced first, so an entry absorbs at most one
+    product term per pivot column left of it in the panel.
+    """
+    height = panel.shape[0]
+    if hi - lo <= _LEAF:
+        pivots: list[int] = []
+        r = top
+        for j in range(lo, hi):
+            if r == height:
+                break
+            column = panel[r:, j]
+            _reduce(column, p)
+            nonzero = column.nonzero()[0]
+            if nonzero.size == 0:
+                continue
+            i = r + int(nonzero[0])
+            if i != r:
+                panel[[r, i]] = panel[[i, r]]
+                trailing[[r, i]] = trailing[[i, r]]
+            multipliers = panel[r + 1 :, j]
+            multipliers *= pow(int(panel[r, j]), p - 2, p)
+            _reduce(multipliers, p)
+            head = panel[r, j + 1 : hi]
+            _reduce(head, p)
+            # the product transposed is column-major, like the panel
+            panel[r + 1 :, j + 1 : hi] -= (head[:, None] * multipliers).T
+            pivots.append(j)
+            r += 1
+        return pivots, _unit_lower_inverse(panel[top:r, pivots], p)
+    mid = (lo + hi) // 2
+    left, left_inverse = _factor(panel, trailing, work, p, lo, mid, top)
+    below = top + len(left)
+    if below == height:
+        return left, left_inverse
+    if left:
+        beside = panel[top:below, mid:hi]
+        _reduce(beside, p)
+        beside[...] = left_inverse @ beside
+        _reduce(beside, p)
+        rest = panel[below:, mid:hi]
+        product = work[: rest.size].reshape(rest.shape, order="F")
+        np.matmul(_take(panel[below:], left), beside, out=product)
+        rest -= product
+    right, right_inverse = _factor(panel, trailing, work, p, mid, hi, below)
+    if not right:
+        return left, left_inverse
+    if not left:
+        return right, right_inverse
+    # [[L1, 0], [C, L2]]^-1 = [[L1^-1, 0], [-L2^-1 C L1^-1, L2^-1]]
+    coupling = panel[below : below + len(right), left] @ left_inverse
+    _reduce(coupling, p)
+    coupling = -(right_inverse @ coupling)
+    _reduce(coupling, p)
+    inverse = np.zeros((below - top + len(right),) * 2, dtype=panel.dtype)
+    inverse[: len(left), : len(left)] = left_inverse
+    inverse[len(left) :, len(left) :] = right_inverse
+    inverse[len(left) :, : len(left)] = coupling
+    return left + right, inverse
+
+
 def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
     """Column rank profile of A mod p; A (entries in [0, p)) is overwritten.
 
-    Each panel of `width` columns is copied out and factored column by
-    column into a unit lower triangle of multipliers and the pivot rows;
-    the pivot rows' trailing parts are solved against that triangle, and
-    the trailing matrix takes the panel product unreduced until `delay`
+    Each panel of `width` columns is copied out column-major and factored
+    by `_factor`; the pivot rows' trailing parts are solved with one
+    product by the inverse of the panel's unit lower triangle, and the
+    trailing matrix takes the panel product unreduced until `delay`
     products have accumulated.
     """
     nrows, ncols = A.shape
-    buffer = np.empty(min(nrows, _CHUNK_ROWS) * ncols, dtype=A.dtype)
+    buffer = np.empty(min(nrows, max(_CHUNK_ROWS, width)) * ncols, dtype=A.dtype)
+    work = np.empty(nrows * ((width + 1) // 2), dtype=A.dtype)
     profile: list[int] = []
     row = 0
     pending = 0
@@ -256,38 +370,17 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
         if row == nrows:
             break
         hi = min(col + width, ncols)
-        panel = A[row:, col:hi].copy()
-        _reduce(panel, p)
-        height = panel.shape[0]
-        pivots: list[int] = []
-        t = 0
-        for j in range(hi - col):
-            column = panel[t:, j]
-            _reduce(column, p)
-            nonzero = np.flatnonzero(column)
-            if nonzero.size == 0:
-                continue
-            i = t + int(nonzero[0])
-            if i != t:
-                panel[[t, i]] = panel[[i, t]]
-                A[[row + t, row + i], hi:] = A[[row + i, row + t], hi:]
-            multipliers = panel[t + 1 :, j]
-            multipliers *= pow(int(panel[t, j]), p - 2, p)
-            _reduce(multipliers, p)
-            head = panel[t, j + 1 :]
-            _reduce(head, p)
-            panel[t + 1 :, j + 1 :] -= np.outer(multipliers, head)
-            pivots.append(j)
-            t += 1
-            if t == height:
-                break
+        panel = np.array(A[row:, col:hi], order="F")
+        pivots, inverse = _factor(panel, A[row:, hi:], work, p, 0, hi - col, 0)
+        t = len(pivots)
         profile.extend(col + j for j in pivots)
-        if t and hi < ncols and t < height:
+        if t and hi < ncols and t < panel.shape[0]:
             upper = A[row : row + t, hi:]
             _reduce(upper, p)
-            for s in range(1, t):
-                upper[s] -= panel[s, pivots[:s]] @ upper[:s]
-                _reduce(upper[s], p)
+            solved = buffer[: upper.size].reshape(upper.shape)
+            np.matmul(inverse, upper, out=solved)
+            _reduce(solved, p)
+            upper[...] = solved
             trailing = A[row + t :, hi:]
             _subtract_product(trailing, panel[t:, pivots], upper, buffer)
             pending += 1
@@ -324,8 +417,9 @@ def _python_rows(matrix: SparseIntMatrix | np.ndarray, rotate: int) -> list[list
     rows, cols = _shape(matrix)
     if isinstance(matrix, SparseIntMatrix):
         dense = [[0] * cols for _ in range(rows)]
-        for r, c, v in matrix.entries:
-            dense[r][(c - rotate) % cols] = v
+        columns = (matrix.c - rotate) % cols if rotate else matrix.c
+        for r, c, v in zip(matrix.r.tolist(), columns.tolist(), matrix.v.tolist()):
+            dense[r][c] = v
         return dense
     return [
         [int(v) for v in row[rotate:] + row[:rotate]] for row in np.asarray(matrix).tolist()

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import numpy as np
 
 from hyperdefect.koszul import SparseIntMatrix
+from hyperdefect.monomials import dim_graded, graded_monomials, monomial_index
 
 
 def rational_rank(matrix) -> int:
@@ -103,3 +104,64 @@ def bounded_compositions_count(total: int, parts: int, lo: int, hi: int) -> int:
     return sum(
         1 for c in product(range(lo, hi + 1), repeat=parts) if sum(c) == total
     )
+
+
+def accumulate(rows: int, cols: int, items) -> SparseIntMatrix:
+    """Sum (row, col, value) items into a sparse matrix, dropping zero sums."""
+    acc: dict[tuple[int, int], int] = {}
+    for r, c, v in items:
+        key = (r, c)
+        new = acc.get(key, 0) + v
+        if new:
+            acc[key] = new
+        elif key in acc:
+            del acc[key]
+    entries = tuple(sorted((r, c, v) for (r, c), v in acc.items()))
+    return SparseIntMatrix(rows, cols, entries)
+
+
+def per_entry_wedge_block(form, e: int) -> SparseIntMatrix:
+    """Wedge block built entry by entry: row (j, a) gets t_j*c at column
+    a + t - unit_j for each term c*x^t of f with t_j > 0."""
+    m = form.variable_count
+    source = list(graded_monomials(m, e))
+    items = []
+    for j in range(m):
+        base = j * len(source)
+        for t, coefficient in form.poly.items():
+            tj = t[j]
+            if tj == 0:
+                continue
+            shift = t[:j] + (tj - 1,) + t[j + 1 :]
+            for row, a in enumerate(source):
+                target = tuple(x + y for x, y in zip(a, shift))
+                items.append((base + row, monomial_index(target), tj * coefficient))
+    return accumulate(m * len(source), dim_graded(m, e + form.degree - 1), items)
+
+
+def per_entry_derivative_block(m: int, e: int) -> SparseIntMatrix:
+    """Derivative block built entry by entry: x^a -> a_j * x^(a - unit_j)."""
+    source = list(graded_monomials(m, e))
+    items = []
+    for j in range(m):
+        base = j * len(source)
+        for row, a in enumerate(source):
+            aj = a[j]
+            if aj:
+                target = a[:j] + (aj - 1,) + a[j + 1 :]
+                items.append((base + row, monomial_index(target), aj))
+    return accumulate(m * len(source), dim_graded(m, e - 1), items)
+
+
+def per_entry_full(form, multiplier: int) -> SparseIntMatrix:
+    """[[A, 0], [D, B]] from the per-entry blocks, by offsets and one sort."""
+    m, d = form.variable_count, form.degree
+    e_low = (multiplier - 2) * d - (m - 1)
+    e_high = e_low + d
+    low = per_entry_wedge_block(form, e_low)
+    high = per_entry_wedge_block(form, e_high)
+    derivative = per_entry_derivative_block(m, e_high)
+    items = list(low.entries)
+    items.extend((r + low.rows, c, v) for r, c, v in derivative.entries)
+    items.extend((r + low.rows, c + low.cols, v) for r, c, v in high.entries)
+    return SparseIntMatrix(low.rows + high.rows, low.cols + high.cols, tuple(sorted(items)))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import hyperdefect
 from hyperdefect import ranks
 from hyperdefect.cli import main
+from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import parse_expression, emit_term_list
 
 SEGRE = "(x+y+z+u+v)^3-(x^3+y^3+z^3+u^3+v^3)"
@@ -62,6 +64,24 @@ def test_json_output_is_byte_identical(capsys):
     assert first == second
 
 
+# `hyperdefect defect --json` output of every corpus fixture, and of the
+# Segre cubic's raw report at --k 2, pinned byte for byte.  A change that
+# alters a report on purpose regenerates these files and says why.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES))
+def test_corpus_json_matches_golden(corpus, name):
+    text = json.dumps(corpus.report(name).as_dict(), indent=2) + "\n"
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_raw_report_json_matches_golden(capsys):
+    code, out, _ = run(capsys, "defect", "--expr", SEGRE, "--k", "2", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "segre-cubic-k2.json").read_text()
+
+
 def test_defect_term_list_input(tmp_path, capsys):
     path = tmp_path / "segre.terms"
     path.write_bytes(emit_term_list(parse_expression(SEGRE)))
@@ -94,6 +114,15 @@ def test_defect_exact_budget_exits_3(capsys):
     code, _, err = run(capsys, "defect", "--expr", expr, "--exact")
     assert code == 3
     assert "exceeds exact budget" in err
+
+
+def test_defect_over_the_size_budget_exits_3_at_once(capsys):
+    # full would be 8364850 x 9443252: refused from its shape, before assembly
+    start = time.perf_counter()
+    code, _, err = run(capsys, "defect", "--expr", "x^40+y^40+z^40+u^40+v^40")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert "exceeds the modular budget" in err
 
 
 def test_defect_exact_certifies_small_degree(capsys):

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from hyperdefect.fixtures import get_fixture
+from helpers import per_entry_derivative_block, per_entry_full, per_entry_wedge_block
+from hyperdefect.fixtures import FIXTURES, get_fixture
 from hyperdefect.koszul import (
     SparseIntMatrix,
     assemble_phi,
@@ -157,6 +160,60 @@ def test_construction_is_deterministic():
     assert first == second
 
 
+def random_form(m, d, seed):
+    """Degree-d form in m variables: random terms, coefficients in [-5, 5]
+    without 0, one of them 2**70, plus the pure powers so every partial
+    derivative is nonzero."""
+    rng = random.Random(seed)
+    variables = tuple(f"x{i}" for i in range(m))
+    monomials = list(graded_monomials(m, d))
+    terms = {t: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for t in rng.sample(
+        monomials, min(len(monomials), rng.randint(2, 12))
+    )}
+    for j in range(m):
+        terms.setdefault(tuple(d if i == j else 0 for i in range(m)), -1)
+    terms[rng.choice(sorted(terms))] = 2**70
+    return HomogeneousForm.from_polynomial(Polynomial(variables, terms))
+
+
+def assert_blocks_match_the_per_entry_oracle(form, multiplier):
+    blocks = assemble_phi(form, multiplier)
+    degrees = blocks.degrees
+    expected = {
+        "wedge_low": per_entry_wedge_block(form, degrees.source_low),
+        "wedge_high": per_entry_wedge_block(form, degrees.source_high),
+        "derivative": per_entry_derivative_block(form.variable_count, degrees.source_high),
+        "full": per_entry_full(form, multiplier),
+    }
+    for name, oracle in expected.items():
+        block = getattr(blocks, name)
+        assert (block.rows, block.cols) == (oracle.rows, oracle.cols), name
+        assert block.entries == oracle.entries, name
+        assert all(type(v) is int for _, _, v in block.entries), name
+    assert (blocks.full.rows, blocks.full.cols) == degrees.full_shape
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES))
+def test_corpus_blocks_match_the_per_entry_oracle(name):
+    assert_blocks_match_the_per_entry_oracle(get_fixture(name).build(), 3)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_random_blocks_match_the_per_entry_oracle(m):
+    for d in (2, 3):
+        form = random_form(m, d, seed=100 * m + d)
+        assert max(abs(c) for _, c in form.poly.items()) == 2**70
+        assert any(c < 0 for _, c in form.poly.items())
+        for multiplier in (2, 3):
+            assert_blocks_match_the_per_entry_oracle(form, multiplier)
+        for e in (-2, -1, 0, 1):  # no rows below e = 0, no columns at e = 0
+            assert build_wedge_block(form, e).entries == per_entry_wedge_block(form, e).entries
+            block, oracle = build_derivative_block(m, e), per_entry_derivative_block(m, e)
+            assert (block.rows, block.cols, block.entries) == (
+                oracle.rows, oracle.cols, oracle.entries
+            )
+
+
 # -- sparse matrix container -------------------------------------------------------
 
 
@@ -167,6 +224,17 @@ def test_sparse_matrix_validation():
         SparseIntMatrix(2, 2, ((2, 0, 1),))  # out of range
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, ((1, 1, 1), (0, 0, 1)))  # unsorted
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 2, ((0, 1, 1), (0, 1, 2)))  # repeated
+    with pytest.raises(ValueError):
+        SparseIntMatrix.from_arrays(2, 2, [0, 1], [0], [1, 1])  # ragged
+    matrix = SparseIntMatrix.from_arrays(2, 2, np.array([0, 1]), np.array([1, 0]), [3, 2**70])
+    assert matrix.entries == ((0, 1, 3), (1, 0, 2**70))
+    assert matrix == SparseIntMatrix(2, 2, matrix.entries)
+    with pytest.raises(AttributeError):
+        matrix.rows = 3
+    with pytest.raises(ValueError):
+        matrix.r[0] = 1  # the arrays are read-only
 
 
 def test_triplet_text_dump():

@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,11 @@ from helpers import stars_and_bars
 from hyperdefect.monomials import (
     GradedBasis,
     dim_graded,
+    exponent_array,
     graded_monomials,
     index_monomial,
     monomial_index,
+    monomial_indices,
 )
 
 
@@ -46,6 +49,7 @@ def test_bijection_exhaustive():
             vectors = list(stars_and_bars(m, e))
             ranks = [monomial_index(v) for v in vectors]
             assert sorted(ranks) == list(range(dim_graded(m, e)))
+            assert monomial_indices(np.array(vectors)).tolist() == ranks
             for v, i in zip(vectors, ranks):
                 assert index_monomial(m, e, i) == v
 
@@ -55,6 +59,7 @@ def test_enumeration_is_in_rank_order():
         for e in (0, 1, 4, 7):
             ranks = [monomial_index(v) for v in graded_monomials(m, e)]
             assert ranks == list(range(dim_graded(m, e)))
+            assert exponent_array(m, e).tolist() == [list(v) for v in graded_monomials(m, e)]
 
 
 def test_degree_zero_monomial_ranks_first():

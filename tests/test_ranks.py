@@ -8,6 +8,8 @@ from hyperdefect.fixtures import get_fixture
 from hyperdefect.koszul import SparseIntMatrix, assemble_phi
 from hyperdefect.polynomials import HomogeneousForm, parse_expression
 from hyperdefect.ranks import (
+    _LEAF,
+    _PANEL,
     DEFAULT_PRIMES,
     PRIME_TABLE,
     RankBudgetError,
@@ -25,6 +27,8 @@ from hyperdefect.ranks import (
 BLOCKED_PRIMES = (2, 3, 32749, 524287)  # float64 kernel at the full panel width
 EDGE_PRIME = 94906249  # largest prime the float64 kernel takes (panel width 1)
 BIG_PRIME = 2147483647  # int64 kernel, the largest prime RankConfig accepts
+WIDE_PRIME = 11863279  # largest prime the float64 kernel takes at the full panel width
+ODD_PRIME = 11863289  # the next prime: panels of 63 columns, halves of 31 and 32
 
 
 small_matrices = st.integers(min_value=1, max_value=7).flatmap(
@@ -103,6 +107,50 @@ def test_methods_cross_panel_boundaries():
         assert rank == rowreduce_rank(product, p)
         assert rank <= 60
     assert rank_mod_p(product, BIG_PRIME) == rank_mod_p(product, 32749)
+    # rank 150 puts pivots in three panels: the pivot rows of the second hold
+    # the first panel's unreduced product when they are solved
+    deep = rng.randint(-4, 5, size=(200, 150)) @ rng.randint(-4, 5, size=(150, 260))
+    for p in BLOCKED_PRIMES + (WIDE_PRIME, EDGE_PRIME, BIG_PRIME):
+        assert rank_mod_p(deep, p) == rowreduce_rank(deep, p)
+
+
+def _low_rank(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    left = rng.integers(-3, 4, size=(rows, rank))
+    return left @ rng.integers(-3, 4, size=(rank, cols))
+
+
+def _empty_left_half(p):
+    # the first split of a panel, and the first leaf right of it, see only zeros
+    matrix = _low_rank(60, 2 * _PANEL, 30, 10)
+    matrix[:, : _PANEL // 2 + _LEAF] = 0
+    return matrix
+
+
+RECURSION_EDGES = {
+    "cols-1": lambda p: _low_rank(30, 1, 1, 1),
+    "cols-leaf-1": lambda p: _low_rank(30, _LEAF - 1, 5, 2),
+    "cols-leaf+1": lambda p: _low_rank(30, _LEAF + 1, 6, 3),
+    "cols-panel-1": lambda p: _low_rank(50, _PANEL - 1, 40, 4),
+    "cols-panel": lambda p: _low_rank(50, _PANEL, 40, 5),
+    "cols-panel+1": lambda p: _low_rank(50, _PANEL + 1, 40, 6),
+    "cols-2panel+1": lambda p: _low_rank(70, 2 * _PANEL + 1, 50, 7),
+    "empty-left-half": _empty_left_half,
+    # rows run out inside the left half of the first split, and inside the right half
+    "rows-run-out-left": lambda p: _low_rank(20, 2 * _PANEL + 1, 20, 8),
+    "rows-run-out-right": lambda p: _low_rank(40, _PANEL + 1, 40, 9),
+    "all-p-minus-1": lambda p: np.full((2 * _PANEL + 2, 2 * _PANEL + 1), p - 1, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME))
+@pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
+def test_recursive_panel_keeps_the_column_rank_profile(case, p):
+    matrix = RECURSION_EDGES[case](p)
+    prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(matrix.shape[1] + 1)]
+    expected = tuple(k for k in range(matrix.shape[1]) if prefix[k + 1] > prefix[k])
+    assert rank_profile_mod_p(matrix, p) == expected
+    assert rank_profile_mod_p(sparse_from_dense(matrix), p) == expected
 
 
 def test_wide_identity_with_zero_columns():
@@ -122,6 +170,7 @@ def test_method_validation():
     with pytest.raises(ValueError):
         rank_mod_p(np.eye(2), 2**31 + 11)
     # every prime RankConfig accepts goes through the one engine
+    assert _kernel(WIDE_PRIME)[1] == _PANEL and _kernel(ODD_PRIME)[1] == _PANEL - 1
     assert _kernel(EDGE_PRIME)[0] is np.float64
     assert _kernel(EDGE_PRIME + 48)[0] is np.int64
     for p in (2, EDGE_PRIME, EDGE_PRIME + 48, BIG_PRIME):
