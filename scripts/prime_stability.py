@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from hyperdefect import PRIME_TABLE, RankConfig, defect
-from hyperdefect.fixtures import FIXTURES
+from hyperdefect import PRIME_TABLE, RankConfig, defect, find_fixtures
 
 
 def main() -> int:
@@ -32,11 +31,7 @@ def main() -> int:
         PRIME_TABLE[i : i + args.window]
         for i in range(0, len(PRIME_TABLE) - args.window + 1, args.window)
     ]
-    fixtures = [
-        f
-        for f in FIXTURES
-        if args.filter in f.name and not (args.skip_slow and f.slow)
-    ]
+    fixtures = [f for f in find_fixtures(args.filter) if not (args.skip_slow and f.slow)]
     stable = True
     for fixture in fixtures:
         form = fixture.build()

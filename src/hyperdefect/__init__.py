@@ -15,7 +15,6 @@ from .invariants import (
     E2Report,
     IntersectionCohomologyReport,
     LocalVanishingData,
-    RankedBlock,
     SmoothFiberInvariants,
     defect,
     e2_piece,
@@ -32,7 +31,6 @@ from .koszul import (
     build_wedge_block,
 )
 from .monomials import (
-    GradedBasis,
     dim_graded,
     graded_monomials,
     index_monomial,
@@ -52,7 +50,6 @@ from .polynomials import (
     emit_term_list,
     parse_expression,
     parse_term_list,
-    partial_derivative,
 )
 from .ranks import (
     DEFAULT_PRIMES,
@@ -78,7 +75,6 @@ __all__ = [
     "ExpressionError",
     "FIXTURES",
     "Fixture",
-    "GradedBasis",
     "HomogeneousForm",
     "IntersectionCohomologyReport",
     "LocalVanishingData",
@@ -92,7 +88,6 @@ __all__ = [
     "RankConfig",
     "RankInvariantError",
     "RankReport",
-    "RankedBlock",
     "SmoothFiberInvariants",
     "SparseIntMatrix",
     "TermListError",
@@ -115,7 +110,6 @@ __all__ = [
     "monomial_index",
     "parse_expression",
     "parse_term_list",
-    "partial_derivative",
     "rank_exact",
     "rank_mod_p",
     "rank_multimodular",

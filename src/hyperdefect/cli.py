@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .fixtures import FIXTURES
+from .fixtures import find_fixtures
 from .invariants import E2Report, SmoothFiberInvariants, defect, e2_piece
 from .polynomials import (
     DEFAULT_VARIABLES,
@@ -127,7 +127,7 @@ def _cmd_hodge(args) -> int:
 
 def _cmd_corpus(args) -> int:
     selected = sorted(
-        (f for f in FIXTURES if args.filter in f.name and not (args.skip_slow and f.slow)),
+        (f for f in find_fixtures(args.filter) if not (args.skip_slow and f.slow)),
         key=lambda f: f.name,
     )
     if not selected:

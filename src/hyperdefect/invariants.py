@@ -1,11 +1,10 @@
 """Numerical invariants assembled from block ranks and series coefficients.
 
 For a degree-d hypersurface in P^{n+1} with m = n+2 coordinates, the
-smooth-fiber data come from two generating series: the Euler
-characteristic is the t^{n+1} coefficient of d*t*(1+t)^(n+2)/(1+d*t), and
-the primitive Hodge numbers are coefficients of ((t-t^d)/(1-t))^(n+2).
+Euler characteristic of a smooth fiber is n + 2 + ((1-d)^(n+2) - 1)/d,
+and its primitive Hodge numbers are coefficients of ((t-t^d)/(1-t))^(n+2).
 The defect itself is an E2-page dimension: with blocks A (wedge, lower
-degree), B (wedge, upper degree) and the full assembly [[A,0],[D,B]] at
+degree), B (wedge, upper degree) and the full assembly [[0,A],[B,D]] at
 grading k*d,
 
     mu    = dim(degree k*d - m basis) - rank B
@@ -23,7 +22,6 @@ spectral number of any of them.  All arithmetic is exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
 from .monomials import dim_graded
@@ -41,14 +39,12 @@ from .ranks import (
 def smooth_euler(n: int, d: int) -> int:
     """Euler characteristic of a smooth degree-d hypersurface in P^{n+1}.
 
-    Coefficient of t^{n+1} in d*t*(1+t)^(n+2)/(1+d*t), computed by
-    truncated series arithmetic with 1/(1+d*t) = sum (-d)^k t^k.
+    The t^{n+1} coefficient of d*t*(1+t)^(n+2)/(1+d*t), in closed form
+    n + 2 + ((1-d)^(n+2) - 1)/d; the division is exact since 1-d = 1 mod d.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    inverse = [(-d) ** k for k in range(n + 1)]
-    # numerator term d*C(n+2, j) sits at t^{j+1}
-    return sum(d * comb(n + 2, j) * inverse[n - j] for j in range(n + 1))
+    return n + 2 + ((1 - d) ** (n + 2) - 1) // d
 
 
 def _prim_series(m: int, d: int) -> list[int]:
@@ -70,6 +66,14 @@ def _series_coefficient(series: list[int], k: int) -> int:
     return series[k] if 0 <= k < len(series) else 0
 
 
+def _hodge_row(n: int, d: int) -> tuple[int, ...]:
+    """`smooth_hodge_prim` for p = 0 .. n, read off one series."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    series = _prim_series(n + 2, d)
+    return tuple(_series_coefficient(series, (p + 1) * d) for p in range(n + 1))
+
+
 def smooth_hodge_prim(n: int, d: int, p: int) -> int:
     """Primitive Hodge number dim Gr^p_F of the middle cohomology of a
     smooth degree-d hypersurface in P^{n+1}.
@@ -77,11 +81,10 @@ def smooth_hodge_prim(n: int, d: int, p: int) -> int:
     Coefficient of t^{(p+1)d} in ((t-t^d)/(1-t))^(n+2); the series is
     palindromic, so p and n-p give the same value (Hodge symmetry).
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    row = _hodge_row(n, d)
     if not 0 <= p <= n:
         raise ValueError(f"Hodge index p={p} outside [0, {n}]")
-    return _series_coefficient(_prim_series(n + 2, d), (p + 1) * d)
+    return row[p]
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ class SmoothFiberInvariants:
             n=n,
             d=d,
             euler=smooth_euler(n, d),
-            hodge_prim=tuple(smooth_hodge_prim(n, d, p) for p in range(n + 1)),
+            hodge_prim=_hodge_row(n, d),
         )
 
     def as_dict(self) -> dict:
@@ -112,30 +115,14 @@ class SmoothFiberInvariants:
 
 
 @dataclass(frozen=True)
-class RankedBlock:
-    """Shape and rank report of one assembled block."""
-
-    rows: int
-    cols: int
-    report: RankReport
-
-    @property
-    def rank(self) -> int:
-        return self.report.rank
-
-    def as_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "rank": self.rank}
-
-
-@dataclass(frozen=True)
 class E2Report:
     """E2-page dimension count at one grading multiplier."""
 
     multiplier: int
     degrees: PhiDegrees
-    wedge_low: RankedBlock
-    wedge_high: RankedBlock
-    full: RankedBlock
+    wedge_low: RankReport
+    wedge_high: RankReport
+    full: RankReport
     mu: int
     gamma: int
     nu: int
@@ -144,11 +131,7 @@ class E2Report:
 
     @property
     def rank_reports(self) -> dict[str, RankReport]:
-        return {
-            "wedge_low": self.wedge_low.report,
-            "wedge_high": self.wedge_high.report,
-            "full": self.full.report,
-        }
+        return {"wedge_low": self.wedge_low, "wedge_high": self.wedge_high, "full": self.full}
 
     @property
     def prime_disagreement(self) -> bool:
@@ -163,28 +146,23 @@ class E2Report:
             "rank_d1": self.rank_d1,
             "e2_dim": self.e2_dim,
             "blocks": {
-                "wedge_low": self.wedge_low.as_dict(),
-                "wedge_high": self.wedge_high.as_dict(),
-                "full": self.full.as_dict(),
+                name: {"rows": block.rows, "cols": block.cols, "rank": block.rank}
+                for name, block in self.rank_reports.items()
             },
         }
 
 
-def _ranked(matrix, report: RankReport) -> RankedBlock:
-    return RankedBlock(matrix.rows, matrix.cols, report)
-
-
-def _check_ranks(wedge_low: RankedBlock, wedge_high: RankedBlock, full: RankedBlock) -> None:
+def _check_ranks(wedge_low: RankReport, wedge_high: RankReport, full: RankReport) -> None:
     """Raise RankInvariantError unless, for every prime, each rank lies in
     [0, min(rows, cols)] and rank(full) >= rank(A) + rank(B)."""
     blocks = {"wedge_low": wedge_low, "wedge_high": wedge_high, "full": full}
     for name, block in blocks.items():
         bound = min(block.rows, block.cols)
-        for p, r in block.report.per_prime:
+        for p, r in block.per_prime:
             if not 0 <= r <= bound:
                 raise RankInvariantError(f"{name}: rank {r} mod {p} outside [0, {bound}]")
     for (p, low), (_, high), (_, whole) in zip(
-        wedge_low.report.per_prime, wedge_high.report.per_prime, full.report.per_prime
+        wedge_low.per_prime, wedge_high.per_prime, full.per_prime
     ):
         if whole < low + high:
             raise RankInvariantError(
@@ -198,10 +176,10 @@ def e2_piece(
     """Assemble the graded map at grading multiplier*d and count its E2 piece.
 
     Requires at least 3 variables and multiplier >= 2.  `full` is
-    eliminated once per prime with B's columns first, which gives the
-    ranks of B and of `full` together.  Raises RankBudgetError, before
-    building anything, when `full` would exceed MODULAR_CELL_BUDGET
-    cells.  Rank-engine errors propagate, as does RankInvariantError when
+    eliminated once per prime; B's columns lead it, so the same
+    elimination gives the ranks of B and of `full` together.  Raises
+    RankBudgetError, before building anything, when `full` would exceed
+    MODULAR_CELL_BUDGET cells.  Rank-engine errors propagate, as does RankInvariantError when
     a per-prime rank breaks a bound; disagreement between primes is
     visible on the block reports.
     """
@@ -217,10 +195,9 @@ def e2_piece(
         )
     cfg = config or RankConfig()
     blocks: PhiBlocks = assemble_phi(form, multiplier)
-    wedge_low = _ranked(blocks.wedge_low, rank_multimodular(blocks.wedge_low, cfg))
-    full_report = rank_multimodular(blocks.full, cfg, trailing=blocks.wedge_high)
-    wedge_high = _ranked(blocks.wedge_high, full_report.trailing)
-    full = _ranked(blocks.full, full_report)
+    wedge_low = rank_multimodular(blocks.wedge_low, cfg)
+    full = rank_multimodular(blocks.full, cfg, leading=blocks.wedge_high)
+    wedge_high = full.leading
     _check_ranks(wedge_low, wedge_high, full)
     d = form.degree
     gamma = _series_coefficient(_prim_series(m, d), multiplier * d)
@@ -389,15 +366,15 @@ def ih_report(
     dimension.  The middle fiber cohomology in odd dimension is entirely
     primitive, so it is the sum of the primitive Hodge numbers.
     """
-    d = report.degree
-    fiber_middle = sum(smooth_hodge_prim(3, d, p) for p in range(4))
+    hodge = _hodge_row(3, report.degree)
+    fiber_middle = sum(hodge)
     ih_middle = (
         fiber_middle
         - local.dim_vanishing
         - local.dim_monodromy_kernel
         + 2 * report.defect
     )
-    gr2_fiber = smooth_hodge_prim(3, d, 1)
+    gr2_fiber = hodge[1]
     gr2_ih = None
     lower_bound = None
     bound_satisfied = None

@@ -105,12 +105,6 @@ class SparseIntMatrix:
             dense[self.r, self.c] = self.v.astype(np.int64)
         return dense
 
-    def to_triplet_text(self) -> str:
-        """Debug dump: 'rows cols nnz' header, then one 'row col value' per line."""
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        lines.extend(f"{r} {c} {v}" for r, c, v in self.entries)
-        return "\n".join(lines) + "\n"
-
 
 def build_wedge_block(form: HomogeneousForm, e: int) -> SparseIntMatrix:
     """Matrix of wedging with df on coefficient monomials of degree e.
@@ -195,17 +189,20 @@ class PhiDegrees:
         """(rows, cols) of `full`, from the basis sizes alone."""
         m = self.m
         rows = m * (dim_graded(m, self.source_low) + dim_graded(m, self.source_high))
-        return rows, dim_graded(m, self.target_low) + dim_graded(m, self.target_high)
+        return rows, dim_graded(m, self.target_high) + dim_graded(m, self.target_low)
 
 
 @dataclass(frozen=True)
 class PhiBlocks:
-    """The assembled block matrix [[A, 0], [D, B]] at grading multiplier*d.
+    """The assembled block matrix [[0, A], [B, D]] at grading multiplier*d.
 
     A (`wedge_low`) and B (`wedge_high`) are wedge blocks at the two source
     coefficient degrees, D (`derivative`) couples the upper source block
     into the lower target block, and `full` holds the block-triangular
-    assembly whose rank enters the E2 dimension count.
+    assembly whose rank enters the E2 dimension count.  Its rows are A's
+    then B's; its columns are B's target then A's, the order in which
+    `full` is eliminated: the rank of B is the number of pivots among its
+    leading cols(B) columns.
     """
 
     wedge_low: SparseIntMatrix
@@ -250,12 +247,12 @@ def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     derivative = build_derivative_block(m, degrees.source_high)
     assert derivative.cols == wedge_low.cols
     assert derivative.rows == wedge_high.rows
-    lower = _side_by_side(derivative, wedge_high)
+    lower = _side_by_side(wedge_high, derivative)
     full = SparseIntMatrix.from_arrays(
         wedge_low.rows + wedge_high.rows,
-        wedge_low.cols + wedge_high.cols,
+        wedge_high.cols + wedge_low.cols,
         np.concatenate((wedge_low.r, lower[0] + wedge_low.rows)),
-        np.concatenate((wedge_low.c, lower[1])),
+        np.concatenate((wedge_low.c + wedge_high.cols, lower[1])),
         np.concatenate((wedge_low.v, lower[2])),
     )
     return PhiBlocks(wedge_low, wedge_high, derivative, full, degrees)

@@ -10,7 +10,6 @@ over an array of exponent vectors (`monomial_indices`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
@@ -102,31 +101,3 @@ def graded_monomials(m: int, e: int) -> Iterator[tuple[int, ...]]:
     for a in range(e, -1, -1):
         for rest in graded_monomials(m - 1, e - a):
             yield (a, *rest)
-
-
-@dataclass(frozen=True)
-class GradedBasis:
-    """The degree-e monomial basis in m variables, with rank/unrank access."""
-
-    m: int
-    e: int
-
-    @property
-    def size(self) -> int:
-        return dim_graded(self.m, self.e)
-
-    def index(self, exponents: Sequence[int]) -> int:
-        if len(exponents) != self.m:
-            raise ValueError(f"expected {self.m} exponents, got {len(exponents)}")
-        if sum(exponents) != self.e:
-            raise ValueError(f"exponents {tuple(exponents)} have degree != {self.e}")
-        return monomial_index(exponents)
-
-    def unrank(self, i: int) -> tuple[int, ...]:
-        return index_monomial(self.m, self.e, i)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return graded_monomials(self.m, self.e)
-
-    def __len__(self) -> int:
-        return self.size

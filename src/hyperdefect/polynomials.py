@@ -11,6 +11,7 @@ per term).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .monomials import monomial_index
@@ -19,6 +20,8 @@ DEFAULT_VARIABLES = ("x", "y", "z", "u", "v")
 
 MAX_EXPONENT = 2**31 - 1
 DEFAULT_MAX_TERMS = 300
+# largest len(a) * len(b) a product of two polynomials may form
+MAX_PRODUCT_TERMS = 2**20
 
 
 class PolynomialError(Exception):
@@ -55,12 +58,24 @@ class VariableCountError(PolynomialError):
     """Operation requires a different number of variables."""
 
 
+def _merge(terms: dict, items: Iterable[tuple[tuple[int, ...], int]]) -> dict:
+    """Add (exponents, coefficient) items into `terms`, dropping zero sums."""
+    for key, value in items:
+        new = terms.get(key, 0) + value
+        if new:
+            terms[key] = new
+        elif key in terms:
+            del terms[key]
+    return terms
+
+
 class Polynomial:
     """Sparse polynomial with integer coefficients over named variables.
 
     `terms` maps exponent tuples (one entry per variable) to nonzero
     integers.  Instances never mutate; all arithmetic returns new objects
-    and is exact.
+    and is exact.  A product whose operands have more than
+    MAX_PRODUCT_TERMS pairs of terms is refused with a PolynomialError.
     """
 
     __slots__ = ("variables", "_terms")
@@ -76,24 +91,29 @@ class Polynomial:
         if len(set(names)) != len(names):
             raise VariableCountError(f"duplicate variable names in {names}")
         self.variables = names
-        clean: dict[tuple[int, ...], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for exponents, coefficient in items:
-            key = tuple(exponents)
-            if len(key) != len(names):
-                raise PolynomialError(
-                    f"exponent vector {key} has length {len(key)}, expected {len(names)}"
-                )
-            if any(a < 0 for a in key):
-                raise PolynomialError(f"negative exponent in {key}")
-            value = clean.get(key, 0) + coefficient
-            if value:
-                clean[key] = value
-            elif key in clean:
-                del clean[key]
-        self._terms = clean
+        self._terms = _merge({}, ((self._checked(exponents), c) for exponents, c in items))
+
+    def _checked(self, exponents: Iterable[int]) -> tuple[int, ...]:
+        key = tuple(exponents)
+        if len(key) != len(self.variables):
+            raise PolynomialError(
+                f"exponent vector {key} has length {len(key)}, expected {len(self.variables)}"
+            )
+        if any(a < 0 for a in key):
+            raise PolynomialError(f"negative exponent in {key}")
+        return key
 
     # -- constructors ------------------------------------------------------
+
+    def _with(self, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """Polynomial in this ring with `terms` taken as they are: valid
+        exponent vectors and nonzero coefficients, built by arithmetic on
+        validated polynomials."""
+        result = Polynomial.__new__(Polynomial)
+        result.variables = self.variables
+        result._terms = terms
+        return result
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "Polynomial":
@@ -129,15 +149,6 @@ class Polynomial:
         """Terms in canonical order: by total degree, then monomial rank."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), monomial_index(kv[0])))
 
-    def total_degree(self) -> int | None:
-        """Maximal term degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
-
-    def coefficient(self, exponents: Iterable[int]) -> int:
-        return self._terms.get(tuple(exponents), 0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_ring(self, other: "Polynomial") -> None:
@@ -150,19 +161,12 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.variables, other)
         self._require_same_ring(other)
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            new = out.get(key, 0) + value
-            if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
-        return Polynomial(self.variables, out)
+        return self._with(_merge(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {k: -v for k, v in self._terms.items()})
+        return self._with({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
@@ -173,18 +177,19 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero(self.variables)
-            return Polynomial(self.variables, {k: other * v for k, v in self._terms.items()})
+            return self._with({k: other * v for k, v in self._terms.items()})
         self._require_same_ring(other)
-        out: dict[tuple[int, ...], int] = {}
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                new = out.get(key, 0) + va * vb
-                if new:
-                    out[key] = new
-                elif key in out:
-                    del out[key]
-        return Polynomial(self.variables, out)
+        if len(self._terms) * len(other._terms) > MAX_PRODUCT_TERMS:
+            raise PolynomialError(
+                f"product too large: {len(self._terms)} x {len(other._terms)} terms "
+                f"exceeds {MAX_PRODUCT_TERMS} term pairs"
+            )
+        products = (
+            (tuple(map(add, ka, kb)), va * vb)
+            for ka, va in self._terms.items()
+            for kb, vb in other._terms.items()
+        )
+        return self._with(_merge({}, products))
 
     __rmul__ = __mul__
 
@@ -215,18 +220,12 @@ class Polynomial:
         """Formal partial derivative with respect to the j-th variable."""
         if not 0 <= j < len(self.variables):
             raise PolynomialError(f"variable index {j} out of range")
-        out: dict[tuple[int, ...], int] = {}
-        for key, value in self._terms.items():
-            a = key[j]
-            if a == 0:
-                continue
-            lowered = key[:j] + (a - 1,) + key[j + 1 :]
-            new = out.get(lowered, 0) + a * value
-            if new:
-                out[lowered] = new
-            elif lowered in out:
-                del out[lowered]
-        return Polynomial(self.variables, out)
+        lowered = (
+            (key[:j] + (key[j] - 1,) + key[j + 1 :], key[j] * value)
+            for key, value in self._terms.items()
+            if key[j]
+        )
+        return self._with(_merge({}, lowered))
 
     def substitute(self, replacements: Mapping[str, "Polynomial | int"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials.
@@ -292,11 +291,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.variables!r}, {len(self._terms)} terms)"
-
-
-def partial_derivative(poly: Polynomial, j: int) -> Polynomial:
-    """Exact formal partial derivative of `poly` by its j-th variable."""
-    return poly.partial(j)
 
 
 def check_homogeneous(poly: Polynomial) -> int:

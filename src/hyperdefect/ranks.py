@@ -32,14 +32,16 @@ every leading column block at once.
   w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
   p < 2**31.  Any elimination that walks the columns in order finds the
   same profile, because the profile is a property of the matrix.
-* `rank_exact` is fraction-free (Bareiss) elimination over the integers,
-  read from the entries as Python ints: no rounding, no modular
+* `exact_rank_profile` is fraction-free (Bareiss) elimination over the
+  integers, read from the entries as Python ints: no rounding, no modular
   reduction, no size limit on coefficients; rank over the rationals.
 * `rank_multimodular` runs the configured primes, reports the per-prime
   ranks with their consensus (the max, a guaranteed lower bound), and
   certifies against the exact engine when asked or when the matrix is
-  small.  Given the trailing column block of the matrix, it reports that
-  block's rank from the same eliminations.
+  small.  Given the leading column block of the matrix, it reports that
+  block's rank from the same eliminations, as the profile prefix.
+
+Every function takes a `SparseIntMatrix`.
 
 A "bad" prime can only lower a rank, never raise it, so disagreement
 between primes is reported rather than fatal.
@@ -132,34 +134,40 @@ class RankConfig:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Per-prime ranks, their consensus, and optional exact certification.
+    """Shape, per-prime ranks, their consensus, and optional exact certification.
 
-    `trailing`, when present, is the report of a trailing column block,
+    `leading`, when present, is the report of a leading column block,
     read off the same eliminations (see `rank_multimodular`).
     """
 
+    rows: int
+    cols: int
     per_prime: tuple[tuple[int, int], ...]
     consensus: int
     agreed: bool
     exact_rank: int | None = None
     certified: bool = False
-    trailing: RankReport | None = None
+    leading: RankReport | None = None
 
     @classmethod
     def of(
         cls,
+        rows: int,
+        cols: int,
         per_prime: tuple[tuple[int, int], ...],
         exact_rank: int | None,
-        trailing: RankReport | None = None,
+        leading: RankReport | None = None,
     ) -> RankReport:
         consensus = max(r for _, r in per_prime)
         return cls(
+            rows=rows,
+            cols=cols,
             per_prime=per_prime,
             consensus=consensus,
             agreed=len({r for _, r in per_prime}) == 1,
             exact_rank=exact_rank,
             certified=exact_rank is not None and exact_rank == consensus,
-            trailing=trailing,
+            leading=leading,
         )
 
     @property
@@ -175,15 +183,6 @@ class RankReport:
             "exact_rank": self.exact_rank,
             "certified": self.certified,
         }
-
-
-def _shape(matrix: SparseIntMatrix | np.ndarray) -> tuple[int, int]:
-    if isinstance(matrix, SparseIntMatrix):
-        return matrix.rows, matrix.cols
-    shape = np.shape(matrix)
-    if len(shape) != 2:
-        raise ValueError(f"expected a 2-d array, got shape {shape}")
-    return shape
 
 
 def _kernel(p: int) -> tuple[type, int, int]:
@@ -219,24 +218,15 @@ def _reduce(x: np.ndarray, p: int) -> None:
     x -= q
 
 
-def _dense_mod_p(
-    matrix: SparseIntMatrix | np.ndarray, p: int, dtype: type, rotate: int = 0
-) -> np.ndarray:
-    """Dense `dtype` array of the entries mod p, columns rotated left by `rotate`."""
-    rows, cols = _shape(matrix)
-    if isinstance(matrix, SparseIntMatrix):
-        dense = np.zeros((rows, cols), dtype=dtype)
-        try:
-            residues = matrix.v.astype(np.int64) % p
-        except OverflowError:
-            residues = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
-        columns = (matrix.c - rotate) % cols if rotate else matrix.c
-        dense[matrix.r, columns] = residues
-        return dense
-    reduced = np.asarray(matrix).astype(np.int64) % p
-    if rotate:
-        reduced = np.roll(reduced, -rotate, axis=1)
-    return reduced.astype(dtype)
+def _dense_mod_p(matrix: SparseIntMatrix, p: int, dtype: type) -> np.ndarray:
+    """Dense `dtype` array of the entries mod p."""
+    dense = np.zeros((matrix.rows, matrix.cols), dtype=dtype)
+    try:
+        residues = matrix.v.astype(np.int64) % p
+    except OverflowError:
+        residues = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
+    dense[matrix.r, matrix.c] = residues
+    return dense
 
 
 def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray, buffer) -> None:
@@ -391,58 +381,43 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
     return profile
 
 
-def rank_profile_mod_p(
-    matrix: SparseIntMatrix | np.ndarray, p: int, rotate: int = 0
-) -> tuple[int, ...]:
+def rank_profile_mod_p(matrix: SparseIntMatrix, p: int) -> tuple[int, ...]:
     """Column rank profile over the field with p elements, for any prime p < 2**31.
 
-    With `rotate` = k the columns are eliminated in the order [k:, :k] and
-    the profile indexes that order.  Deterministic for fixed inputs.
+    Deterministic for fixed inputs.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 2 <= p < 2**31:
         raise ValueError(f"prime {p} outside [2, 2**31)")
     dtype, width, delay = _kernel(p)
-    dense = _dense_mod_p(matrix, p, dtype, rotate)
-    return tuple(_eliminate(dense, p, width, delay))
+    return tuple(_eliminate(_dense_mod_p(matrix, p, dtype), p, width, delay))
 
 
-def rank_mod_p(matrix: SparseIntMatrix | np.ndarray, p: int) -> int:
+def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     """Rank of an integer matrix over the field with p elements."""
     return len(rank_profile_mod_p(matrix, p))
 
 
-def _python_rows(matrix: SparseIntMatrix | np.ndarray, rotate: int) -> list[list[int]]:
-    rows, cols = _shape(matrix)
-    if isinstance(matrix, SparseIntMatrix):
-        dense = [[0] * cols for _ in range(rows)]
-        columns = (matrix.c - rotate) % cols if rotate else matrix.c
-        for r, c, v in zip(matrix.r.tolist(), columns.tolist(), matrix.v.tolist()):
-            dense[r][c] = v
-        return dense
-    return [
-        [int(v) for v in row[rotate:] + row[:rotate]] for row in np.asarray(matrix).tolist()
-    ]
-
-
 def exact_rank_profile(
-    matrix: SparseIntMatrix | np.ndarray, max_cells: int = EXACT_CELL_BUDGET, rotate: int = 0
+    matrix: SparseIntMatrix, max_cells: int = EXACT_CELL_BUDGET
 ) -> tuple[int, ...]:
     """Column rank profile over the rationals by fraction-free elimination.
 
     Bareiss updates (pivot*entry - colentry*pivotentry) // previous_pivot
     keep every intermediate value an exact integer minor; pivots are
     chosen of minimal magnitude to limit growth (the profile does not
-    depend on that choice).  `rotate` works as in `rank_profile_mod_p`.
-    Raises RankBudgetError when rows*cols exceeds `max_cells`.
+    depend on that choice).  Raises RankBudgetError when rows*cols
+    exceeds `max_cells`.
     """
-    rows, cols = _shape(matrix)
+    rows, cols = matrix.rows, matrix.cols
     if rows * cols > max_cells:
         raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {max_cells} cells")
     if min(rows, cols) == 0:
         return ()
-    A = _python_rows(matrix, rotate)
+    A = [[0] * cols for _ in range(rows)]
+    for i, j, v in matrix.entries:
+        A[i][j] = v
     profile: list[int] = []
     previous = 1
     r = 0
@@ -479,15 +454,15 @@ def exact_rank_profile(
     return tuple(profile)
 
 
-def rank_exact(matrix: SparseIntMatrix | np.ndarray, max_cells: int = EXACT_CELL_BUDGET) -> int:
+def rank_exact(matrix: SparseIntMatrix, max_cells: int = EXACT_CELL_BUDGET) -> int:
     """Rank over the rationals; raises RankBudgetError above `max_cells` cells."""
     return len(exact_rank_profile(matrix, max_cells))
 
 
 def rank_multimodular(
-    matrix: SparseIntMatrix | np.ndarray,
+    matrix: SparseIntMatrix,
     config: RankConfig | None = None,
-    trailing: SparseIntMatrix | np.ndarray | None = None,
+    leading: SparseIntMatrix | None = None,
 ) -> RankReport:
     """Rank report over the configured primes, optionally certified exactly.
 
@@ -496,35 +471,36 @@ def rank_multimodular(
     is set, or automatically when both dimensions are at most
     `config.dense_threshold`.
 
-    `trailing` names the trailing column block of `matrix`: its last
-    trailing.cols columns hold `trailing` in their last trailing.rows rows
-    and zeros above.  The columns are then eliminated with that block
-    first, and the report's `trailing` field carries its ranks, counted
+    `leading` names the leading column block of `matrix`: its first
+    leading.cols columns hold `leading` in their last leading.rows rows
+    and zeros above.  Its rank is then the number of pivots among those
+    columns, and the report's `leading` field carries its ranks, counted
     from the same profiles.  Its exact rank comes from the same Bareiss
     run when the whole matrix is certified, else from its own run when it
     qualifies by itself.
     """
     cfg = config or RankConfig()
-    rows, cols = _shape(matrix)
-    rotate = 0
-    if trailing is not None:
-        block_rows, block_cols = _shape(trailing)
-        if block_rows > rows or block_cols > cols:
-            raise ValueError(f"trailing block {block_rows}x{block_cols} exceeds {rows}x{cols}")
-        rotate = cols - block_cols
-    profiles = [(p, rank_profile_mod_p(matrix, p, rotate)) for p in cfg.primes]
-    exact = exact_rank_profile(matrix, rotate=rotate) if cfg.certifies(rows, cols) else None
+    rows, cols = matrix.rows, matrix.cols
+    if leading is not None and (leading.rows > rows or leading.cols > cols):
+        raise ValueError(f"leading block {leading.rows}x{leading.cols} exceeds {rows}x{cols}")
+    profiles = [(p, rank_profile_mod_p(matrix, p)) for p in cfg.primes]
+    exact = exact_rank_profile(matrix) if cfg.certifies(rows, cols) else None
     block = None
-    if trailing is not None:
+    if leading is not None:
         exact_block = None
         if exact is not None:
-            exact_block = bisect_left(exact, block_cols)
-        elif cfg.certifies(block_rows, block_cols):
-            exact_block = rank_exact(trailing)
+            exact_block = bisect_left(exact, leading.cols)
+        elif cfg.certifies(leading.rows, leading.cols):
+            exact_block = rank_exact(leading)
         block = RankReport.of(
-            tuple((p, bisect_left(profile, block_cols)) for p, profile in profiles), exact_block
+            leading.rows,
+            leading.cols,
+            tuple((p, bisect_left(profile, leading.cols)) for p, profile in profiles),
+            exact_block,
         )
     return RankReport.of(
+        rows,
+        cols,
         tuple((p, len(profile)) for p, profile in profiles),
         None if exact is None else len(exact),
         block,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -69,11 +70,33 @@ def rowreduce_rank(matrix, p: int) -> int:
 
 
 def sparse_from_dense(array) -> SparseIntMatrix:
+    """The nonzero entries of a 2-d array, in row-major order."""
     arr = np.asarray(array)
-    entries = sorted(
-        (int(r), int(c), int(arr[r, c])) for r, c in zip(*np.nonzero(arr))
-    )
-    return SparseIntMatrix(int(arr.shape[0]), int(arr.shape[1]), tuple(entries))
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
+    r, c = np.nonzero(arr)
+    return SparseIntMatrix.from_arrays(*arr.shape, r, c, arr[r, c].tolist())
+
+
+def euler_series_oracle(n, d):
+    """Long division of d*t*(1+t)^(n+2) by (1+d*t) over Q: the t^{n+1}
+    coefficient is the Euler characteristic of a smooth degree-d
+    hypersurface in P^{n+1}."""
+    order = n + 2
+    numerator = [Fraction(0)] * order
+    for j in range(n + 2):
+        if j + 1 < order:
+            numerator[j + 1] = Fraction(d * comb(n + 2, j))
+    quotient = []
+    remainder = list(numerator)
+    for i in range(order):
+        c = remainder[i]
+        quotient.append(c)
+        if i + 1 < order:
+            remainder[i + 1] -= c * d
+    value = quotient[n + 1]
+    assert value.denominator == 1
+    return int(value)
 
 
 def stars_and_bars(m: int, e: int):
@@ -154,14 +177,14 @@ def per_entry_derivative_block(m: int, e: int) -> SparseIntMatrix:
 
 
 def per_entry_full(form, multiplier: int) -> SparseIntMatrix:
-    """[[A, 0], [D, B]] from the per-entry blocks, by offsets and one sort."""
+    """[[0, A], [B, D]] from the per-entry blocks, by offsets and one sort."""
     m, d = form.variable_count, form.degree
     e_low = (multiplier - 2) * d - (m - 1)
     e_high = e_low + d
     low = per_entry_wedge_block(form, e_low)
     high = per_entry_wedge_block(form, e_high)
     derivative = per_entry_derivative_block(m, e_high)
-    items = list(low.entries)
-    items.extend((r + low.rows, c, v) for r, c, v in derivative.entries)
-    items.extend((r + low.rows, c + low.cols, v) for r, c, v in high.entries)
-    return SparseIntMatrix(low.rows + high.rows, low.cols + high.cols, tuple(sorted(items)))
+    items = [(r, c + high.cols, v) for r, c, v in low.entries]
+    items.extend((r + low.rows, c, v) for r, c, v in high.entries)
+    items.extend((r + low.rows, c + high.cols, v) for r, c, v in derivative.entries)
+    return SparseIntMatrix(low.rows + high.rows, high.cols + low.cols, tuple(sorted(items)))

@@ -6,9 +6,7 @@ PASS line (visible with `pytest -s`) once its assertions hold.
 
 import time
 
-import numpy as np
-
-from helpers import stars_and_bars
+from helpers import sparse_from_dense, stars_and_bars
 from hyperdefect.fixtures import FIXTURES, get_fixture
 from hyperdefect.invariants import (
     LocalVanishingData,
@@ -130,7 +128,7 @@ def test_criterion_10_property_suite(corpus):
         assert report.gamma == corpus.report(name).gamma, name
 
     # bad-prime demonstration: 1x1 [2] reduced mod 2 loses its rank
-    demo = rank_multimodular(np.array([[2]]), RankConfig(primes=(2, 3, 5)))
+    demo = rank_multimodular(sparse_from_dense([[2]]), RankConfig(primes=(2, 3, 5)))
     assert dict(demo.per_prime) == {2: 0, 3: 1, 5: 1}
     assert demo.consensus == 1
     assert demo.agreed is False

@@ -16,6 +16,7 @@ from hyperdefect.polynomials import parse_expression, emit_term_list
 
 SEGRE = "(x+y+z+u+v)^3-(x^3+y^3+z^3+u^3+v^3)"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SCRIPTS = PYPROJECT.parent / "scripts"
 # Directory holding the hyperdefect package this test run imported; child
 # Pythons get it first on PYTHONPATH so they run the same code.
 PACKAGE_ROOT = str(Path(hyperdefect.__file__).resolve().parent.parent)
@@ -104,6 +105,14 @@ def test_defect_parse_error_exits_2(capsys):
     assert "error" in err
 
 
+def test_defect_expression_over_the_term_budget_exits_2_promptly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "defect", "--expr", "(x+y+z+u+v)^60")
+    assert code == 2
+    assert "product too large" in err
+    assert time.perf_counter() - start < 10
+
+
 def test_defect_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "defect", "--input", "/nonexistent/f.terms")
     assert code == 2
@@ -155,7 +164,7 @@ def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(
         ranks,
         "rank_profile_mod_p",
-        lambda matrix, p, rotate=0: real(matrix, p, rotate) + (len(real(matrix, p, rotate)),),
+        lambda matrix, p: real(matrix, p) + (len(real(matrix, p)),),
     )
     code, _, err = run(capsys, "defect", "--expr", SEGRE)
     assert code == 4
@@ -234,12 +243,10 @@ def test_corpus_skip_slow_passes_six_fixtures(capsys):
 def test_corpus_mismatch_exits_1(capsys, monkeypatch):
     import dataclasses
 
-    import hyperdefect.cli as cli
+    import hyperdefect.fixtures as fixtures
 
-    broken = dataclasses.replace(
-        next(f for f in cli.FIXTURES if f.name == "segre-cubic"), defect=4
-    )
-    monkeypatch.setattr(cli, "FIXTURES", (broken,))
+    broken = dataclasses.replace(fixtures.get_fixture("segre-cubic"), defect=4)
+    monkeypatch.setattr(fixtures, "FIXTURES", (broken,))
     code, out, _ = run(capsys, "corpus")
     assert code == 1
     assert "FAIL" in out
@@ -304,3 +311,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0, result.stderr
     assert "euler characteristic: 0" in result.stdout, result.stderr
+
+
+def _rows(text):
+    return [line.split() for line in text.splitlines()]
+
+
+def test_hodge_table_script_runs():
+    result = _run_child([sys.executable, str(SCRIPTS / "hodge_table.py"), "--max-degree", "6"])
+    assert result.returncode == 0, result.stderr
+    rows = _rows(result.stdout)
+    assert ["5", "-200", "1", "101", "101", "1"] in rows, result.stdout
+    assert ["6", "-516", "5", "255", "255", "5"] in rows, result.stdout
+    assert len(rows) == 7, result.stdout  # header and d = 1..6
+
+
+def test_prime_stability_script_runs():
+    result = _run_child(
+        [sys.executable, str(SCRIPTS / "prime_stability.py"), "--filter", "segre"]
+    )
+    assert result.returncode == 0, result.stderr
+    rows = _rows(result.stdout)
+    assert rows[0][:4] == ["segre-cubic", "windows=5", "defects=[5]", "expected=5"], result.stdout
+    assert rows[0][-1] == "stable" and rows[1:] == [["all", "stable"]], result.stdout

@@ -1,9 +1,8 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
 
-from helpers import bounded_compositions_count
+from helpers import bounded_compositions_count, euler_series_oracle
 from hyperdefect.fixtures import get_fixture
 from hyperdefect.invariants import (
     LocalVanishingData,
@@ -19,28 +18,10 @@ from hyperdefect.polynomials import (
     VariableCountError,
     parse_expression,
 )
-from hyperdefect import ranks
+from hyperdefect import invariants, ranks
+from hyperdefect.koszul import assemble_phi
 from hyperdefect.monomials import dim_graded
 from hyperdefect.ranks import RankConfig, RankInvariantError
-
-
-def euler_series_oracle(n, d):
-    """Independent oracle: long division of d*t*(1+t)^(n+2) by (1+d*t) over Q."""
-    order = n + 2
-    numerator = [Fraction(0)] * order
-    for j in range(n + 2):
-        if j + 1 < order:
-            numerator[j + 1] = Fraction(d * comb(n + 2, j))
-    quotient = []
-    remainder = list(numerator)
-    for i in range(order):
-        c = remainder[i]
-        quotient.append(c)
-        if i + 1 < order:
-            remainder[i + 1] -= c * d
-    value = quotient[n + 1]
-    assert value.denominator == 1
-    return int(value)
 
 
 # -- generating series ---------------------------------------------------------
@@ -53,9 +34,10 @@ def test_smooth_euler_small_cases():
 
 
 def test_smooth_euler_matches_series_oracle():
-    for n in range(1, 5):
-        for d in range(1, 10):
-            assert smooth_euler(n, d) == euler_series_oracle(n, d)
+    # the closed form against the series it sums, well past every fiber in use
+    for n in range(1, 40):
+        for d in range(1, 15):
+            assert smooth_euler(n, d) == euler_series_oracle(n, d), (n, d)
 
 
 def test_smooth_euler_validates_arguments():
@@ -113,6 +95,21 @@ def test_smooth_fiber_invariants_bundle():
     assert inv.euler == -200
     assert inv.hodge_prim == (1, 101, 101, 1)
     assert inv.as_dict()["hodge_prim"] == [1, 101, 101, 1]
+
+
+def test_smooth_fiber_invariants_build_one_series(monkeypatch):
+    calls = []
+    real = invariants._prim_series
+
+    def counted(m, d):
+        calls.append((m, d))
+        return real(m, d)
+
+    monkeypatch.setattr(invariants, "_prim_series", counted)
+    inv = SmoothFiberInvariants.compute(12, 7)
+    assert calls == [(14, 7)]
+    assert inv.hodge_prim == tuple(smooth_hodge_prim(12, 7, p) for p in range(13))
+    assert inv.euler == 13 + sum(inv.hodge_prim)  # even n: chi = n + 1 + sum
 
 
 # -- E2 assembly ----------------------------------------------------------------
@@ -211,9 +208,9 @@ def test_fermat_shapes_cover_the_grid():
 def test_rank_above_its_shape_is_refused(monkeypatch):
     real = ranks.rank_profile_mod_p
 
-    def one_pivot_too_many(matrix, p, rotate=0):
-        profile = real(matrix, p, rotate)
-        return profile + (len(profile),) * (rotate == 0)
+    def one_pivot_too_many(matrix, p):
+        profile = real(matrix, p)
+        return profile + (len(profile),)
 
     monkeypatch.setattr(ranks, "rank_profile_mod_p", one_pivot_too_many)
     with pytest.raises(RankInvariantError, match=r"wedge_low: rank 6 mod 32633 outside \[0, 5\]"):
@@ -222,15 +219,19 @@ def test_rank_above_its_shape_is_refused(monkeypatch):
 
 def test_full_rank_below_its_blocks_is_refused(monkeypatch):
     real = ranks.rank_profile_mod_p
+    form = get_fixture("quartic-one-point").build()
+    blocks = assemble_phi(form, 3)
+    full_shape, lead = (blocks.full.rows, blocks.full.cols), blocks.wedge_high.cols
 
-    def drop_pivots_outside_the_leading_block(matrix, p, rotate=0):
-        profile = real(matrix, p, rotate)
-        lead = matrix.cols - rotate
-        return tuple(c for c in profile if c < lead) if rotate and p == 32647 else profile
+    def drop_pivots_outside_the_leading_block(matrix, p):
+        profile = real(matrix, p)
+        if (matrix.rows, matrix.cols) == full_shape and p == 32647:
+            return tuple(c for c in profile if c < lead)
+        return profile
 
     monkeypatch.setattr(ranks, "rank_profile_mod_p", drop_pivots_outside_the_leading_block)
     with pytest.raises(RankInvariantError, match="full: rank 267 mod 32647 below"):
-        e2_piece(get_fixture("quartic-one-point").build(), 3)
+        e2_piece(form, 3)
 
 
 def test_e2_piece_validates_arguments():

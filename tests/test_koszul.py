@@ -134,11 +134,13 @@ def test_full_is_the_block_assembly():
         blocks.wedge_high.to_dense(),
         blocks.derivative.to_dense(),
     )
-    r0, c0 = low.shape
-    assert np.array_equal(full[:r0, :c0], low)
-    assert not full[:r0, c0:].any()
-    assert np.array_equal(full[r0:, :c0], deriv)
-    assert np.array_equal(full[r0:, c0:], high)
+    # [[0, A], [B, D]]: A's rows first, B's columns first
+    r0, c0 = low.shape[0], high.shape[1]
+    assert full.shape == (r0 + high.shape[0], c0 + low.shape[1])
+    assert not full[:r0, :c0].any()
+    assert np.array_equal(full[:r0, c0:], low)
+    assert np.array_equal(full[r0:, :c0], high)
+    assert np.array_equal(full[r0:, c0:], deriv)
 
 
 def test_multiplier_two_allows_empty_blocks():
@@ -235,8 +237,3 @@ def test_sparse_matrix_validation():
         matrix.rows = 3
     with pytest.raises(ValueError):
         matrix.r[0] = 1  # the arrays are read-only
-
-
-def test_triplet_text_dump():
-    matrix = SparseIntMatrix(2, 3, ((0, 1, 4), (1, 2, -7)))
-    assert matrix.to_triplet_text() == "2 3 2\n0 1 4\n1 2 -7\n"

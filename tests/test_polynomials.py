@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from helpers import power_sum_expansion
 from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import (
     DEFAULT_VARIABLES,
+    MAX_PRODUCT_TERMS,
     ExpressionError,
     HomogeneousForm,
     NonHomogeneousError,
@@ -17,7 +20,6 @@ from hyperdefect.polynomials import (
     emit_term_list,
     parse_expression,
     parse_term_list,
-    partial_derivative,
 )
 
 SEGRE = "(x+y+z+u+v)^3-(x^3+y^3+z^3+u^3+v^3)"
@@ -142,16 +144,16 @@ def test_homogeneous_form_validates_declared_degree():
 
 
 def test_partial_derivative_power():
-    assert partial_derivative(parse_expression("x^5"), 0) == parse_expression("5*x^4")
+    assert parse_expression("x^5").partial(0) == parse_expression("5*x^4")
 
 
 def test_partial_derivative_absent_variable():
-    assert partial_derivative(parse_expression("x^3"), 4).is_zero
+    assert parse_expression("x^3").partial(4).is_zero
 
 
 def test_partial_derivative_of_segre_matches_expansion():
     poly = parse_expression(SEGRE)
-    assert partial_derivative(poly, 0) == parse_expression("3*(x+y+z+u+v)^2-3*x^2")
+    assert poly.partial(0) == parse_expression("3*(x+y+z+u+v)^2-3*x^2")
 
 
 def test_euler_identity_on_all_fixtures():
@@ -232,6 +234,19 @@ def test_parse_degree_error():
 def test_parse_too_many_terms():
     with pytest.raises(TermListError, match="too many terms"):
         parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 3 0 0 1 0 0 /", max_terms=2)
+
+
+def test_product_over_the_term_budget_is_refused():
+    names = ("x", "y")
+    a = Polynomial(names, {(i, 0): 1 for i in range(1025)})
+    b = Polynomial(names, {(0, j): 1 for j in range(1024)})
+    assert len(a) * len(b) > MAX_PRODUCT_TERMS
+    with pytest.raises(PolynomialError, match="product too large"):
+        a * b
+    with pytest.raises(PolynomialError, match="product too large"):
+        parse_expression("(x+y+z+u+v)^60")
+    # a degree-7 power, like every corpus fixture, stays inside the budget
+    assert len(parse_expression("(x+y+z+u+v)^7")) == comb(11, 4)
 
 
 def test_parse_rejects_negative_exponent():

@@ -55,21 +55,21 @@ def test_prime_table_is_prime_and_fifteen_bit():
 
 
 def test_identity_and_zero():
-    identity = np.eye(3, dtype=np.int64)
+    identity = sparse_from_dense(np.eye(3, dtype=np.int64))
     for p in (2, 3, 32749):
         assert rank_mod_p(identity, p) == 3
-    assert rank_mod_p(np.zeros((4, 5), dtype=np.int64), 7) == 0
+    assert rank_mod_p(SparseIntMatrix(4, 5, ()), 7) == 0
 
 
 def test_bad_prime_drops_rank():
-    two = np.array([[2]], dtype=np.int64)
+    two = sparse_from_dense([[2]])
     assert rank_mod_p(two, 2) == 0
     assert rank_mod_p(two, 3) == 1
     assert rank_exact(two) == 1
 
 
 def test_multimodular_bad_prime_demonstration():
-    report = rank_multimodular(np.array([[2]]), RankConfig(primes=(2, 3, 5)))
+    report = rank_multimodular(sparse_from_dense([[2]]), RankConfig(primes=(2, 3, 5)))
     assert dict(report.per_prime) == {2: 0, 3: 1, 5: 1}
     assert report.consensus == 1
     assert report.agreed is False
@@ -82,18 +82,10 @@ def test_empty_matrix_report():
     assert report.certified is True
 
 
-def test_sparse_and_dense_inputs_agree():
-    dense = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
-    sparse = sparse_from_dense(dense)
-    assert rank_mod_p(sparse, 32633) == rank_mod_p(dense, 32633) == 2
-    assert rank_exact(sparse) == rank_exact(dense) == 2
-    assert rank_multimodular(sparse) == rank_multimodular(dense)
-
-
 def test_vandermonde_and_rank_one():
-    vandermonde = np.array([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
+    vandermonde = sparse_from_dense([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
     assert rank_exact(vandermonde) == 3
-    assert rank_exact(np.array([[1, 2], [2, 4]])) == 1
+    assert rank_exact(sparse_from_dense([[1, 2], [2, 4]])) == 1
 
 
 def test_methods_cross_panel_boundaries():
@@ -101,7 +93,7 @@ def test_methods_cross_panel_boundaries():
     rng = np.random.RandomState(7)
     left = rng.randint(-4, 5, size=(220, 60)).astype(np.int64)
     right = rng.randint(-4, 5, size=(60, 300)).astype(np.int64)
-    product = left @ right  # rank <= 60
+    product = sparse_from_dense(left @ right)  # rank <= 60
     for p in BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME):
         rank = rank_mod_p(product, p)
         assert rank == rowreduce_rank(product, p)
@@ -110,6 +102,7 @@ def test_methods_cross_panel_boundaries():
     # rank 150 puts pivots in three panels: the pivot rows of the second hold
     # the first panel's unreduced product when they are solved
     deep = rng.randint(-4, 5, size=(200, 150)) @ rng.randint(-4, 5, size=(150, 260))
+    deep = sparse_from_dense(deep)
     for p in BLOCKED_PRIMES + (WIDE_PRIME, EDGE_PRIME, BIG_PRIME):
         assert rank_mod_p(deep, p) == rowreduce_rank(deep, p)
 
@@ -149,7 +142,6 @@ def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     matrix = RECURSION_EDGES[case](p)
     prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(matrix.shape[1] + 1)]
     expected = tuple(k for k in range(matrix.shape[1]) if prefix[k + 1] > prefix[k])
-    assert rank_profile_mod_p(matrix, p) == expected
     assert rank_profile_mod_p(sparse_from_dense(matrix), p) == expected
 
 
@@ -159,33 +151,33 @@ def test_wide_identity_with_zero_columns():
     for i in range(150):
         dense[i, 2 * i] = 5
     for p in (2, 32749, 524287):
-        assert rank_mod_p(dense, p) == 150
+        assert rank_mod_p(sparse_from_dense(dense), p) == 150
 
 
 def test_method_validation():
+    identity = sparse_from_dense(np.eye(2, dtype=np.int64))
     with pytest.raises(ValueError):
-        rank_mod_p(np.eye(2), 4)
+        rank_mod_p(identity, 4)
     with pytest.raises(ValueError):
-        rank_mod_p(np.ones((2, 2, 2)), 3)
-    with pytest.raises(ValueError):
-        rank_mod_p(np.eye(2), 2**31 + 11)
+        rank_mod_p(identity, 2**31 + 11)
     # every prime RankConfig accepts goes through the one engine
     assert _kernel(WIDE_PRIME)[1] == _PANEL and _kernel(ODD_PRIME)[1] == _PANEL - 1
     assert _kernel(EDGE_PRIME)[0] is np.float64
     assert _kernel(EDGE_PRIME + 48)[0] is np.int64
     for p in (2, EDGE_PRIME, EDGE_PRIME + 48, BIG_PRIME):
-        assert rank_mod_p(np.eye(2), p) == 2
+        assert rank_mod_p(identity, p) == 2
 
 
 @given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME)))
 @settings(max_examples=120, deadline=None)
 def test_engines_agree_and_bound_the_rational_rank(rows, p):
     dense = np.array(rows, dtype=np.int64)
+    matrix = sparse_from_dense(dense)
     expected = rational_rank(dense)
-    modular = rank_mod_p(dense, p)
+    modular = rank_mod_p(matrix, p)
     assert modular == rowreduce_rank(dense, p)
     assert modular <= expected
-    assert rank_exact(dense) == expected
+    assert rank_exact(matrix) == expected
 
 
 def _leading_counts(profile, cols):
@@ -197,8 +189,9 @@ def _leading_counts(profile, cols):
 def test_profile_prefix_counts_leading_block_ranks(rows, p):
     dense = np.array(rows, dtype=np.int64)
     cols = dense.shape[1]
-    modular = _leading_counts(rank_profile_mod_p(dense, p), cols)
-    exact = _leading_counts(exact_rank_profile(dense), cols)
+    matrix = sparse_from_dense(dense)
+    modular = _leading_counts(rank_profile_mod_p(matrix, p), cols)
+    exact = _leading_counts(exact_rank_profile(matrix), cols)
     for k in range(cols + 1):
         assert modular[k] == rowreduce_rank(dense[:, :k], p)
         assert exact[k] == rational_rank(dense[:, :k])
@@ -207,50 +200,54 @@ def test_profile_prefix_counts_leading_block_ranks(rows, p):
 @given(dims, dims, dims, dims, st.sampled_from(BLOCKED_PRIMES), st.data())
 @settings(max_examples=80, deadline=None)
 def test_rotated_block_triangular_profile(a1, b1, a2, b2, p, data):
-    # full = [[A, 0], [D, B]] eliminated as [[0, A], [B, D]]: B's columns first
+    # [[0, A], [B, D]] is [[A, 0], [D, B]] with its columns rotated so that B's
+    # come first: rank B is the profile's prefix over B's columns
     entry = st.integers(min_value=-5, max_value=5)
     grid = lambda r, c: np.array(
         data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)),
         dtype=np.int64,
     )
     top, bottom, coupling = grid(a1, b1), grid(a2, b2), grid(a2, b1)
-    full = np.block([[top, np.zeros((a1, b2), dtype=np.int64)], [coupling, bottom]])
+    triangular = np.block([[top, np.zeros((a1, b2), dtype=np.int64)], [coupling, bottom]])
     rotated = np.block([[np.zeros((a1, b2), dtype=np.int64), top], [bottom, coupling]])
-    profile = rank_profile_mod_p(sparse_from_dense(full), p, rotate=b1)
-    assert profile == rank_profile_mod_p(rotated, p)
+    assert np.array_equal(rotated, np.roll(triangular, -b1, axis=1))
+    full = sparse_from_dense(rotated)
+    profile = rank_profile_mod_p(full, p)
     counts = _leading_counts(profile, b1 + b2)
     for k in range(b1 + b2 + 1):
         assert counts[k] == rowreduce_rank(rotated[:, :k], p)
     assert counts[b2] == rowreduce_rank(bottom, p)
-    assert counts[-1] == rowreduce_rank(full, p)
-    exact = exact_rank_profile(sparse_from_dense(full), rotate=b1)
-    assert exact == exact_rank_profile(rotated)
-    report = rank_multimodular(full, RankConfig(primes=(p,)), trailing=bottom)
+    assert counts[-1] == rowreduce_rank(triangular, p)
+    exact = _leading_counts(exact_rank_profile(full), b1 + b2)
+    assert (exact[b2], exact[-1]) == (rational_rank(bottom), rational_rank(triangular))
+    report = rank_multimodular(full, RankConfig(primes=(p,)), leading=sparse_from_dense(bottom))
+    assert (report.rows, report.cols) == (a1 + a2, b1 + b2)
+    assert (report.leading.rows, report.leading.cols) == (a2, b2)
     assert report.per_prime == ((p, counts[-1]),)
-    assert report.trailing.per_prime == ((p, counts[b2]),)
-    assert report.exact_rank == rational_rank(full)
-    assert report.trailing.exact_rank == rational_rank(bottom)
+    assert report.leading.per_prime == ((p, counts[b2]),)
+    assert report.exact_rank == rational_rank(triangular)
+    assert report.leading.exact_rank == rational_rank(bottom)
 
 
-def test_trailing_block_certification_follows_its_own_shape():
+def test_leading_block_certification_follows_its_own_shape():
     curve = HomogeneousForm.from_polynomial(parse_expression("x^4+y^4+z^4", ("x", "y", "z")))
     blocks = assemble_phi(curve, 3)  # B 84x55, full 102x76
     exact_b, exact_full = rank_exact(blocks.wedge_high), rank_exact(blocks.full)
     # B qualifies for exact certification and full does not: B gets its own run
-    alone = rank_multimodular(blocks.full, RankConfig(), trailing=blocks.wedge_high)
+    alone = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
     assert alone.exact_rank is None and not alone.certified
-    assert alone.trailing.exact_rank == exact_b and alone.trailing.certified
+    assert alone.leading.exact_rank == exact_b and alone.leading.certified
     neither = rank_multimodular(
-        blocks.full, RankConfig(dense_threshold=83), trailing=blocks.wedge_high
+        blocks.full, RankConfig(dense_threshold=83), leading=blocks.wedge_high
     )
-    assert neither.trailing.exact_rank is None
+    assert neither.leading.exact_rank is None
     # one Bareiss run over full certifies both
-    both = rank_multimodular(blocks.full, RankConfig(exact=True), trailing=blocks.wedge_high)
-    assert (both.exact_rank, both.trailing.exact_rank) == (exact_full, exact_b)
-    assert both.certified and both.trailing.certified
-    assert both.trailing == rank_multimodular(blocks.wedge_high, RankConfig(exact=True))
+    both = rank_multimodular(blocks.full, RankConfig(exact=True), leading=blocks.wedge_high)
+    assert (both.exact_rank, both.leading.exact_rank) == (exact_full, exact_b)
+    assert both.certified and both.leading.certified
+    assert both.leading == rank_multimodular(blocks.wedge_high, RankConfig(exact=True))
     with pytest.raises(ValueError):
-        rank_multimodular(blocks.wedge_high, trailing=blocks.full)
+        rank_multimodular(blocks.wedge_high, leading=blocks.full)
 
 
 @pytest.mark.parametrize("p", [32749, EDGE_PRIME, BIG_PRIME])
@@ -275,7 +272,7 @@ def test_in_place_reduction_is_exact_at_its_edges(p):
 def test_default_primes_match_rational_rank_on_tiny_entries(rows):
     # entries are far below 2**15, so the default primes are never bad here
     dense = np.array(rows, dtype=np.int64)
-    report = rank_multimodular(dense, RankConfig(exact=True))
+    report = rank_multimodular(sparse_from_dense(dense), RankConfig(exact=True))
     assert report.agreed
     assert report.certified
     assert report.exact_rank == rational_rank(dense)
@@ -293,7 +290,7 @@ def test_rank_invariant_under_permutation_and_sign(rows, rng):
     permuted = dense[rng.sample(range(dense.shape[0]), dense.shape[0])]
     permuted = permuted[:, rng.sample(range(dense.shape[1]), dense.shape[1])]
     signs = np.array([rng.choice((1, -1)) for _ in range(dense.shape[0])])
-    flipped = permuted * signs[:, None]
+    flipped, dense = sparse_from_dense(permuted * signs[:, None]), sparse_from_dense(dense)
     assert rank_exact(flipped) == rank_exact(dense)
     assert rank_mod_p(flipped, 32719) == rank_mod_p(dense, 32719)
 
@@ -312,6 +309,7 @@ def test_block_triangular_rank_bound(a1, b1, a2, b2, data):
     full = np.block(
         [[top, np.zeros((a1, b2), dtype=np.int64)], [coupling, bottom]]
     )
+    full, top, bottom = map(sparse_from_dense, (full, top, bottom))
     assert rank_exact(full) >= rank_exact(top) + rank_exact(bottom)
 
 
@@ -339,8 +337,11 @@ def test_reports_are_deterministic():
 
 
 def test_rank_report_serialization_shape():
-    report = rank_multimodular(np.eye(2, dtype=np.int64), RankConfig(exact=True))
+    identity = sparse_from_dense(np.eye(2, dtype=np.int64))
+    report = rank_multimodular(identity, RankConfig(exact=True))
+    assert (report.rows, report.cols) == (2, 2)
     payload = report.as_dict()
+    assert list(payload) == ["per_prime", "consensus", "agreed", "exact_rank", "certified"]
     assert payload["consensus"] == 2
     assert payload["certified"] is True
     assert payload["per_prime"][0] == {"prime": DEFAULT_PRIMES[0], "rank": 2}
