@@ -4,7 +4,8 @@ Computes the defect h^{n+1}(X) - h^{n-1}(X) of a hypersurface X in P^{n+1}
 with isolated weighted-homogeneous singularities directly from its defining
 polynomial: the relevant graded pieces of the Koszul-plus-derivative double
 complex are assembled as sparse integer matrices and their ranks taken
-exactly (multi-prime modular with optional fraction-free certification).
+exactly (multi-prime modular, certified by an exactly verified lifted
+kernel on small blocks or on request).
 Smooth-fiber Euler characteristics and primitive Hodge numbers, and the
 derived intersection-cohomology / Q-factoriality reports, are included.
 """

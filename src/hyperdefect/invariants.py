@@ -22,6 +22,7 @@ spectral number of any of them.  All arithmetic is exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
 from .monomials import dim_graded
@@ -48,18 +49,17 @@ def smooth_euler(n: int, d: int) -> int:
 
 
 def _prim_series(m: int, d: int) -> list[int]:
-    """Coefficients of ((t - t^d)/(1 - t))^m = (t + ... + t^(d-1))^m."""
-    base = [0] + [1] * (d - 1)
-    result = [1]
+    """Coefficients of ((t - t^d)/(1 - t))^m = (t + ... + t^(d-1))^m.
+
+    Each factor takes coefficient k to the window sum of coefficients
+    k-d+1 .. k-1, a difference of two prefix sums.
+    """
+    series = [1]
     for _ in range(m):
-        out = [0] * (len(result) + len(base) - 1)
-        for i, a in enumerate(result):
-            if a:
-                for j, b in enumerate(base):
-                    if b:
-                        out[i + j] += a * b
-        result = out
-    return result
+        n = len(series)
+        prefix = [0, *accumulate(series)]
+        series = [prefix[min(k, n)] - prefix[max(k - d + 1, 0)] for k in range(n + d - 1)]
+    return series
 
 
 def _series_coefficient(series: list[int], k: int) -> int:
@@ -154,13 +154,23 @@ class E2Report:
 
 def _check_ranks(wedge_low: RankReport, wedge_high: RankReport, full: RankReport) -> None:
     """Raise RankInvariantError unless, for every prime, each rank lies in
-    [0, min(rows, cols)] and rank(full) >= rank(A) + rank(B)."""
+    [0, min(rows, cols)] and rank(full) >= rank(A) + rank(B), and each
+    exact rank lies in [0, min(rows, cols)] and is at least every
+    per-prime rank (a prime can only lower a rank)."""
     blocks = {"wedge_low": wedge_low, "wedge_high": wedge_high, "full": full}
     for name, block in blocks.items():
         bound = min(block.rows, block.cols)
         for p, r in block.per_prime:
             if not 0 <= r <= bound:
                 raise RankInvariantError(f"{name}: rank {r} mod {p} outside [0, {bound}]")
+        exact = block.exact_rank
+        if exact is None:
+            continue
+        if not 0 <= exact <= bound:
+            raise RankInvariantError(f"{name}: exact rank {exact} outside [0, {bound}]")
+        for p, r in block.per_prime:
+            if exact < r:
+                raise RankInvariantError(f"{name}: exact rank {exact} below rank {r} mod {p}")
     for (p, low), (_, high), (_, whole) in zip(
         wedge_low.per_prime, wedge_high.per_prime, full.per_prime
     ):

@@ -1,6 +1,6 @@
 """Exact ranks of sparse integer matrices.
 
-Both engines return the column rank profile: the pivot columns, in
+Every rank comes from the column rank profile: the pivot columns, in
 increasing order, of an elimination that walks the columns left to
 right.  Its length is the rank, and the number of its entries below k is
 the rank of the leading k columns, so one elimination gives the rank of
@@ -32,14 +32,27 @@ every leading column block at once.
   w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
   p < 2**31.  Any elimination that walks the columns in order finds the
   same profile, because the profile is a property of the matrix.
-* `exact_rank_profile` is fraction-free (Bareiss) elimination over the
-  integers, read from the entries as Python ints: no rounding, no modular
-  reduction, no size limit on coefficients; rank over the rationals.
-* `rank_multimodular` runs the configured primes, reports the per-prime
-  ranks with their consensus (the max, a guaranteed lower bound), and
-  certifies against the exact engine when asked or when the matrix is
-  small.  Given the leading column block of the matrix, it reports that
-  block's rank from the same eliminations, as the profile prefix.
+* `exact_rank_profile` and `rank_multimodular` prove the profile over
+  the rationals with a lifted kernel (Dumas, Saunders and Villard, 2001).
+  The elimination keeps its echelon form U, row s from pivot column
+  profile[s] on; back substitution gives the reduced-echelon right
+  kernel mod p, one vector per free column with the identity on the
+  free columns.  The primes that share the best profile are combined by
+  CRT and rational reconstruction (Wang, 1981) with one common
+  denominator, and every lifted vector is checked to be zero past its
+  free column and annihilated by the matrix in exact integer
+  arithmetic.  Each prefix count of a profile mod p bounds the rank of
+  those leading columns from below, the verified vectors bound it from
+  above, so the profile and every leading block's rank are proven.  When
+  the lift does not verify, primes descending from 11863279 are added
+  until a Hadamard bound says it must have, and a failure past that is
+  raised as RankInvariantError.
+* `rank_multimodular` runs the configured primes and reports the
+  per-prime ranks with their consensus (the max, a guaranteed lower
+  bound).  When asked, or when the matrix is small, it certifies from
+  the same eliminations.  Given the leading column block of the matrix,
+  it reports that block's rank from the same eliminations, as the
+  profile prefix.
 
 Every function takes a `SparseIntMatrix`.
 
@@ -51,6 +64,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import isqrt, prod
 
 import numpy as np
 
@@ -69,6 +83,8 @@ _LEAF = 8  # column ranges this narrow are factored one column at a time
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
 _FLOAT_EXACT = 2**53
 _INT_EXACT = 2**63
+# first prime added to a lift: the largest that `_kernel` runs at the full panel width
+_LIFT_PRIME = 11863279
 
 
 class RankBudgetError(Exception):
@@ -313,13 +329,15 @@ def _factor(
     mid = (lo + hi) // 2
     left, left_inverse = _factor(panel, trailing, work, p, lo, mid, top)
     below = top + len(left)
-    if below == height:
-        return left, left_inverse
     if left:
+        # solved even when no rows remain below: these are rows of U
         beside = panel[top:below, mid:hi]
         _reduce(beside, p)
         beside[...] = left_inverse @ beside
         _reduce(beside, p)
+    if below == height:
+        return left, left_inverse
+    if left:
         rest = panel[below:, mid:hi]
         product = work[: rest.size].reshape(rest.shape, order="F")
         np.matmul(_take(panel[below:], left), beside, out=product)
@@ -341,14 +359,17 @@ def _factor(
     return left + right, inverse
 
 
-def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
+def _eliminate(A: np.ndarray, p: int, width: int, delay: int, keep: bool = False) -> list[int]:
     """Column rank profile of A mod p; A (entries in [0, p)) is overwritten.
 
     Each panel of `width` columns is copied out column-major and factored
     by `_factor`; the pivot rows' trailing parts are solved with one
     product by the inverse of the panel's unit lower triangle, and the
     trailing matrix takes the panel product unreduced until `delay`
-    products have accumulated.
+    products have accumulated.  With `keep`, every factored panel is
+    written back, so that row s of A, from column profile[s] on, is row s
+    of an echelon form U = L^-1 P A (entries in [0, p), pivots not
+    normalised); what lies left of each pivot is not part of U.
     """
     nrows, ncols = A.shape
     buffer = np.empty(min(nrows, max(_CHUNK_ROWS, width)) * ncols, dtype=A.dtype)
@@ -364,21 +385,35 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
         pivots, inverse = _factor(panel, A[row:, hi:], work, p, 0, hi - col, 0)
         t = len(pivots)
         profile.extend(col + j for j in pivots)
-        if t and hi < ncols and t < panel.shape[0]:
+        below = t < panel.shape[0]
+        if t and hi < ncols and (below or keep):
             upper = A[row : row + t, hi:]
             _reduce(upper, p)
             solved = buffer[: upper.size].reshape(upper.shape)
             np.matmul(inverse, upper, out=solved)
             _reduce(solved, p)
             upper[...] = solved
-            trailing = A[row + t :, hi:]
-            _subtract_product(trailing, panel[t:, pivots], upper, buffer)
-            pending += 1
-            if pending == delay:
-                _reduce_rows(trailing, p)
-                pending = 0
+            if below:
+                trailing = A[row + t :, hi:]
+                _subtract_product(trailing, panel[t:, pivots], upper, buffer)
+                pending += 1
+                if pending == delay:
+                    _reduce_rows(trailing, p)
+                    pending = 0
+        if keep:
+            A[row:, col:hi] = panel
         row += t
     return profile
+
+
+def _echelon(
+    matrix: SparseIntMatrix, p: int, keep: bool
+) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """Column rank profile mod p and, with `keep`, the echelon form (see `_eliminate`)."""
+    dtype, width, delay = _kernel(p)
+    dense = _dense_mod_p(matrix, p, dtype)
+    profile = tuple(_eliminate(dense, p, width, delay, keep))
+    return profile, dense if keep else None
 
 
 def rank_profile_mod_p(matrix: SparseIntMatrix, p: int) -> tuple[int, ...]:
@@ -390,8 +425,7 @@ def rank_profile_mod_p(matrix: SparseIntMatrix, p: int) -> tuple[int, ...]:
         raise ValueError(f"{p} is not prime")
     if not 2 <= p < 2**31:
         raise ValueError(f"prime {p} outside [2, 2**31)")
-    dtype, width, delay = _kernel(p)
-    return tuple(_eliminate(_dense_mod_p(matrix, p, dtype), p, width, delay))
+    return _echelon(matrix, p, keep=False)[0]
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
@@ -399,59 +433,205 @@ def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     return len(rank_profile_mod_p(matrix, p))
 
 
+def _split_columns(profile: tuple[int, ...], cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot columns and the free columns below `cols`, in increasing order."""
+    is_free = np.ones(cols, dtype=bool)
+    pivots = np.array(profile, dtype=np.intp)
+    is_free[pivots] = False
+    return pivots, np.flatnonzero(is_free)
+
+
+def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], cols: int, p: int) -> np.ndarray:
+    """Pivot entries of the reduced-echelon right kernel mod p.
+
+    Column i holds, at row s, entry profile[s] of the kernel vector that
+    is 1 at the i-th non-pivot column below `cols` and 0 at the others.
+    Back substitution up the rows of U, scaled to a unit diagonal.
+    """
+    r = len(profile)
+    pivots, free = _split_columns(profile, cols)
+    scale = np.array([-pow(int(echelon[s, c]), p - 2, p) for s, c in enumerate(profile)])
+    # -U/diag(U), zero left of each pivot
+    upper = np.where(np.arange(cols) > pivots[:, None], echelon[:r, :cols], 0)
+    upper *= scale.astype(upper.dtype)[:, None]
+    _reduce(upper, p)
+    coupling, kernel = upper[:, pivots], upper[:, free]
+    limit = _FLOAT_EXACT if upper.dtype == np.float64 else _INT_EXACT
+    step = (limit - p) // (p - 1) ** 2  # products of residues one exact sum holds
+    for s in range(r - 2, -1, -1):
+        row = kernel[s]
+        for start in range(s + 1, r, step):
+            row += coupling[s, start : start + step] @ kernel[start : start + step]
+            _reduce(row, p)
+    return kernel
+
+
+def _crt(residues: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, int]:
+    """The Python ints in [0, product of the primes) with the given residues."""
+    value, modulus = np.zeros(residues[0][1].shape, dtype=object), 1
+    for p, residue in residues:
+        gap = residue.astype(np.int64) - (value % p).astype(np.int64)
+        value = value + modulus * (gap * pow(modulus, -1, p) % p).astype(object)
+        modulus *= p
+    return value, modulus
+
+
+def _wang_denominator(y: int, modulus: int, bound: int) -> int | None:
+    """Denominator q <= bound of a fraction n/q = y mod `modulus` with |n| <= bound."""
+    r0, r1, t0, t1 = modulus, y, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= bound else None
+
+
+def _rational_lift(value: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
+    """Numerators and one common denominator of fractions congruent to `value`.
+
+    Wang's reconstruction with numerator and denominator bound
+    sqrt(modulus/2), where the answer is unique, applied to the first
+    entry that the denominator found so far does not make small; each
+    step at least doubles the denominator, so few entries need it.  None
+    when some entry has no such fraction.
+    """
+    bound = isqrt((modulus - 1) // 2)
+    den = 1
+    for _ in range(bound.bit_length() + 1):
+        scaled = value * den % modulus
+        scaled[scaled > modulus // 2] -= modulus
+        large = np.flatnonzero(abs(scaled) > bound)
+        if not large.size:
+            return scaled, den
+        q = _wang_denominator(int(scaled.flat[large[0]] % modulus), modulus, bound)
+        if q is None or den * q > bound:
+            return None
+        den *= q
+    return None
+
+
+def _annihilates(matrix: SparseIntMatrix, basis: np.ndarray) -> bool:
+    """Whether matrix @ basis is zero, in exact integer arithmetic.
+
+    `basis` holds Python ints; int64 is used when no sum can overflow it.
+    """
+    if not matrix.nnz:
+        return True
+    starts = np.flatnonzero(np.diff(matrix.r, prepend=-1))
+    longest = int(np.diff(starts, append=matrix.nnz).max())
+    values = matrix.v
+    largest = max(map(abs, values.tolist())) * max(map(abs, basis.ravel().tolist()))
+    if largest * longest < _INT_EXACT:
+        values, basis = values.astype(np.int64), basis.astype(np.int64)
+    products = values[:, None] * basis[matrix.c]
+    return not np.add.reduceat(products, starts, axis=0).any()
+
+
+def _lift_verifies(
+    matrix: SparseIntMatrix, profile: tuple[int, ...], kernels: list[tuple[int, np.ndarray]]
+) -> bool:
+    """Whether the kernels mod p lift to exact kernel vectors of `matrix`.
+
+    The vector of free column f must be zero past f, so that it also
+    shows column f to depend on the pivot columns before it.
+    """
+    lifted = _rational_lift(*_crt(kernels))
+    if lifted is None:
+        return False
+    numerators, den = lifted
+    pivots, free = _split_columns(profile, matrix.cols)
+    if numerators[pivots[:, None] > free].any():
+        return False
+    basis = np.zeros((matrix.cols, len(free)), dtype=object)
+    basis[pivots] = numerators
+    basis[free, np.arange(len(free))] = den
+    return _annihilates(matrix, basis)
+
+
+def _hadamard_square(matrix: SparseIntMatrix) -> int:
+    """A bound on the square of every minor of `matrix`: the smaller of the
+    products of its squared row norms and of its squared column norms,
+    each taken as at least 1 (Hadamard's inequality)."""
+    squares = matrix.v * matrix.v
+    bounds = []
+    for index, size in ((matrix.r, matrix.rows), (matrix.c, matrix.cols)):
+        sums = np.zeros(size, dtype=object)
+        np.add.at(sums, index, squares)
+        bounds.append(prod(max(1, s) for s in sums.tolist()))
+    return min(bounds)
+
+
+def _lift_primes(skip: tuple[int, ...]):
+    """Primes for lifting, descending from _LIFT_PRIME, except those in `skip`."""
+    for p in range(_LIFT_PRIME, 2, -2):
+        if p not in skip and _is_prime(p):
+            yield p
+
+
+def _certify(
+    matrix: SparseIntMatrix,
+    eliminated: list[tuple[int, tuple[int, ...], np.ndarray]],
+    skip: tuple[int, ...],
+) -> tuple[int, ...]:
+    """Column rank profile of `matrix` over the rationals, proven.
+
+    `eliminated` holds (p, profile, echelon form) of `matrix` at some
+    primes.  The best profile (longest, then lexicographically first) is
+    lifted from the primes that share it: kernel mod p, CRT, rational
+    reconstruction, then an exact check that every vector is a kernel
+    vector zero past its free column.  Each prefix count of a profile mod
+    p bounds the rank of that many leading columns from below; the
+    verified vectors, one per free column with the identity there, bound
+    it from above.  So the profile is the one over the rationals, and
+    its prefix counts are the ranks of all leading column blocks.
+
+    While the lift fails, primes from `_lift_primes` are added.  All
+    primes whose profile is not the rational one divide one nonzero
+    minor, so their product is at most the Hadamard bound H; once the
+    primes sharing the rational profile multiply past 2*H**2 the
+    reconstruction is unique and the lift verifies.  A failure past
+    either bound is a fault, raised as RankInvariantError.
+    """
+    cols = matrix.cols
+    found = list(eliminated)
+    kernels: dict[int, np.ndarray] = {}
+    hadamard = _hadamard_square(matrix)
+    extra = _lift_primes(skip)
+    while True:
+        best = min((profile for _, profile, _ in found), key=lambda pr: (-len(pr), pr))
+        if len(best) == cols:
+            return best
+        agree = [(p, echelon) for p, profile, echelon in found if profile == best]
+        for p, echelon in agree:
+            if p not in kernels:
+                kernels[p] = _kernel_mod_p(echelon, best, cols, p)
+        if _lift_verifies(matrix, best, [(p, kernels[p]) for p, _ in agree]):
+            return best
+        modulus = prod(p for p, _ in agree)
+        others = prod(p for p, profile, _ in found if profile != best)
+        if modulus > 2 * hadamard or others**2 > hadamard:
+            raise RankInvariantError(
+                f"{matrix.rows}x{cols}: kernel lifted mod {modulus} does not verify"
+            )
+        p = next(extra)
+        found.append((p, *_echelon(matrix, p, keep=True)))
+
+
+def _check_budget(rows: int, cols: int, max_cells: int) -> None:
+    if rows * cols > max_cells:
+        raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {max_cells} cells")
+
+
 def exact_rank_profile(
     matrix: SparseIntMatrix, max_cells: int = EXACT_CELL_BUDGET
 ) -> tuple[int, ...]:
-    """Column rank profile over the rationals by fraction-free elimination.
+    """Column rank profile over the rationals, certified by a lifted kernel.
 
-    Bareiss updates (pivot*entry - colentry*pivotentry) // previous_pivot
-    keep every intermediate value an exact integer minor; pivots are
-    chosen of minimal magnitude to limit growth (the profile does not
-    depend on that choice).  Raises RankBudgetError when rows*cols
-    exceeds `max_cells`.
+    Eliminates at the default primes and proves the profile with
+    `_certify`.  Raises RankBudgetError when rows*cols exceeds `max_cells`.
     """
-    rows, cols = matrix.rows, matrix.cols
-    if rows * cols > max_cells:
-        raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {max_cells} cells")
-    if min(rows, cols) == 0:
-        return ()
-    A = [[0] * cols for _ in range(rows)]
-    for i, j, v in matrix.entries:
-        A[i][j] = v
-    profile: list[int] = []
-    previous = 1
-    r = 0
-    for c in range(cols):
-        best = -1
-        best_mag = 0
-        for i in range(r, rows):
-            v = A[i][c]
-            if v:
-                mag = -v if v < 0 else v
-                if best < 0 or mag < best_mag:
-                    best, best_mag = i, mag
-        if best < 0:
-            continue
-        if best != r:
-            A[r], A[best] = A[best], A[r]
-        pivot_row = A[r]
-        pivot = pivot_row[c]
-        for i in range(r + 1, rows):
-            other = A[i]
-            head = other[c]
-            if head:
-                other[c + 1 :] = [
-                    (pivot * x - head * y) // previous
-                    for x, y in zip(other[c + 1 :], pivot_row[c + 1 :])
-                ]
-            else:
-                other[c + 1 :] = [pivot * x // previous for x in other[c + 1 :]]
-        previous = pivot
-        profile.append(c)
-        r += 1
-        if r == rows:
-            break
-    return tuple(profile)
+    _check_budget(matrix.rows, matrix.cols, max_cells)
+    eliminated = [(p, *_echelon(matrix, p, keep=True)) for p in DEFAULT_PRIMES]
+    return _certify(matrix, eliminated, DEFAULT_PRIMES)
 
 
 def rank_exact(matrix: SparseIntMatrix, max_cells: int = EXACT_CELL_BUDGET) -> int:
@@ -467,41 +647,57 @@ def rank_multimodular(
     """Rank report over the configured primes, optionally certified exactly.
 
     The consensus is the maximum per-prime rank (each prime gives a lower
-    bound on the true rank).  The exact engine runs when `config.exact`
-    is set, or automatically when both dimensions are at most
-    `config.dense_threshold`.
+    bound on the true rank).  The exact rank is proven by `_certify`,
+    from the echelon forms the configured primes leave, when
+    `config.certifies` the shape: always under `config.exact` (raising
+    RankBudgetError past EXACT_CELL_BUDGET cells), else when both
+    dimensions are at most `config.dense_threshold`.  Other matrices are
+    eliminated without keeping their echelon forms.  A prime whose rank
+    exceeds min(rows, cols) cannot be lifted, so the report is then left
+    uncertified, for the caller to refuse.
 
     `leading` names the leading column block of `matrix`: its first
     leading.cols columns hold `leading` in their last leading.rows rows
     and zeros above.  Its rank is then the number of pivots among those
     columns, and the report's `leading` field carries its ranks, counted
-    from the same profiles.  Its exact rank comes from the same Bareiss
-    run when the whole matrix is certified, else from its own run when it
-    qualifies by itself.
+    from the same profiles.  When the whole matrix is certified, the
+    proven profile gives the block's exact rank too.  When only the block
+    qualifies, it is certified from the echelon rows whose pivots lie
+    among its columns, which are an echelon form of the block.
     """
     cfg = config or RankConfig()
     rows, cols = matrix.rows, matrix.cols
     if leading is not None and (leading.rows > rows or leading.cols > cols):
         raise ValueError(f"leading block {leading.rows}x{leading.cols} exceeds {rows}x{cols}")
-    profiles = [(p, rank_profile_mod_p(matrix, p)) for p in cfg.primes]
-    exact = exact_rank_profile(matrix) if cfg.certifies(rows, cols) else None
+    whole = cfg.certifies(rows, cols)
+    part = not whole and leading is not None and cfg.certifies(leading.rows, leading.cols)
+    if whole:
+        _check_budget(rows, cols, EXACT_CELL_BUDGET)
+    eliminated = [(p, *_echelon(matrix, p, keep=whole or part)) for p in cfg.primes]
+    liftable = all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated)
+    exact = exact_block = None
+    if whole and liftable:
+        exact = _certify(matrix, eliminated, cfg.primes)
+        if leading is not None:
+            exact_block = bisect_left(exact, leading.cols)
+    elif part and liftable:
+        prefix = []
+        for p, profile, echelon in eliminated:
+            t = bisect_left(profile, leading.cols)
+            prefix.append((p, profile[:t], echelon[:t, : leading.cols]))
+        exact_block = len(_certify(leading, prefix, cfg.primes))
     block = None
     if leading is not None:
-        exact_block = None
-        if exact is not None:
-            exact_block = bisect_left(exact, leading.cols)
-        elif cfg.certifies(leading.rows, leading.cols):
-            exact_block = rank_exact(leading)
         block = RankReport.of(
             leading.rows,
             leading.cols,
-            tuple((p, bisect_left(profile, leading.cols)) for p, profile in profiles),
+            tuple((p, bisect_left(profile, leading.cols)) for p, profile, _ in eliminated),
             exact_block,
         )
     return RankReport.of(
         rows,
         cols,
-        tuple((p, len(profile)) for p, profile in profiles),
+        tuple((p, len(profile)) for p, profile, _ in eliminated),
         None if exact is None else len(exact),
         block,
     )

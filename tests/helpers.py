@@ -99,6 +99,19 @@ def euler_series_oracle(n, d):
     return int(value)
 
 
+def prim_series_oracle(m: int, d: int) -> list[int]:
+    """(t + ... + t^(d-1))^m by m full convolutions with the base polynomial."""
+    base = [0] + [1] * (d - 1)
+    result = [1]
+    for _ in range(m):
+        out = [0] * (len(result) + len(base) - 1)
+        for i, a in enumerate(result):
+            for j, b in enumerate(base):
+                out[i + j] += a * b
+        result = out
+    return result
+
+
 def stars_and_bars(m: int, e: int):
     """Enumerate degree-e exponent vectors by bar placement (order-free oracle)."""
     for bars in combinations(range(e + m - 1), m - 1):

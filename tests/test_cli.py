@@ -160,15 +160,28 @@ def test_defect_huge_coefficient_is_not_an_overflow(capsys):
 
 
 def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
-    real = ranks.rank_profile_mod_p
-    monkeypatch.setattr(
-        ranks,
-        "rank_profile_mod_p",
-        lambda matrix, p: real(matrix, p) + (len(real(matrix, p)),),
-    )
+    real = ranks._echelon
+
+    def one_pivot_too_many(matrix, p, keep):
+        profile, echelon = real(matrix, p, keep)
+        if matrix.rows == 0:  # the Segre cubic's wedge_low, 0x5
+            profile += (len(profile),)
+        return profile, echelon
+
+    monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
     code, _, err = run(capsys, "defect", "--expr", SEGRE)
     assert code == 4
     assert "wedge_low: rank 1 mod 32633 outside [0, 0]" in err
+
+
+def test_exact_rank_below_a_prime_exits_4(capsys, monkeypatch):
+    # a prime can only lower a rank: an exact rank below one is a fault,
+    # not an uncertified report
+    real = ranks._certify
+    monkeypatch.setattr(ranks, "_certify", lambda *args: real(*args)[:-1])
+    code, out, err = run(capsys, "defect", "--expr", SEGRE, "--json")
+    assert code == 4, out
+    assert "wedge_high: exact rank 59 below rank 60 mod 32633" in err
 
 
 def test_defect_four_variables_routes_to_raw_report(capsys):

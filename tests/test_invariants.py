@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from helpers import bounded_compositions_count, euler_series_oracle
+from helpers import bounded_compositions_count, euler_series_oracle, prim_series_oracle
 from hyperdefect.fixtures import get_fixture
 from hyperdefect.invariants import (
     LocalVanishingData,
@@ -38,6 +38,12 @@ def test_smooth_euler_matches_series_oracle():
     for n in range(1, 40):
         for d in range(1, 15):
             assert smooth_euler(n, d) == euler_series_oracle(n, d), (n, d)
+
+
+def test_prim_series_matches_convolution_oracle():
+    for m in range(41):
+        for d in range(1, 15):
+            assert invariants._prim_series(m, d) == prim_series_oracle(m, d), (m, d)
 
 
 def test_smooth_euler_validates_arguments():
@@ -206,30 +212,41 @@ def test_fermat_shapes_cover_the_grid():
 
 
 def test_rank_above_its_shape_is_refused(monkeypatch):
-    real = ranks.rank_profile_mod_p
+    real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p):
-        profile = real(matrix, p)
-        return profile + (len(profile),)
+    def one_pivot_too_many(matrix, p, keep):
+        profile, echelon = real(matrix, p, keep)
+        return profile + (len(profile),), echelon
 
-    monkeypatch.setattr(ranks, "rank_profile_mod_p", one_pivot_too_many)
+    monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
     with pytest.raises(RankInvariantError, match=r"wedge_low: rank 6 mod 32633 outside \[0, 5\]"):
         e2_piece(get_fixture("quartic-one-point").build(), 3)
 
 
+def test_exact_rank_above_its_shape_is_refused(monkeypatch):
+    real = ranks._certify
+
+    def one_pivot_too_many(matrix, *rest):
+        return real(matrix, *rest) + (matrix.cols,)
+
+    monkeypatch.setattr(ranks, "_certify", one_pivot_too_many)
+    with pytest.raises(RankInvariantError, match=r"wedge_low: exact rank 6 outside \[0, 5\]"):
+        e2_piece(get_fixture("quartic-one-point").build(), 3)
+
+
 def test_full_rank_below_its_blocks_is_refused(monkeypatch):
-    real = ranks.rank_profile_mod_p
+    real = ranks._echelon
     form = get_fixture("quartic-one-point").build()
     blocks = assemble_phi(form, 3)
     full_shape, lead = (blocks.full.rows, blocks.full.cols), blocks.wedge_high.cols
 
-    def drop_pivots_outside_the_leading_block(matrix, p):
-        profile = real(matrix, p)
+    def drop_pivots_outside_the_leading_block(matrix, p, keep):
+        profile, echelon = real(matrix, p, keep)
         if (matrix.rows, matrix.cols) == full_shape and p == 32647:
-            return tuple(c for c in profile if c < lead)
-        return profile
+            return tuple(c for c in profile if c < lead), echelon
+        return profile, echelon
 
-    monkeypatch.setattr(ranks, "rank_profile_mod_p", drop_pivots_outside_the_leading_block)
+    monkeypatch.setattr(ranks, "_echelon", drop_pivots_outside_the_leading_block)
     with pytest.raises(RankInvariantError, match="full: rank 267 mod 32647 below"):
         e2_piece(form, 3)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import rational_rank, rowreduce_rank, sparse_from_dense
 from hyperdefect.fixtures import get_fixture
+from hyperdefect import ranks
 from hyperdefect.koszul import SparseIntMatrix, assemble_phi
 from hyperdefect.polynomials import HomogeneousForm, parse_expression
 from hyperdefect.ranks import (
@@ -14,6 +15,7 @@ from hyperdefect.ranks import (
     PRIME_TABLE,
     RankBudgetError,
     RankConfig,
+    RankInvariantError,
     RankReport,
     _kernel,
     _reduce,
@@ -140,9 +142,20 @@ RECURSION_EDGES = {
 @pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
 def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     matrix = RECURSION_EDGES[case](p)
-    prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(matrix.shape[1] + 1)]
-    expected = tuple(k for k in range(matrix.shape[1]) if prefix[k + 1] > prefix[k])
+    cols = matrix.shape[1]
+    prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(cols + 1)]
+    expected = tuple(k for k in range(cols) if prefix[k + 1] > prefix[k])
     assert rank_profile_mod_p(sparse_from_dense(matrix), p) == expected
+    # the kept echelon form back-solves to kernel vectors mod p
+    profile, echelon = ranks._echelon(sparse_from_dense(matrix), p, keep=True)
+    assert profile == expected
+    pivots, free = ranks._split_columns(profile, cols)
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[pivots] = ranks._kernel_mod_p(echelon, profile, cols, p)
+    basis[free, np.arange(len(free))] = 1
+    residues = np.array([[v % p for v in row] for row in matrix.tolist()], dtype=np.int64)
+    high, low = divmod(basis, 1 << 16)  # keeps every int64 sum below 2**63
+    assert not ((residues @ high % p * (1 << 16) + residues @ low) % p).any()
 
 
 def test_wide_identity_with_zero_columns():
@@ -233,15 +246,26 @@ def test_leading_block_certification_follows_its_own_shape():
     curve = HomogeneousForm.from_polynomial(parse_expression("x^4+y^4+z^4", ("x", "y", "z")))
     blocks = assemble_phi(curve, 3)  # B 84x55, full 102x76
     exact_b, exact_full = rank_exact(blocks.wedge_high), rank_exact(blocks.full)
-    # B qualifies for exact certification and full does not: B gets its own run
-    alone = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
+    # B qualifies for exact certification and full does not: B's kernel comes
+    # from the echelon rows of full whose pivots lie among B's columns
+    shapes = []
+    real = ranks._echelon
+
+    def spy(matrix, p, keep):
+        shapes.append((matrix.rows, matrix.cols))
+        return real(matrix, p, keep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranks, "_echelon", spy)
+        alone = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
+    assert shapes == [(102, 76)] * len(DEFAULT_PRIMES)
     assert alone.exact_rank is None and not alone.certified
     assert alone.leading.exact_rank == exact_b and alone.leading.certified
     neither = rank_multimodular(
         blocks.full, RankConfig(dense_threshold=83), leading=blocks.wedge_high
     )
     assert neither.leading.exact_rank is None
-    # one Bareiss run over full certifies both
+    # one lift over full certifies both: its profile's prefix is B's
     both = rank_multimodular(blocks.full, RankConfig(exact=True), leading=blocks.wedge_high)
     assert (both.exact_rank, both.leading.exact_rank) == (exact_full, exact_b)
     assert both.certified and both.leading.certified
@@ -370,3 +394,128 @@ def test_exact_budget():
         rank_multimodular(huge, RankConfig(exact=True))
     # ... but a relaxed budget accepts and the empty matrix has rank zero
     assert rank_exact(huge, max_cells=2_000_000) == 0
+
+
+def _spy_primes(monkeypatch):
+    """Record the prime of every elimination the report path runs."""
+    primes = []
+    real = ranks._echelon
+
+    def spy(matrix, p, keep):
+        primes.append(p)
+        return real(matrix, p, keep)
+
+    monkeypatch.setattr(ranks, "_echelon", spy)
+    return primes
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[2, 2]], [[2, 4], [6, 12], [0, 2]]])
+def test_bad_configured_prime_still_gives_the_rational_rank(rows):
+    # 2 divides every entry, so the only configured prime sees rank 0
+    matrix = sparse_from_dense(rows)
+    report = rank_multimodular(matrix, RankConfig(primes=(2,), exact=True))
+    assert report.per_prime == ((2, 0),)
+    assert report.exact_rank == rational_rank(np.array(rows)) > 0
+    assert not report.certified
+
+
+def test_kernel_vector_past_its_free_column_proves_no_profile(monkeypatch):
+    # mod 2 the profile of [[2, 1]] is (1,): right length, wrong column.  The
+    # lift (1, -2) is an exact kernel vector, but not zero past its free column
+    # 0, so it must not certify rank 0 for the leading column [2].
+    real = ranks._rational_lift
+    lifts = iter([(np.array([[-2]], dtype=object), 1)])
+    monkeypatch.setattr(ranks, "_rational_lift", lambda *args: next(lifts, None) or real(*args))
+    report = rank_multimodular(
+        sparse_from_dense([[2, 1]]),
+        RankConfig(primes=(2,), exact=True),
+        leading=sparse_from_dense([[2]]),
+    )
+    assert report.per_prime == ((2, 1),) and report.certified
+    assert report.leading.per_prime == ((2, 0),)
+    assert report.leading.exact_rank == 1 and not report.leading.certified
+
+
+def _perturb_first_numerator(real, times):
+    calls = []
+
+    def perturbed(value, modulus):
+        lifted = real(value, modulus)
+        calls.append(modulus)
+        if lifted is None or len(calls) > times:
+            return lifted
+        numerators, den = lifted
+        numerators = numerators.copy()
+        numerators.flat[0] += 1
+        return numerators, den
+
+    return perturbed, calls
+
+
+@pytest.mark.parametrize("times", [1, 3, None])
+def test_perturbed_reconstruction_is_never_accepted(monkeypatch, times):
+    matrix = assemble_phi(get_fixture("segre-cubic").build(), 3).full  # rank 60 of 75
+    primes = _spy_primes(monkeypatch)
+    perturbed, calls = _perturb_first_numerator(ranks._rational_lift, times or 10**9)
+    monkeypatch.setattr(ranks, "_rational_lift", perturbed)
+    try:
+        profile = exact_rank_profile(matrix)
+    except RankInvariantError:
+        assert times is None  # only a lift that is never right may fail
+        return
+    assert len(profile) == 60
+    assert len(calls) == times + 1  # each wrong lift costs one more prime
+    assert len(primes) == len(DEFAULT_PRIMES) + times
+
+
+def test_never_verifying_lift_stops_at_the_hadamard_bound(monkeypatch):
+    # rank 2 of 3, entries near 2**40: 2*H**2 needs several lift primes
+    big = 2**40
+    matrix = sparse_from_dense(
+        np.array([[big, 3, big + 3], [5, big, big + 5], [7, 11, 18]], dtype=object)
+    )
+    assert rational_rank(matrix) == 2
+    primes = _spy_primes(monkeypatch)
+    monkeypatch.setattr(ranks, "_lift_verifies", lambda *args: False)
+    with pytest.raises(RankInvariantError, match="does not verify"):
+        exact_rank_profile(matrix)
+    limit = 2 * ranks._hadamard_square(matrix)
+    assert np.prod(primes[:-1], dtype=object) <= limit < np.prod(primes, dtype=object)
+    assert len(primes) > len(DEFAULT_PRIMES)
+    assert primes[len(DEFAULT_PRIMES)] == WIDE_PRIME == ranks._LIFT_PRIME
+
+
+def test_prime_claiming_more_than_the_rank_stops_at_the_hadamard_bound(monkeypatch):
+    # rank 1; the configured primes claim pivots (1, 2), whose one kernel
+    # vector (1, 0, 0) never verifies, and the lift primes disagree: past the
+    # Hadamard bound their product shows the claim to be false
+    big = 2**100
+    matrix = sparse_from_dense(np.full((3, 3), big, dtype=object))
+    real = ranks._echelon
+    primes = []
+
+    def overclaim(matrix, p, keep):
+        primes.append(p)
+        profile, echelon = real(matrix, p, keep)
+        return ((1, 2) if p in DEFAULT_PRIMES else profile), echelon
+
+    monkeypatch.setattr(ranks, "_echelon", overclaim)
+    with pytest.raises(RankInvariantError, match="does not verify"):
+        exact_rank_profile(matrix)
+    others = np.prod(primes[len(DEFAULT_PRIMES) :], dtype=object)
+    assert others**2 > ranks._hadamard_square(matrix) >= (others // primes[-1]) ** 2
+
+
+def test_huge_coefficient_lifts_with_more_primes(monkeypatch):
+    names = ("x", "y", "z", "u", "v")
+    huge = HomogeneousForm.from_polynomial(parse_expression("2^70*x^3+y^3+z^3+u^3+v^3", names))
+    fermat = HomogeneousForm.from_polynomial(parse_expression("x^3+y^3+z^3+u^3+v^3", names))
+    expected = rank_multimodular(assemble_phi(fermat, 3).full, RankConfig())
+    primes = _spy_primes(monkeypatch)
+    blocks = assemble_phi(huge, 3)
+    report = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
+    assert report.certified and report.leading.certified
+    assert report.exact_rank == expected.exact_rank  # x -> 2^(-70/3) x over the reals
+    extra = [p for p in primes if p not in DEFAULT_PRIMES]
+    assert extra and extra[0] == WIDE_PRIME
+    assert extra == sorted(extra, reverse=True)
