@@ -59,7 +59,6 @@ from .ranks import (
     RankConfig,
     RankInvariantError,
     RankReport,
-    exact_rank_profile,
     rank_exact,
     rank_mod_p,
     rank_multimodular,
@@ -102,7 +101,6 @@ __all__ = [
     "dim_graded",
     "e2_piece",
     "emit_term_list",
-    "exact_rank_profile",
     "find_fixtures",
     "get_fixture",
     "graded_monomials",

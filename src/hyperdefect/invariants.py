@@ -36,15 +36,34 @@ from .ranks import (
     rank_multimodular,
 )
 
+# Largest Hodge series of a smooth fiber, in coefficients, (n+2)(d-1)+1, and
+# in factors, n+2.  Every coefficient, and the Euler characteristic, is then
+# at most (d-1)**(n+2) <= 3**(4095/3) in magnitude, about 650 digits (far
+# below Python's 4300-digit int-to-str limit), and a series takes seconds.
+HODGE_SERIES_BUDGET = 1 << 12
+
+
+def _check_fiber(n: int, d: int) -> None:
+    """Refuse n or d below 1 (ValueError) and a fiber whose Hodge series
+    exceeds HODGE_SERIES_BUDGET (RankBudgetError), before any work."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    length = (n + 2) * (d - 1) + 1
+    if max(n + 2, length) > HODGE_SERIES_BUDGET:
+        raise RankBudgetError(
+            f"hodge series for n={n}, d={d} ({length} coefficients, {n + 2} factors)"
+            f" exceeds the budget of {HODGE_SERIES_BUDGET}"
+        )
+
 
 def smooth_euler(n: int, d: int) -> int:
     """Euler characteristic of a smooth degree-d hypersurface in P^{n+1}.
 
     The t^{n+1} coefficient of d*t*(1+t)^(n+2)/(1+d*t), in closed form
     n + 2 + ((1-d)^(n+2) - 1)/d; the division is exact since 1-d = 1 mod d.
+    Raises RankBudgetError past HODGE_SERIES_BUDGET (see `_check_fiber`).
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    _check_fiber(n, d)
     return n + 2 + ((1 - d) ** (n + 2) - 1) // d
 
 
@@ -68,8 +87,7 @@ def _series_coefficient(series: list[int], k: int) -> int:
 
 def _hodge_row(n: int, d: int) -> tuple[int, ...]:
     """`smooth_hodge_prim` for p = 0 .. n, read off one series."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    _check_fiber(n, d)
     series = _prim_series(n + 2, d)
     return tuple(_series_coefficient(series, (p + 1) * d) for p in range(n + 1))
 

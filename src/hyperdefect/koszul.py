@@ -97,7 +97,12 @@ class SparseIntMatrix:
         return tuple(zip(self.r.tolist(), self.c.tolist(), self.v.tolist()))
 
     def to_dense(self) -> np.ndarray:
-        """Dense int64 array; raises if any entry would not fit."""
+        """Dense int64 array; raises if any entry would not fit.
+
+        The rank engine densifies mod p by itself and does not call it;
+        it stays for the test oracles and as a boundary that
+        perfbench/tracing.py wraps by name.
+        """
         dense = np.zeros((self.rows, self.cols), dtype=np.int64)
         if self.nnz:
             if max(abs(x) for x in self.v.tolist()) >= _DENSE_LIMIT:

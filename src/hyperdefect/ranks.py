@@ -32,27 +32,30 @@ every leading column block at once.
   w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
   p < 2**31.  Any elimination that walks the columns in order finds the
   same profile, because the profile is a property of the matrix.
-* `exact_rank_profile` and `rank_multimodular` prove the profile over
-  the rationals with a lifted kernel (Dumas, Saunders and Villard, 2001).
-  The elimination keeps its echelon form U, row s from pivot column
-  profile[s] on; back substitution gives the reduced-echelon right
-  kernel mod p, one vector per free column with the identity on the
-  free columns.  The primes that share the best profile are combined by
-  CRT and rational reconstruction (Wang, 1981) with one common
-  denominator, and every lifted vector is checked to be zero past its
-  free column and annihilated by the matrix in exact integer
-  arithmetic.  Each prefix count of a profile mod p bounds the rank of
-  those leading columns from below, the verified vectors bound it from
-  above, so the profile and every leading block's rank are proven.  When
-  the lift does not verify, primes descending from 11863279 are added
-  until a Hadamard bound says it must have, and a failure past that is
-  raised as RankInvariantError.
+  Every panel is written back, so the same pass leaves the echelon
+  form U, row s from pivot column profile[s] on, in the dense array.
 * `rank_multimodular` runs the configured primes and reports the
   per-prime ranks with their consensus (the max, a guaranteed lower
-  bound).  When asked, or when the matrix is small, it certifies from
-  the same eliminations.  Given the leading column block of the matrix,
-  it reports that block's rank from the same eliminations, as the
-  profile prefix.
+  bound); given the leading column block of the matrix, it reports that
+  block's ranks from the same eliminations, as profile prefixes.  When
+  asked, or when the matrix or else its leading block is small, it
+  certifies that one target from the same eliminations, keeping each
+  prime's echelon rows over the target's columns and no other dense
+  array.  `_certify` proves the target's profile over the rationals with
+  a lifted kernel (Dumas, Saunders and Villard, 2001): back substitution
+  gives the reduced-echelon right kernel mod p, one vector per free
+  column with the identity on the free columns; the primes that share
+  the best profile are combined by CRT and rational reconstruction
+  (Wang, 1981) with one common denominator, and every lifted vector is
+  checked to be zero past its free column and annihilated by the matrix
+  in exact integer arithmetic.  Each prefix count of a profile mod p
+  bounds the rank of those leading columns from below, the verified
+  vectors bound it from above, so the profile and every leading block's
+  rank are proven.  When the lift does not verify, primes descending
+  from 11863279 are added until a Hadamard bound says it must have, and
+  a failure past that is raised as RankInvariantError.
+* `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
+  boundaries that perfbench/tracing.py wraps by name.
 
 Every function takes a `SparseIntMatrix`.
 
@@ -88,7 +91,7 @@ _LIFT_PRIME = 11863279
 
 
 class RankBudgetError(Exception):
-    """Elimination refused: the matrix exceeds a cell budget."""
+    """Refused before any work: an input exceeds a size budget."""
 
 
 class RankInvariantError(RuntimeError):
@@ -359,17 +362,17 @@ def _factor(
     return left + right, inverse
 
 
-def _eliminate(A: np.ndarray, p: int, width: int, delay: int, keep: bool = False) -> list[int]:
+def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
     """Column rank profile of A mod p; A (entries in [0, p)) is overwritten.
 
     Each panel of `width` columns is copied out column-major and factored
     by `_factor`; the pivot rows' trailing parts are solved with one
     product by the inverse of the panel's unit lower triangle, and the
     trailing matrix takes the panel product unreduced until `delay`
-    products have accumulated.  With `keep`, every factored panel is
-    written back, so that row s of A, from column profile[s] on, is row s
-    of an echelon form U = L^-1 P A (entries in [0, p), pivots not
-    normalised); what lies left of each pivot is not part of U.
+    products have accumulated.  Every factored panel is written back, so
+    that row s of A, from column profile[s] on, is row s of an echelon
+    form U = L^-1 P A (entries in [0, p), pivots not normalised); what
+    lies left of each pivot is not part of U.
     """
     nrows, ncols = A.shape
     buffer = np.empty(min(nrows, max(_CHUNK_ROWS, width)) * ncols, dtype=A.dtype)
@@ -385,35 +388,31 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int, keep: bool = False
         pivots, inverse = _factor(panel, A[row:, hi:], work, p, 0, hi - col, 0)
         t = len(pivots)
         profile.extend(col + j for j in pivots)
-        below = t < panel.shape[0]
-        if t and hi < ncols and (below or keep):
+        if t and hi < ncols:
+            # solved even when no rows remain below: these are rows of U
             upper = A[row : row + t, hi:]
             _reduce(upper, p)
             solved = buffer[: upper.size].reshape(upper.shape)
             np.matmul(inverse, upper, out=solved)
             _reduce(solved, p)
             upper[...] = solved
-            if below:
+            if t < panel.shape[0]:
                 trailing = A[row + t :, hi:]
                 _subtract_product(trailing, panel[t:, pivots], upper, buffer)
                 pending += 1
                 if pending == delay:
                     _reduce_rows(trailing, p)
                     pending = 0
-        if keep:
-            A[row:, col:hi] = panel
+        A[row:, col:hi] = panel
         row += t
     return profile
 
 
-def _echelon(
-    matrix: SparseIntMatrix, p: int, keep: bool
-) -> tuple[tuple[int, ...], np.ndarray | None]:
-    """Column rank profile mod p and, with `keep`, the echelon form (see `_eliminate`)."""
+def _echelon(matrix: SparseIntMatrix, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Column rank profile mod p and the dense echelon form (see `_eliminate`)."""
     dtype, width, delay = _kernel(p)
     dense = _dense_mod_p(matrix, p, dtype)
-    profile = tuple(_eliminate(dense, p, width, delay, keep))
-    return profile, dense if keep else None
+    return tuple(_eliminate(dense, p, width, delay)), dense
 
 
 def rank_profile_mod_p(matrix: SparseIntMatrix, p: int) -> tuple[int, ...]:
@@ -421,15 +420,16 @@ def rank_profile_mod_p(matrix: SparseIntMatrix, p: int) -> tuple[int, ...]:
 
     Deterministic for fixed inputs.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 2 <= p < 2**31:
-        raise ValueError(f"prime {p} outside [2, 2**31)")
-    return _echelon(matrix, p, keep=False)[0]
+    RankConfig(primes=(p,))  # raises ValueError unless p is a prime below 2**31
+    return _echelon(matrix, p)[0]
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank of an integer matrix over the field with p elements."""
+    """Rank of an integer matrix over the field with p elements.
+
+    The report path does not call it; it stays as a boundary that
+    perfbench/tracing.py wraps by name.
+    """
     return len(rank_profile_mod_p(matrix, p))
 
 
@@ -456,8 +456,8 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], cols: int, p: i
     upper *= scale.astype(upper.dtype)[:, None]
     _reduce(upper, p)
     coupling, kernel = upper[:, pivots], upper[:, free]
-    limit = _FLOAT_EXACT if upper.dtype == np.float64 else _INT_EXACT
-    step = (limit - p) // (p - 1) ** 2  # products of residues one exact sum holds
+    _, width, delay = _kernel(p)
+    step = width * delay  # products of residues one exact sum holds
     for s in range(r - 2, -1, -1):
         row = kernel[s]
         for start in range(s + 1, r, step):
@@ -613,30 +613,21 @@ def _certify(
                 f"{matrix.rows}x{cols}: kernel lifted mod {modulus} does not verify"
             )
         p = next(extra)
-        found.append((p, *_echelon(matrix, p, keep=True)))
+        found.append((p, *_echelon(matrix, p)))
 
 
-def _check_budget(rows: int, cols: int, max_cells: int) -> None:
-    if rows * cols > max_cells:
-        raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {max_cells} cells")
+def rank_exact(matrix: SparseIntMatrix) -> int:
+    """Rank over the rationals: `rank_multimodular` under `exact`.
 
-
-def exact_rank_profile(
-    matrix: SparseIntMatrix, max_cells: int = EXACT_CELL_BUDGET
-) -> tuple[int, ...]:
-    """Column rank profile over the rationals, certified by a lifted kernel.
-
-    Eliminates at the default primes and proves the profile with
-    `_certify`.  Raises RankBudgetError when rows*cols exceeds `max_cells`.
+    The report path does not call it; it stays as a boundary that
+    perfbench/tracing.py wraps by name.  Raises RankBudgetError past
+    EXACT_CELL_BUDGET cells, and RankInvariantError when the report is
+    left uncertified.
     """
-    _check_budget(matrix.rows, matrix.cols, max_cells)
-    eliminated = [(p, *_echelon(matrix, p, keep=True)) for p in DEFAULT_PRIMES]
-    return _certify(matrix, eliminated, DEFAULT_PRIMES)
-
-
-def rank_exact(matrix: SparseIntMatrix, max_cells: int = EXACT_CELL_BUDGET) -> int:
-    """Rank over the rationals; raises RankBudgetError above `max_cells` cells."""
-    return len(exact_rank_profile(matrix, max_cells))
+    exact = rank_multimodular(matrix, RankConfig(exact=True)).exact_rank
+    if exact is None:
+        raise RankInvariantError(f"{matrix.rows}x{matrix.cols}: rank could not be certified")
+    return exact
 
 
 def rank_multimodular(
@@ -647,57 +638,64 @@ def rank_multimodular(
     """Rank report over the configured primes, optionally certified exactly.
 
     The consensus is the maximum per-prime rank (each prime gives a lower
-    bound on the true rank).  The exact rank is proven by `_certify`,
-    from the echelon forms the configured primes leave, when
-    `config.certifies` the shape: always under `config.exact` (raising
-    RankBudgetError past EXACT_CELL_BUDGET cells), else when both
-    dimensions are at most `config.dense_threshold`.  Other matrices are
-    eliminated without keeping their echelon forms.  A prime whose rank
-    exceeds min(rows, cols) cannot be lifted, so the report is then left
-    uncertified, for the caller to refuse.
+    bound on the true rank).
 
     `leading` names the leading column block of `matrix`: its first
     leading.cols columns hold `leading` in their last leading.rows rows
     and zeros above.  Its rank is then the number of pivots among those
     columns, and the report's `leading` field carries its ranks, counted
-    from the same profiles.  When the whole matrix is certified, the
-    proven profile gives the block's exact rank too.  When only the block
-    qualifies, it is certified from the echelon rows whose pivots lie
-    among its columns, which are an echelon form of the block.
+    from the same profiles.
+
+    At most one target is certified: `matrix` when `config.certifies` its
+    shape (always under `config.exact`, which raises RankBudgetError past
+    EXACT_CELL_BUDGET cells), else `leading` when it qualifies.  Each
+    prime's echelon rows whose pivots lie among the target's columns,
+    restricted to those columns, are an echelon form of the target, and
+    `_certify` proves its profile from them.  Only they are kept, and
+    only when there is a target; otherwise each prime's dense array is
+    dropped before the next prime is eliminated.  The block's exact rank
+    is the proven profile's prefix count over its columns.  A prime whose
+    rank exceeds min(rows, cols) cannot be lifted, so the report is then
+    left uncertified, for the caller to refuse.
     """
     cfg = config or RankConfig()
     rows, cols = matrix.rows, matrix.cols
     if leading is not None and (leading.rows > rows or leading.cols > cols):
         raise ValueError(f"leading block {leading.rows}x{leading.cols} exceeds {rows}x{cols}")
+    if cfg.exact and rows * cols > EXACT_CELL_BUDGET:
+        raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {EXACT_CELL_BUDGET} cells")
     whole = cfg.certifies(rows, cols)
-    part = not whole and leading is not None and cfg.certifies(leading.rows, leading.cols)
+    target = None
     if whole:
-        _check_budget(rows, cols, EXACT_CELL_BUDGET)
-    eliminated = [(p, *_echelon(matrix, p, keep=whole or part)) for p in cfg.primes]
+        target = matrix
+    elif leading is not None and cfg.certifies(leading.rows, leading.cols):
+        target = leading
+
+    def eliminate(p: int):
+        # the dense array must not outlive this call unless it certifies
+        profile, echelon = _echelon(matrix, p)
+        if target is None:
+            return p, profile, None
+        t = bisect_left(profile, target.cols)
+        return p, profile, (profile[:t], echelon[:t, : target.cols])
+
+    eliminated = [eliminate(p) for p in cfg.primes]
     liftable = all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated)
-    exact = exact_block = None
-    if whole and liftable:
-        exact = _certify(matrix, eliminated, cfg.primes)
-        if leading is not None:
-            exact_block = bisect_left(exact, leading.cols)
-    elif part and liftable:
-        prefix = []
-        for p, profile, echelon in eliminated:
-            t = bisect_left(profile, leading.cols)
-            prefix.append((p, profile[:t], echelon[:t, : leading.cols]))
-        exact_block = len(_certify(leading, prefix, cfg.primes))
+    proven = None
+    if target is not None and liftable:
+        proven = _certify(target, [(p, *prefix) for p, _, prefix in eliminated], cfg.primes)
     block = None
     if leading is not None:
         block = RankReport.of(
             leading.rows,
             leading.cols,
             tuple((p, bisect_left(profile, leading.cols)) for p, profile, _ in eliminated),
-            exact_block,
+            None if proven is None else bisect_left(proven, leading.cols),
         )
     return RankReport.of(
         rows,
         cols,
         tuple((p, len(profile)) for p, profile, _ in eliminated),
-        None if exact is None else len(exact),
+        len(proven) if whole and proven is not None else None,
         block,
     )

@@ -162,8 +162,8 @@ def test_defect_huge_coefficient_is_not_an_overflow(capsys):
 def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p, keep):
-        profile, echelon = real(matrix, p, keep)
+    def one_pivot_too_many(matrix, p):
+        profile, echelon = real(matrix, p)
         if matrix.rows == 0:  # the Segre cubic's wedge_low, 0x5
             profile += (len(profile),)
         return profile, echelon
@@ -231,6 +231,23 @@ def test_hodge_elliptic_curve(capsys):
 def test_hodge_bad_flags_exit_2(capsys):
     code, _, err = run(capsys, "hodge", "--n", "0", "--d", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("n, d", [(1, 100_000_000), (100_000, 10)])
+def test_hodge_past_its_series_budget_exits_3_at_once(capsys, n, d):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hodge", "--n", str(n), "--d", str(d))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not out
+    assert "exceeds the budget of 4096" in err
+
+
+def test_hodge_series_budget_edge(capsys):
+    # d = 1 builds a one-coefficient series in n + 2 factors: the factors count too
+    code, out, _ = run(capsys, "hodge", "--n", "4094", "--d", "1")
+    assert code == 0 and "euler characteristic: 4095" in out
+    code, _, err = run(capsys, "hodge", "--n", "4095", "--d", "1")
+    assert code == 3 and "(1 coefficients, 4097 factors)" in err
 
 
 def test_corpus_filter_segre(capsys):

@@ -214,8 +214,8 @@ def test_fermat_shapes_cover_the_grid():
 def test_rank_above_its_shape_is_refused(monkeypatch):
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p, keep):
-        profile, echelon = real(matrix, p, keep)
+    def one_pivot_too_many(matrix, p):
+        profile, echelon = real(matrix, p)
         return profile + (len(profile),), echelon
 
     monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
@@ -240,8 +240,8 @@ def test_full_rank_below_its_blocks_is_refused(monkeypatch):
     blocks = assemble_phi(form, 3)
     full_shape, lead = (blocks.full.rows, blocks.full.cols), blocks.wedge_high.cols
 
-    def drop_pivots_outside_the_leading_block(matrix, p, keep):
-        profile, echelon = real(matrix, p, keep)
+    def drop_pivots_outside_the_leading_block(matrix, p):
+        profile, echelon = real(matrix, p)
         if (matrix.rows, matrix.cols) == full_shape and p == 32647:
             return tuple(c for c in profile if c < lead), echelon
         return profile, echelon

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,13 @@ from hyperdefect.ranks import (
     _PANEL,
     DEFAULT_PRIMES,
     PRIME_TABLE,
+    EXACT_CELL_BUDGET,
     RankBudgetError,
     RankConfig,
     RankInvariantError,
     RankReport,
     _kernel,
     _reduce,
-    exact_rank_profile,
     rank_exact,
     rank_mod_p,
     rank_multimodular,
@@ -147,7 +149,7 @@ def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     expected = tuple(k for k in range(cols) if prefix[k + 1] > prefix[k])
     assert rank_profile_mod_p(sparse_from_dense(matrix), p) == expected
     # the kept echelon form back-solves to kernel vectors mod p
-    profile, echelon = ranks._echelon(sparse_from_dense(matrix), p, keep=True)
+    profile, echelon = ranks._echelon(sparse_from_dense(matrix), p)
     assert profile == expected
     pivots, free = ranks._split_columns(profile, cols)
     basis = np.zeros((cols, len(free)), dtype=np.int64)
@@ -204,10 +206,11 @@ def test_profile_prefix_counts_leading_block_ranks(rows, p):
     cols = dense.shape[1]
     matrix = sparse_from_dense(dense)
     modular = _leading_counts(rank_profile_mod_p(matrix, p), cols)
-    exact = _leading_counts(exact_rank_profile(matrix), cols)
     for k in range(cols + 1):
         assert modular[k] == rowreduce_rank(dense[:, :k], p)
-        assert exact[k] == rational_rank(dense[:, :k])
+        leading = dense[:, :k]
+        report = rank_multimodular(matrix, RankConfig(exact=True), sparse_from_dense(leading))
+        assert report.leading.exact_rank == rational_rank(leading)
 
 
 @given(dims, dims, dims, dims, st.sampled_from(BLOCKED_PRIMES), st.data())
@@ -231,8 +234,6 @@ def test_rotated_block_triangular_profile(a1, b1, a2, b2, p, data):
         assert counts[k] == rowreduce_rank(rotated[:, :k], p)
     assert counts[b2] == rowreduce_rank(bottom, p)
     assert counts[-1] == rowreduce_rank(triangular, p)
-    exact = _leading_counts(exact_rank_profile(full), b1 + b2)
-    assert (exact[b2], exact[-1]) == (rational_rank(bottom), rational_rank(triangular))
     report = rank_multimodular(full, RankConfig(primes=(p,)), leading=sparse_from_dense(bottom))
     assert (report.rows, report.cols) == (a1 + a2, b1 + b2)
     assert (report.leading.rows, report.leading.cols) == (a2, b2)
@@ -251,9 +252,9 @@ def test_leading_block_certification_follows_its_own_shape():
     shapes = []
     real = ranks._echelon
 
-    def spy(matrix, p, keep):
+    def spy(matrix, p):
         shapes.append((matrix.rows, matrix.cols))
-        return real(matrix, p, keep)
+        return real(matrix, p)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ranks, "_echelon", spy)
@@ -386,14 +387,45 @@ def test_rank_config_validation():
 
 
 def test_exact_budget():
-    huge = SparseIntMatrix(2000, 600, ())
+    # a matrix of exactly EXACT_CELL_BUDGET cells is certified; one more row is refused
+    assert 1024 * 1024 == EXACT_CELL_BUDGET
+    assert rank_exact(SparseIntMatrix(1024, 1024, ())) == 0
+    huge = SparseIntMatrix(1025, 1024, ())
     with pytest.raises(RankBudgetError):
         rank_exact(huge)
-    # ... and rank_multimodular propagates it when exact is forced
     with pytest.raises(RankBudgetError):
         rank_multimodular(huge, RankConfig(exact=True))
-    # ... but a relaxed budget accepts and the empty matrix has rank zero
-    assert rank_exact(huge, max_cells=2_000_000) == 0
+
+
+def test_rank_exact_refuses_an_uncertifiable_report(monkeypatch):
+    # a profile longer than the matrix is wide cannot be lifted, so the
+    # report stays uncertified and rank_exact has no rank to give
+    real = ranks._echelon
+
+    def one_pivot_too_many(matrix, p):
+        profile, echelon = real(matrix, p)
+        return profile + (matrix.cols,), echelon
+
+    monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
+    identity = sparse_from_dense(np.eye(2, dtype=np.int64))
+    assert rank_multimodular(identity, RankConfig(exact=True)).exact_rank is None
+    with pytest.raises(RankInvariantError, match="could not be certified"):
+        rank_exact(identity)
+
+
+def test_uncertified_primes_hold_one_dense_copy_at_a_time():
+    # quintic-vanstraten-130: full 1075x1127, 9.2 MB as float64.  Uncertified,
+    # each prime's echelon form is dropped before the next prime's is built
+    blocks = assemble_phi(get_fixture("quintic-vanstraten-130").build(), 3)
+    copy = blocks.full.rows * blocks.full.cols * 8
+    tracemalloc.start()
+    try:
+        report = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_prime) == len(DEFAULT_PRIMES) and not report.certified
+    assert peak < 1.5 * copy
 
 
 def _spy_primes(monkeypatch):
@@ -401,9 +433,9 @@ def _spy_primes(monkeypatch):
     primes = []
     real = ranks._echelon
 
-    def spy(matrix, p, keep):
+    def spy(matrix, p):
         primes.append(p)
-        return real(matrix, p, keep)
+        return real(matrix, p)
 
     monkeypatch.setattr(ranks, "_echelon", spy)
     return primes
@@ -459,11 +491,11 @@ def test_perturbed_reconstruction_is_never_accepted(monkeypatch, times):
     perturbed, calls = _perturb_first_numerator(ranks._rational_lift, times or 10**9)
     monkeypatch.setattr(ranks, "_rational_lift", perturbed)
     try:
-        profile = exact_rank_profile(matrix)
+        rank = rank_exact(matrix)
     except RankInvariantError:
         assert times is None  # only a lift that is never right may fail
         return
-    assert len(profile) == 60
+    assert rank == 60
     assert len(calls) == times + 1  # each wrong lift costs one more prime
     assert len(primes) == len(DEFAULT_PRIMES) + times
 
@@ -478,7 +510,7 @@ def test_never_verifying_lift_stops_at_the_hadamard_bound(monkeypatch):
     primes = _spy_primes(monkeypatch)
     monkeypatch.setattr(ranks, "_lift_verifies", lambda *args: False)
     with pytest.raises(RankInvariantError, match="does not verify"):
-        exact_rank_profile(matrix)
+        rank_exact(matrix)
     limit = 2 * ranks._hadamard_square(matrix)
     assert np.prod(primes[:-1], dtype=object) <= limit < np.prod(primes, dtype=object)
     assert len(primes) > len(DEFAULT_PRIMES)
@@ -494,14 +526,14 @@ def test_prime_claiming_more_than_the_rank_stops_at_the_hadamard_bound(monkeypat
     real = ranks._echelon
     primes = []
 
-    def overclaim(matrix, p, keep):
+    def overclaim(matrix, p):
         primes.append(p)
-        profile, echelon = real(matrix, p, keep)
+        profile, echelon = real(matrix, p)
         return ((1, 2) if p in DEFAULT_PRIMES else profile), echelon
 
     monkeypatch.setattr(ranks, "_echelon", overclaim)
     with pytest.raises(RankInvariantError, match="does not verify"):
-        exact_rank_profile(matrix)
+        rank_exact(matrix)
     others = np.prod(primes[len(DEFAULT_PRIMES) :], dtype=object)
     assert others**2 > ranks._hadamard_square(matrix) >= (others // primes[-1]) ** 2
 
