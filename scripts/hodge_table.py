@@ -2,14 +2,17 @@
 """Print smooth-fiber Euler characteristics and primitive Hodge rows.
 
 Handy for picking out the gamma entering a defect run: for a degree-d
-threefold it is the p = 1 column of the n = 3 row.
+threefold it is the p = 1 column of the n = 3 row.  Errors exit as
+`hyperdefect` does: 2 for a bad --n, 3 past the Hodge series budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
-from hyperdefect import SmoothFiberInvariants
+from hyperdefect import RankBudgetError, SmoothFiberInvariants
+from hyperdefect.cli import EXIT_BUDGET, EXIT_USAGE
 
 
 def main() -> int:
@@ -17,12 +20,19 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=3, help="fiber dimension (default 3)")
     parser.add_argument("--max-degree", type=int, default=9)
     args = parser.parse_args()
-    if args.n < 1 or args.max_degree < 1:
-        parser.error("need --n >= 1 and --max-degree >= 1")
+    if args.max_degree < 1:
+        parser.error("need --max-degree >= 1")
 
     print(f"{'d':>3} {'euler':>10}  Gr^p_F row (p = 0..{args.n})")
     for d in range(1, args.max_degree + 1):
-        inv = SmoothFiberInvariants.compute(args.n, d)
+        try:
+            inv = SmoothFiberInvariants.compute(args.n, d)
+        except RankBudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         row = " ".join(f"{h:>8}" for h in inv.hodge_prim)
         print(f"{d:>3} {inv.euler:>10}  {row}")
     return 0

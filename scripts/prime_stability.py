@@ -21,9 +21,6 @@ def main() -> int:
     parser.add_argument(
         "--window", type=int, default=2, help="primes per window (default 2)"
     )
-    parser.add_argument(
-        "--skip-slow", action="store_true", help="skip the degree-6 fixtures"
-    )
     parser.add_argument("--filter", default="", help="substring fixture filter")
     args = parser.parse_args()
 
@@ -31,7 +28,7 @@ def main() -> int:
         PRIME_TABLE[i : i + args.window]
         for i in range(0, len(PRIME_TABLE) - args.window + 1, args.window)
     ]
-    fixtures = [f for f in find_fixtures(args.filter) if not (args.skip_slow and f.slow)]
+    fixtures = find_fixtures(args.filter)
     stable = True
     for fixture in fixtures:
         form = fixture.build()

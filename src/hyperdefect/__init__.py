@@ -31,12 +31,7 @@ from .koszul import (
     build_derivative_block,
     build_wedge_block,
 )
-from .monomials import (
-    dim_graded,
-    graded_monomials,
-    index_monomial,
-    monomial_index,
-)
+from .monomials import dim_graded, graded_monomials
 from .polynomials import (
     DEFAULT_VARIABLES,
     ExpressionError,
@@ -62,7 +57,6 @@ from .ranks import (
     rank_exact,
     rank_mod_p,
     rank_multimodular,
-    rank_profile_mod_p,
 )
 
 __version__ = "0.1.0"
@@ -105,14 +99,11 @@ __all__ = [
     "get_fixture",
     "graded_monomials",
     "ih_report",
-    "index_monomial",
-    "monomial_index",
     "parse_expression",
     "parse_term_list",
     "rank_exact",
     "rank_mod_p",
     "rank_multimodular",
-    "rank_profile_mod_p",
     "smooth_euler",
     "smooth_hodge_prim",
 ]

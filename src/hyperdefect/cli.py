@@ -109,8 +109,6 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_hodge(args) -> int:
-    if args.n < 1 or args.d < 1:
-        raise ValueError(f"need --n >= 1 and --d >= 1, got n={args.n}, d={args.d}")
     inv = SmoothFiberInvariants.compute(args.n, args.d)
     symmetric = all(
         inv.hodge_prim[p] == inv.hodge_prim[inv.n - p] for p in range(inv.n + 1)
@@ -127,10 +125,7 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    selected = sorted(
-        (f for f in find_fixtures(args.filter) if not (args.skip_slow and f.slow)),
-        key=lambda f: f.name,
-    )
+    selected = sorted(find_fixtures(args.filter), key=lambda f: f.name)
     if not selected:
         print(f"no fixture matches {args.filter!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -197,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="run the bundled example corpus")
     p_corpus.add_argument("--filter", default="", help="only fixtures whose name contains this")
-    p_corpus.add_argument(
-        "--skip-slow", action="store_true", help="skip the degree-6 fixtures"
-    )
     p_corpus.set_defaults(func=_cmd_corpus)
     return parser
 

@@ -27,7 +27,6 @@ class Fixture:
     gamma: int
     defect: int
     singular_points: int | None
-    slow: bool
     source: str
 
     def build(self) -> HomogeneousForm:
@@ -49,7 +48,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=5,
         defect=5,
         singular_points=10,
-        slow=False,
         source="Segre's cubic primal with ten nodes",
     ),
     Fixture(
@@ -59,7 +57,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=30,
         defect=7,
         singular_points=1,
-        slow=False,
         source="quartic with a single weighted-homogeneous rational singular point",
     ),
     Fixture(
@@ -69,7 +66,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=101,
         defect=1,
         singular_points=16,
-        slow=False,
         source="Cheltsov-style quintic with sixteen nodes",
     ),
     Fixture(
@@ -79,7 +75,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=101,
         defect=19,
         singular_points=118,
-        slow=False,
         source="van Geemen-Werner 118-node quintic (first family)",
     ),
     Fixture(
@@ -89,7 +84,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=101,
         defect=18,
         singular_points=118,
-        slow=False,
         source="van Geemen-Werner 118-node quintic (second family)",
     ),
     Fixture(
@@ -103,7 +97,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=101,
         defect=29,
         singular_points=130,
-        slow=False,
         source="van Straten's symmetric 130-node quintic",
     ),
     Fixture(
@@ -113,7 +106,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=255,
         defect=40,
         singular_points=285,
-        slow=True,
         source="sextic with 285 ordinary double points",
     ),
     Fixture(
@@ -123,7 +115,6 @@ FIXTURES: tuple[Fixture, ...] = (
         gamma=255,
         defect=30,
         singular_points=90,
-        slow=True,
         source="sextic with ninety singular points of Milnor number 4",
     ),
 )

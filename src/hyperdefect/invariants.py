@@ -7,7 +7,7 @@ The defect itself is an E2-page dimension: with blocks A (wedge, lower
 degree), B (wedge, upper degree) and the full assembly [[0,A],[B,D]] at
 grading k*d,
 
-    mu    = dim(degree k*d - m basis) - rank B
+    mu    = cols B - rank B      (B's target: the degree k*d - m basis)
     nu    = mu - gamma           (gamma the t^{k*d} series coefficient)
     rank(d1) = rank full - rank A - rank B
     e2 dimension = nu - rank(d1)
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
-from .monomials import dim_graded
 from .polynomials import HomogeneousForm, VariableCountError
 from .ranks import (
     MODULAR_CELL_BUDGET,
@@ -137,7 +136,6 @@ class E2Report:
     """E2-page dimension count at one grading multiplier."""
 
     multiplier: int
-    degrees: PhiDegrees
     wedge_low: RankReport
     wedge_high: RankReport
     full: RankReport
@@ -229,12 +227,11 @@ def e2_piece(
     _check_ranks(wedge_low, wedge_high, full)
     d = form.degree
     gamma = _series_coefficient(_prim_series(m, d), multiplier * d)
-    mu = dim_graded(m, multiplier * d - m) - wedge_high.rank
+    mu = wedge_high.cols - wedge_high.rank
     nu = mu - gamma
     rank_d1 = full.rank - wedge_low.rank - wedge_high.rank
     return E2Report(
         multiplier=multiplier,
-        degrees=blocks.degrees,
         wedge_low=wedge_low,
         wedge_high=wedge_high,
         full=full,
@@ -305,7 +302,7 @@ def defect(form: HomogeneousForm, config: RankConfig | None = None) -> DefectRep
             f"{form.variable_count}; use e2_piece for other counts"
         )
     report = e2_piece(form, 3, config)
-    mu2 = dim_graded(5, 2 * form.degree - 5) - report.wedge_low.rank
+    mu2 = report.wedge_low.cols - report.wedge_low.rank
     warnings = ()
     if report.prime_disagreement:
         warnings = (

@@ -15,7 +15,6 @@ of the monomial; columns by target monomials in rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -31,25 +30,14 @@ class SparseIntMatrix:
 
     `r` and `c` are int64 arrays of row and column indices, sorted by
     (row, column) without repeats; `v` holds the nonzero values as Python
-    ints, so coefficient size is unlimited.  Built from (row, col, value)
-    triplets, or from the three arrays by `from_arrays`; either way the
-    shape, range, nonzero values and strict order are checked.
+    ints, so coefficient size is unlimited.  Built from row, column and
+    value sequences of one length; the shape, range, nonzero values and
+    strict order are checked.
     """
 
     __slots__ = ("rows", "cols", "r", "c", "v")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]):
-        entries = tuple(entries)
-        self._set(rows, cols, *([e[k] for e in entries] for k in range(3)))
-
-    @classmethod
-    def from_arrays(cls, rows: int, cols: int, r, c, v) -> SparseIntMatrix:
-        """Matrix from row, column and value sequences of one length."""
-        matrix = cls.__new__(cls)
-        matrix._set(rows, cols, r, c, v)
-        return matrix
-
-    def _set(self, rows: int, cols: int, r, c, v) -> None:
+    def __init__(self, rows: int, cols: int, r, c, v):
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape {rows}x{cols}")
         try:
@@ -145,7 +133,7 @@ def build_wedge_block(form: HomogeneousForm, e: int) -> SparseIntMatrix:
         c.append(columns.ravel())
         v.append(values.ravel())
     cols = dim_graded(m, e + form.degree - 1)
-    return SparseIntMatrix.from_arrays(m * size, cols, *map(np.concatenate, (r, c, v)))
+    return SparseIntMatrix(m * size, cols, *map(np.concatenate, (r, c, v)))
 
 
 def build_derivative_block(m: int, e: int) -> SparseIntMatrix:
@@ -164,9 +152,7 @@ def build_derivative_block(m: int, e: int) -> SparseIntMatrix:
         r.append(j * size + used)
         c.append(monomial_indices(targets))
         v.append(source[used, j])
-    return SparseIntMatrix.from_arrays(
-        m * size, dim_graded(m, e - 1), *map(np.concatenate, (r, c, v))
-    )
+    return SparseIntMatrix(m * size, dim_graded(m, e - 1), *map(np.concatenate, (r, c, v)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +239,7 @@ def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     assert derivative.cols == wedge_low.cols
     assert derivative.rows == wedge_high.rows
     lower = _side_by_side(wedge_high, derivative)
-    full = SparseIntMatrix.from_arrays(
+    full = SparseIntMatrix(
         wedge_low.rows + wedge_high.rows,
         wedge_high.cols + wedge_low.cols,
         np.concatenate((wedge_low.r, lower[0] + wedge_low.rows)),

@@ -1,17 +1,19 @@
-"""Graded monomial bases and their rank/unrank bijection.
+"""Graded monomial bases and the rank of a monomial within its basis.
 
 Degree-e monomials in m variables are numbered 0 .. C(e+m-1, m-1)-1 by
 descending first exponent, then recursively on the remaining variables,
-so x^e comes first and the pure power of the last variable comes last.
-The rank has a closed form as a sum of binomial offsets, which is what
-matrix row/column addressing uses throughout the package; it vectorises
-over an array of exponent vectors (`monomial_indices`).
+so x^e comes first and the pure power of the last variable comes last:
+within one degree this is descending lexicographic order.  The rank has
+a closed form as a sum of binomial offsets, which is what matrix
+row/column addressing uses throughout the package; `monomial_indices`
+evaluates it over an array of exponent vectors, and `exponent_array`
+lists a basis in rank order.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -25,25 +27,8 @@ def dim_graded(m: int, e: int) -> int:
     return comb(e + m - 1, m - 1)
 
 
-def monomial_index(exponents: Sequence[int]) -> int:
-    """Rank of an exponent vector within the graded basis of its degree."""
-    m = len(exponents)
-    if m < 1:
-        raise ValueError("empty exponent vector")
-    remaining = 0
-    for a in exponents:
-        if a < 0:
-            raise ValueError(f"negative exponent in {tuple(exponents)}")
-        remaining += a
-    index = 0
-    for r in range(m - 1):
-        remaining -= exponents[r]
-        index += comb(remaining + m - 2 - r, m - 1 - r)
-    return index
-
-
 def monomial_indices(exponents: np.ndarray) -> np.ndarray:
-    """`monomial_index` of every exponent vector along the last axis.
+    """Rank of every exponent vector along the last axis, within its degree's basis.
 
     Exponents must be non-negative; the binomials come from exact
     integer tables, so the result is exact wherever it fits in int64.
@@ -66,27 +51,6 @@ def monomial_indices(exponents: np.ndarray) -> np.ndarray:
 def exponent_array(m: int, e: int) -> np.ndarray:
     """All degree-e exponent vectors in rank order, as a (dim, m) int64 array."""
     return np.array(list(graded_monomials(m, e)), dtype=np.int64).reshape(-1, m)
-
-
-def index_monomial(m: int, e: int, i: int) -> tuple[int, ...]:
-    """Exponent vector of rank i in the degree-e basis (inverse of monomial_index)."""
-    size = dim_graded(m, e)
-    if not 0 <= i < size:
-        raise IndexError(f"monomial index {i} out of range [0, {size}) for m={m}, e={e}")
-    exponents = []
-    remaining_degree = e
-    remaining_index = i
-    for r in range(m - 1):
-        tail = m - 1 - r
-        # largest leading exponent whose block of successors fits below remaining_index
-        a = remaining_degree
-        while a > 0 and comb(remaining_degree - a + tail, tail) <= remaining_index:
-            a -= 1
-        remaining_index -= comb(remaining_degree - a + tail - 1, tail)
-        exponents.append(a)
-        remaining_degree -= a
-    exponents.append(remaining_degree)
-    return tuple(exponents)
 
 
 def graded_monomials(m: int, e: int) -> Iterator[tuple[int, ...]]:

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .monomials import monomial_index
-
 DEFAULT_VARIABLES = ("x", "y", "z", "u", "v")
 
 MAX_EXPONENT = 2**31 - 1
-DEFAULT_MAX_TERMS = 300
-# largest len(a) * len(b) a product of two polynomials may form
+# largest len(a) * len(b) a product of two polynomials may form, and the
+# most terms a term list may hold
 MAX_PRODUCT_TERMS = 2**20
 
 
@@ -146,8 +144,9 @@ class Polynomial:
         return iter(self._terms.items())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in canonical order: by total degree, then monomial rank."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), monomial_index(kv[0])))
+        """Terms in canonical order: by total degree, then monomial rank
+        (descending lexicographic, as in `monomials`)."""
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), tuple(-a for a in kv[0])))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -485,17 +484,15 @@ def parse_expression(text: str, variables: Iterable[str] = DEFAULT_VARIABLES) ->
 # -- term-list format ---------------------------------------------------------
 
 
-def parse_term_list(
-    data: bytes | str,
-    variables: Iterable[str] = DEFAULT_VARIABLES,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> Polynomial:
+def parse_term_list(data: bytes | str, variables: Iterable[str] = DEFAULT_VARIABLES) -> Polynomial:
     """Parse the '/'-terminated integer term stream.
 
     Each term is one signed coefficient followed by one exponent per
     variable; any characters other than digits, '-' and '/' act as
     separators and are otherwise ignored.  All terms must share one total
-    degree; duplicate exponent vectors are summed.
+    degree; duplicate exponent vectors are summed.  A list of more than
+    MAX_PRODUCT_TERMS terms is refused, as an expression whose expansion
+    would need that many term pairs is.
     """
     names = tuple(variables)
     text = data.decode("ascii", errors="replace") if isinstance(data, bytes) else data
@@ -531,8 +528,8 @@ def parse_term_list(
             f"incomplete term before '/': got {len(numbers)} numbers, "
             f"expected a multiple of {width}"
         )
-    if len(numbers) // width > max_terms:
-        raise TermListError(f"too many terms: {len(numbers) // width} > {max_terms}")
+    if len(numbers) // width > MAX_PRODUCT_TERMS:
+        raise TermListError(f"too many terms: {len(numbers) // width} > {MAX_PRODUCT_TERMS}")
     terms = []
     degree = None
     for k in range(0, len(numbers), width):

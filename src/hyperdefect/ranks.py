@@ -6,7 +6,7 @@ right.  Its length is the rank, and the number of its entries below k is
 the rank of the leading k columns, so one elimination gives the rank of
 every leading column block at once.
 
-* `rank_profile_mod_p` eliminates over the field with p elements.  It
+* `_echelon` eliminates over the field with p elements.  It
   densifies once, straight from the coordinate arrays (entries reduced
   mod p in one int64 pass, or one Python-int pass when some entry does
   not fit), and runs a blocked right-looking elimination that pivots on
@@ -153,41 +153,32 @@ class RankConfig:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Shape, per-prime ranks, their consensus, and optional exact certification.
+    """Shape, per-prime ranks, and the exact rank when one was proven.
 
-    `leading`, when present, is the report of a leading column block,
-    read off the same eliminations (see `rank_multimodular`).
+    The consensus, agreement and certification are read off the ranks,
+    so a report cannot contradict them.  `leading`, when present, is the
+    report of a leading column block, read off the same eliminations (see
+    `rank_multimodular`).
     """
 
     rows: int
     cols: int
     per_prime: tuple[tuple[int, int], ...]
-    consensus: int
-    agreed: bool
     exact_rank: int | None = None
-    certified: bool = False
     leading: RankReport | None = None
 
-    @classmethod
-    def of(
-        cls,
-        rows: int,
-        cols: int,
-        per_prime: tuple[tuple[int, int], ...],
-        exact_rank: int | None,
-        leading: RankReport | None = None,
-    ) -> RankReport:
-        consensus = max(r for _, r in per_prime)
-        return cls(
-            rows=rows,
-            cols=cols,
-            per_prime=per_prime,
-            consensus=consensus,
-            agreed=len({r for _, r in per_prime}) == 1,
-            exact_rank=exact_rank,
-            certified=exact_rank is not None and exact_rank == consensus,
-            leading=leading,
-        )
+    @property
+    def consensus(self) -> int:
+        """The maximum per-prime rank, a lower bound on the rational rank."""
+        return max(r for _, r in self.per_prime)
+
+    @property
+    def agreed(self) -> bool:
+        return len({r for _, r in self.per_prime}) == 1
+
+    @property
+    def certified(self) -> bool:
+        return self.exact_rank is not None and self.exact_rank == self.consensus
 
     @property
     def rank(self) -> int:
@@ -415,22 +406,14 @@ def _echelon(matrix: SparseIntMatrix, p: int) -> tuple[tuple[int, ...], np.ndarr
     return tuple(_eliminate(dense, p, width, delay)), dense
 
 
-def rank_profile_mod_p(matrix: SparseIntMatrix, p: int) -> tuple[int, ...]:
-    """Column rank profile over the field with p elements, for any prime p < 2**31.
-
-    Deterministic for fixed inputs.
-    """
-    RankConfig(primes=(p,))  # raises ValueError unless p is a prime below 2**31
-    return _echelon(matrix, p)[0]
-
-
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank of an integer matrix over the field with p elements.
+    """Rank of an integer matrix over the field with p elements, for any prime p < 2**31.
 
     The report path does not call it; it stays as a boundary that
     perfbench/tracing.py wraps by name.
     """
-    return len(rank_profile_mod_p(matrix, p))
+    RankConfig(primes=(p,))  # raises ValueError unless p is a prime below 2**31
+    return len(_echelon(matrix, p)[0])
 
 
 def _split_columns(profile: tuple[int, ...], cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -686,13 +669,13 @@ def rank_multimodular(
         proven = _certify(target, [(p, *prefix) for p, _, prefix in eliminated], cfg.primes)
     block = None
     if leading is not None:
-        block = RankReport.of(
+        block = RankReport(
             leading.rows,
             leading.cols,
             tuple((p, bisect_left(profile, leading.cols)) for p, profile, _ in eliminated),
             None if proven is None else bisect_left(proven, leading.cols),
         )
-    return RankReport.of(
+    return RankReport(
         rows,
         cols,
         tuple((p, len(profile)) for p, profile, _ in eliminated),

@@ -9,7 +9,29 @@ from math import comb
 import numpy as np
 
 from hyperdefect.koszul import SparseIntMatrix
-from hyperdefect.monomials import dim_graded, graded_monomials, monomial_index
+from hyperdefect.monomials import dim_graded, graded_monomials
+
+
+def monomial_index(exponents) -> int:
+    """Rank of an exponent vector within the graded basis of its degree,
+    one binomial offset per leading variable."""
+    m = len(exponents)
+    if m < 1:
+        raise ValueError("empty exponent vector")
+    if any(a < 0 for a in exponents):
+        raise ValueError(f"negative exponent in {tuple(exponents)}")
+    remaining = sum(exponents)
+    index = 0
+    for r in range(m - 1):
+        remaining -= exponents[r]
+        index += comb(remaining + m - 2 - r, m - 1 - r)
+    return index
+
+
+def from_entries(rows: int, cols: int, entries) -> SparseIntMatrix:
+    """Matrix from (row, col, value) triplets in order."""
+    entries = tuple(entries)
+    return SparseIntMatrix(rows, cols, *([e[k] for e in entries] for k in range(3)))
 
 
 def rational_rank(matrix) -> int:
@@ -75,7 +97,7 @@ def sparse_from_dense(array) -> SparseIntMatrix:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
     r, c = np.nonzero(arr)
-    return SparseIntMatrix.from_arrays(*arr.shape, r, c, arr[r, c].tolist())
+    return SparseIntMatrix(*arr.shape, r, c, arr[r, c].tolist())
 
 
 def euler_series_oracle(n, d):
@@ -152,8 +174,7 @@ def accumulate(rows: int, cols: int, items) -> SparseIntMatrix:
             acc[key] = new
         elif key in acc:
             del acc[key]
-    entries = tuple(sorted((r, c, v) for (r, c), v in acc.items()))
-    return SparseIntMatrix(rows, cols, entries)
+    return from_entries(rows, cols, sorted((r, c, v) for (r, c), v in acc.items()))
 
 
 def per_entry_wedge_block(form, e: int) -> SparseIntMatrix:
@@ -200,4 +221,4 @@ def per_entry_full(form, multiplier: int) -> SparseIntMatrix:
     items = [(r, c + high.cols, v) for r, c, v in low.entries]
     items.extend((r + low.rows, c, v) for r, c, v in high.entries)
     items.extend((r + low.rows, c + high.cols, v) for r, c, v in derivative.entries)
-    return SparseIntMatrix(low.rows + high.rows, high.cols + low.cols, tuple(sorted(items)))
+    return from_entries(low.rows + high.rows, high.cols + low.cols, sorted(items))

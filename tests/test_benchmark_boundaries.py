@@ -1,7 +1,8 @@
-"""The benchmark's tracer wraps names of the package: a rename must fail here.
+"""The benchmark calls and wraps names of the package: a rename must fail here.
 
-perfbench/ is collected by its own test command only, so this test loads
-its tracer by path and checks it against the current package.
+perfbench/ is collected by its own test command only, so these tests load
+its tracer and its runner by path and check them against the current
+package.
 """
 
 import importlib.util
@@ -12,11 +13,11 @@ import hyperdefect
 from hyperdefect import defect
 from hyperdefect.fixtures import get_fixture
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve the module's annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -25,7 +26,7 @@ def _load_tracing(monkeypatch):
 
 
 def test_benchmark_tracer_wraps_existing_boundaries(monkeypatch):
-    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer = _load(monkeypatch, "perfbench_tracing", PERFBENCH / "tracing.py").Tracer()
     tracer.install(hyperdefect)  # raises AttributeError on a missing name
     patched = list(tracer._patches)
     try:
@@ -39,3 +40,19 @@ def test_benchmark_tracer_wraps_existing_boundaries(monkeypatch):
         tracer.uninstall()
     for owner, attribute, original in patched:
         assert getattr(owner, attribute) is original
+
+
+def test_benchmark_runner_answers_correctly(monkeypatch):
+    # run.py imports its sibling modules by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for sibling in ("check", "tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, sibling, raising=False)
+    try:
+        run = _load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+        cases = run.build("quintic-pair", 0)[:1] + run.build("cubic-sweep", 0)[:4]
+        tally = run.Tally()
+        run.check_pass(run.run_pass(hyperdefect, cases), run.load_reference(), tally)
+    finally:
+        for sibling in ("check", "tracing", "workloads"):
+            sys.modules.pop(sibling, None)
+    assert (tally.attempted, tally.failed) == (5, 0)

@@ -93,6 +93,16 @@ def test_defect_term_list_input(tmp_path, capsys):
     assert payload["gamma"] == 5
 
 
+def test_defect_septic_term_list_matches_its_expression(tmp_path, capsys):
+    septic = "(x+y+z+u+v)^7+x^7"  # all 330 monomials of degree 7
+    path = tmp_path / "septic.terms"
+    path.write_bytes(emit_term_list(parse_expression(septic)))
+    code, from_file, _ = run(capsys, "defect", "--input", str(path), "--k", "2", "--json")
+    assert code == 0
+    code, from_expr, _ = run(capsys, "defect", "--expr", septic, "--k", "2", "--json")
+    assert code == 0 and from_file == from_expr
+
+
 def test_defect_nonhomogeneous_exits_2(capsys):
     code, _, err = run(capsys, "defect", "--expr", "x^2+y")
     assert code == 2
@@ -263,10 +273,10 @@ def test_corpus_filter_no_match_exits_2(capsys):
     assert code == 2
 
 
-def test_corpus_skip_slow_passes_six_fixtures(capsys):
-    code, out, _ = run(capsys, "corpus", "--skip-slow")
+def test_corpus_filter_quintic_passes_four_fixtures(capsys):
+    code, out, _ = run(capsys, "corpus", "--filter", "quintic")
     assert code == 0
-    assert "6 fixtures PASS" in out
+    assert "4 fixtures PASS" in out
     assert "sextic" not in out
 
 
@@ -354,6 +364,15 @@ def test_hodge_table_script_runs():
     assert ["5", "-200", "1", "101", "101", "1"] in rows, result.stdout
     assert ["6", "-516", "5", "255", "255", "5"] in rows, result.stdout
     assert len(rows) == 7, result.stdout  # header and d = 1..6
+
+
+def test_hodge_table_script_errors_exit_without_a_traceback():
+    script = str(SCRIPTS / "hodge_table.py")
+    for n, code in (("5000", 3), ("0", 2)):
+        result = _run_child([sys.executable, script, "--n", n, "--max-degree", "3"])
+        assert result.returncode == code, result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
 
 def test_prime_stability_script_runs():

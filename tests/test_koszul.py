@@ -3,7 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import per_entry_derivative_block, per_entry_full, per_entry_wedge_block
+from helpers import (
+    from_entries,
+    monomial_index,
+    per_entry_derivative_block,
+    per_entry_full,
+    per_entry_wedge_block,
+)
 from hyperdefect.fixtures import FIXTURES, get_fixture
 from hyperdefect.koszul import (
     SparseIntMatrix,
@@ -11,7 +17,7 @@ from hyperdefect.koszul import (
     build_derivative_block,
     build_wedge_block,
 )
-from hyperdefect.monomials import dim_graded, graded_monomials, monomial_index
+from hyperdefect.monomials import dim_graded, graded_monomials
 from hyperdefect.polynomials import HomogeneousForm, Polynomial, parse_expression
 
 
@@ -221,18 +227,18 @@ def test_random_blocks_match_the_per_entry_oracle(m):
 
 def test_sparse_matrix_validation():
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, ((0, 0, 0),))  # stored zero
+        from_entries(2, 2, ((0, 0, 0),))  # stored zero
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, ((2, 0, 1),))  # out of range
+        from_entries(2, 2, ((2, 0, 1),))  # out of range
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, ((1, 1, 1), (0, 0, 1)))  # unsorted
+        from_entries(2, 2, ((1, 1, 1), (0, 0, 1)))  # unsorted
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, ((0, 1, 1), (0, 1, 2)))  # repeated
+        from_entries(2, 2, ((0, 1, 1), (0, 1, 2)))  # repeated
     with pytest.raises(ValueError):
-        SparseIntMatrix.from_arrays(2, 2, [0, 1], [0], [1, 1])  # ragged
-    matrix = SparseIntMatrix.from_arrays(2, 2, np.array([0, 1]), np.array([1, 0]), [3, 2**70])
+        SparseIntMatrix(2, 2, [0, 1], [0], [1, 1])  # ragged
+    matrix = SparseIntMatrix(2, 2, np.array([0, 1]), np.array([1, 0]), [3, 2**70])
     assert matrix.entries == ((0, 1, 3), (1, 0, 2**70))
-    assert matrix == SparseIntMatrix(2, 2, matrix.entries)
+    assert matrix == from_entries(2, 2, matrix.entries)
     with pytest.raises(AttributeError):
         matrix.rows = 3
     with pytest.raises(ValueError):

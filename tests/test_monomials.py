@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import stars_and_bars
-from hyperdefect.monomials import (
-    dim_graded,
-    exponent_array,
-    graded_monomials,
-    index_monomial,
-    monomial_index,
-    monomial_indices,
-)
+from helpers import monomial_index, stars_and_bars
+from hyperdefect.monomials import dim_graded, exponent_array, graded_monomials, monomial_indices
 
 
 def test_dim_graded_values():
@@ -42,15 +35,17 @@ def test_pascal_recurrence():
 
 
 def test_bijection_exhaustive():
-    # every vector of each graded basis ranks to a distinct index, and back
+    # every vector of each graded basis ranks to a distinct index, and the
+    # basis listed in rank order holds each vector at its rank
     for m in range(1, 7):
         for e in range(0, 13):
             vectors = list(stars_and_bars(m, e))
             ranks = [monomial_index(v) for v in vectors]
             assert sorted(ranks) == list(range(dim_graded(m, e)))
             assert monomial_indices(np.array(vectors)).tolist() == ranks
-            for v, i in zip(vectors, ranks):
-                assert index_monomial(m, e, i) == v
+            basis = exponent_array(m, e)
+            assert monomial_indices(basis).tolist() == list(range(dim_graded(m, e)))
+            assert [tuple(basis[i].tolist()) for i in ranks] == vectors
 
 
 def test_enumeration_is_in_rank_order():
@@ -63,12 +58,12 @@ def test_enumeration_is_in_rank_order():
 
 def test_degree_zero_monomial_ranks_first():
     assert monomial_index((0, 0, 0, 0, 0)) == 0
-    assert index_monomial(5, 0, 0) == (0, 0, 0, 0, 0)
+    assert exponent_array(5, 0).tolist() == [[0, 0, 0, 0, 0]]
 
 
 def test_unit_vectors_are_a_bijection():
     units = [tuple(1 if i == j else 0 for i in range(5)) for j in range(5)]
-    ranks = {monomial_index(u) for u in units}
+    ranks = set(monomial_indices(np.array(units)).tolist())
     assert len(ranks) == 5
     assert ranks <= set(range(5))
 
@@ -85,13 +80,6 @@ def test_negative_degree_enumerates_nothing():
     assert dim_graded(4, -1) == 0
 
 
-def test_index_monomial_range_errors():
-    with pytest.raises(IndexError):
-        index_monomial(5, 2, dim_graded(5, 2))
-    with pytest.raises(IndexError):
-        index_monomial(5, 2, -1)
-
-
 def test_monomial_index_rejects_negative_entries():
     with pytest.raises(ValueError):
         monomial_index((1, -1, 0))
@@ -101,16 +89,16 @@ def test_graded_basis_interface():
     basis = list(graded_monomials(3, 4))
     assert len(basis) == dim_graded(3, 4) == comb(6, 2)
     assert [monomial_index(v) for v in basis] == list(range(len(basis)))
-    assert [index_monomial(3, 4, i) for i in range(len(basis))] == basis
-    assert index_monomial(3, 4, 0) == (4, 0, 0)
+    assert exponent_array(3, 4).tolist() == [list(v) for v in basis]
+    assert basis[0] == (4, 0, 0)
 
 
 @given(
     st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=7).map(tuple)
 )
 @settings(max_examples=200, deadline=None)
-def test_rank_unrank_inverse(vector):
+def test_monomial_indices_matches_the_scalar_rank(vector):
     m, e = len(vector), sum(vector)
-    i = monomial_index(vector)
+    i = int(monomial_indices(np.array(vector)))
     assert 0 <= i < dim_graded(m, e)
-    assert index_monomial(m, e, i) == vector
+    assert i == monomial_index(vector)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import power_sum_expansion
+from helpers import monomial_index, power_sum_expansion
+from hyperdefect import polynomials
 from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import (
     DEFAULT_VARIABLES,
@@ -231,9 +232,19 @@ def test_parse_degree_error():
         parse_term_list(b"1 5 0 0 0 0 1 1 0 0 0 0 /")
 
 
-def test_parse_too_many_terms():
-    with pytest.raises(TermListError, match="too many terms"):
-        parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 3 0 0 1 0 0 /", max_terms=2)
+def test_parse_too_many_terms(monkeypatch):
+    # a term list is held to the expansion budget: one term over it is refused
+    monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", 2)
+    assert len(parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 /")) == 2
+    with pytest.raises(TermListError, match="too many terms: 3 > 2"):
+        parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 3 0 0 1 0 0 /")
+
+
+def test_septic_term_list_round_trips():
+    # every degree-7 monomial in 5 variables
+    poly = parse_expression("(x+y+z+u+v)^7+x^7")
+    assert len(poly) == comb(11, 4) == 330
+    assert parse_term_list(emit_term_list(poly)) == poly
 
 
 def test_product_over_the_term_budget_is_refused():
@@ -257,6 +268,11 @@ def test_parse_rejects_negative_exponent():
 def test_emit_examples():
     assert emit_term_list(Polynomial.zero(DEFAULT_VARIABLES)) == b"/"
     assert emit_term_list(parse_term_list(b"3 0 0 0 2 4 /")) == b"3 0 0 0 2 4 /"
+
+
+def test_sorted_terms_follow_degree_then_monomial_rank():
+    keys = [key for key, _ in parse_expression("(x+y+z+1)^4+(x-u+2*v)^3").sorted_terms()]
+    assert keys == sorted(keys, key=lambda key: (sum(key), monomial_index(key)))
 
 
 def test_emit_parse_emit_is_stable_on_fixtures():

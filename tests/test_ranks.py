@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rational_rank, rowreduce_rank, sparse_from_dense
+from helpers import from_entries, rational_rank, rowreduce_rank, sparse_from_dense
 from hyperdefect.fixtures import get_fixture
 from hyperdefect import ranks
-from hyperdefect.koszul import SparseIntMatrix, assemble_phi
+from hyperdefect.koszul import assemble_phi
 from hyperdefect.polynomials import HomogeneousForm, parse_expression
 from hyperdefect.ranks import (
     _LEAF,
@@ -25,7 +25,6 @@ from hyperdefect.ranks import (
     rank_exact,
     rank_mod_p,
     rank_multimodular,
-    rank_profile_mod_p,
 )
 
 BLOCKED_PRIMES = (2, 3, 32749, 524287)  # float64 kernel at the full panel width
@@ -62,7 +61,7 @@ def test_identity_and_zero():
     identity = sparse_from_dense(np.eye(3, dtype=np.int64))
     for p in (2, 3, 32749):
         assert rank_mod_p(identity, p) == 3
-    assert rank_mod_p(SparseIntMatrix(4, 5, ()), 7) == 0
+    assert rank_mod_p(from_entries(4, 5, ()), 7) == 0
 
 
 def test_bad_prime_drops_rank():
@@ -80,7 +79,7 @@ def test_multimodular_bad_prime_demonstration():
 
 
 def test_empty_matrix_report():
-    report = rank_multimodular(SparseIntMatrix(0, 5, ()))
+    report = rank_multimodular(from_entries(0, 5, ()))
     assert report.consensus == 0
     assert report.agreed is True
     assert report.certified is True
@@ -147,7 +146,7 @@ def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     cols = matrix.shape[1]
     prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(cols + 1)]
     expected = tuple(k for k in range(cols) if prefix[k + 1] > prefix[k])
-    assert rank_profile_mod_p(sparse_from_dense(matrix), p) == expected
+    assert rank_mod_p(sparse_from_dense(matrix), p) == len(expected)
     # the kept echelon form back-solves to kernel vectors mod p
     profile, echelon = ranks._echelon(sparse_from_dense(matrix), p)
     assert profile == expected
@@ -205,7 +204,7 @@ def test_profile_prefix_counts_leading_block_ranks(rows, p):
     dense = np.array(rows, dtype=np.int64)
     cols = dense.shape[1]
     matrix = sparse_from_dense(dense)
-    modular = _leading_counts(rank_profile_mod_p(matrix, p), cols)
+    modular = _leading_counts(ranks._echelon(matrix, p)[0], cols)
     for k in range(cols + 1):
         assert modular[k] == rowreduce_rank(dense[:, :k], p)
         leading = dense[:, :k]
@@ -228,7 +227,7 @@ def test_rotated_block_triangular_profile(a1, b1, a2, b2, p, data):
     rotated = np.block([[np.zeros((a1, b2), dtype=np.int64), top], [bottom, coupling]])
     assert np.array_equal(rotated, np.roll(triangular, -b1, axis=1))
     full = sparse_from_dense(rotated)
-    profile = rank_profile_mod_p(full, p)
+    profile = ranks._echelon(full, p)[0]
     counts = _leading_counts(profile, b1 + b2)
     for k in range(b1 + b2 + 1):
         assert counts[k] == rowreduce_rank(rotated[:, :k], p)
@@ -373,6 +372,13 @@ def test_rank_report_serialization_shape():
     assert isinstance(report, RankReport)
 
 
+def test_rank_report_reads_its_flags_off_its_ranks():
+    report = RankReport(3, 3, ((2, 1), (3, 2)), 2)
+    assert (report.consensus, report.agreed, report.certified) == (2, False, True)
+    assert RankReport(3, 3, ((2, 2), (3, 2)), 3).certified is False  # every prime bad
+    assert RankReport(3, 3, ((2, 2),)).rank == 2
+
+
 def test_rank_config_validation():
     with pytest.raises(ValueError):
         RankConfig(primes=())
@@ -389,8 +395,8 @@ def test_rank_config_validation():
 def test_exact_budget():
     # a matrix of exactly EXACT_CELL_BUDGET cells is certified; one more row is refused
     assert 1024 * 1024 == EXACT_CELL_BUDGET
-    assert rank_exact(SparseIntMatrix(1024, 1024, ())) == 0
-    huge = SparseIntMatrix(1025, 1024, ())
+    assert rank_exact(from_entries(1024, 1024, ())) == 0
+    huge = from_entries(1025, 1024, ())
     with pytest.raises(RankBudgetError):
         rank_exact(huge)
     with pytest.raises(RankBudgetError):
