@@ -31,7 +31,7 @@ from .koszul import (
     build_derivative_block,
     build_wedge_block,
 )
-from .monomials import dim_graded, graded_monomials
+from .monomials import dim_graded
 from .polynomials import (
     DEFAULT_VARIABLES,
     ExpressionError,
@@ -97,7 +97,6 @@ __all__ = [
     "emit_term_list",
     "find_fixtures",
     "get_fixture",
-    "graded_monomials",
     "ih_report",
     "parse_expression",
     "parse_term_list",

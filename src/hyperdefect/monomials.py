@@ -12,8 +12,8 @@ lists a basis in rank order.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -49,19 +49,16 @@ def monomial_indices(exponents: np.ndarray) -> np.ndarray:
 
 
 def exponent_array(m: int, e: int) -> np.ndarray:
-    """All degree-e exponent vectors in rank order, as a (dim, m) int64 array."""
-    return np.array(list(graded_monomials(m, e)), dtype=np.int64).reshape(-1, m)
+    """All degree-e exponent vectors in rank order, as a (dim, m) int64 array.
 
-
-def graded_monomials(m: int, e: int) -> Iterator[tuple[int, ...]]:
-    """Yield all degree-e exponent vectors in rank order (empty for e < 0)."""
-    if m < 1:
-        raise ValueError(f"variable count must be >= 1, got {m}")
-    if e < 0:
-        return
-    if m == 1:
-        yield (e,)
-        return
-    for a in range(e, -1, -1):
-        for rest in graded_monomials(m - 1, e - a):
-            yield (a, *rest)
+    A monomial is the sorted tuple of its e variable indices; those tuples
+    in lexicographic order are the exponent vectors in descending
+    lexicographic order, which is rank order.
+    """
+    dim = dim_graded(m, e)
+    if e <= 0:
+        return np.zeros((dim, m), dtype=np.int64)
+    factors = np.array(list(combinations_with_replacement(range(m), e)), dtype=np.int64)
+    slots = np.arange(dim)[:, None] * m + factors
+    counts = np.bincount(slots.ravel(), minlength=dim * m)
+    return counts.reshape(dim, m).astype(np.int64, copy=False)

@@ -10,6 +10,7 @@ per term).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -20,6 +21,8 @@ MAX_EXPONENT = 2**31 - 1
 # largest len(a) * len(b) a product of two polynomials may form, and the
 # most terms a term list may hold
 MAX_PRODUCT_TERMS = 2**20
+# most parentheses, plain or of a subst call, an expression may nest
+MAX_NESTING = 100
 
 
 class PolynomialError(Exception):
@@ -213,18 +216,7 @@ class Polynomial:
 
     __hash__ = None  # type: ignore[assignment]
 
-    # -- calculus and substitution ------------------------------------------
-
-    def partial(self, j: int) -> "Polynomial":
-        """Formal partial derivative with respect to the j-th variable."""
-        if not 0 <= j < len(self.variables):
-            raise PolynomialError(f"variable index {j} out of range")
-        lowered = (
-            (key[:j] + (key[j] - 1,) + key[j + 1 :], key[j] * value)
-            for key, value in self._terms.items()
-            if key[j]
-        )
-        return self._with(_merge({}, lowered))
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, replacements: Mapping[str, "Polynomial | int"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials.
@@ -327,7 +319,8 @@ class HomogeneousForm:
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "HomogeneousForm":
-        return cls(poly, check_homogeneous(poly))
+        # declare the first term's degree; __post_init__ checks every term
+        return cls(poly, next((sum(key) for key, _ in poly.items()), 0))
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -347,26 +340,29 @@ class HomogeneousForm:
 #               | 'subst' '(' expression (',' VAR ',' expression)+ ')'
 
 
+# one token: a digit run, a name, or any single non-space symbol
+_EXPRESSION_TOKEN = re.compile(r"[0-9]+|[A-Za-z_]\w*|\S", re.ASCII)
+
+
 class _ExpressionParser:
     def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
-        self.pos = 0
+        # (token, start) pairs, closed by an empty end token at len(text)
+        self.tokens = [(m.group(), m.start()) for m in _EXPRESSION_TOKEN.finditer(text)]
+        self.tokens.append(("", len(text)))
+        self.index = 0
+        self.depth = 0
         self.variables = variables
 
-    def fail(self, message: str, position: int | None = None):
-        raise ExpressionError(message, self.pos if position is None else position)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def fail(self, message: str):
+        """Raise at the start of the current token."""
+        raise ExpressionError(message, self.tokens[self.index][1])
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.index][0]
 
     def accept(self, symbol: str) -> bool:
         if self.peek() == symbol:
-            self.pos += 1
+            self.index += 1
             return True
         return False
 
@@ -374,31 +370,21 @@ class _ExpressionParser:
         if not self.accept(symbol):
             self.fail(f"expected {symbol!r}")
 
-    def read_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected an integer")
-        return int(self.text[start : self.pos])
+    def open(self) -> None:
+        """Consume '(', refusing it past MAX_NESTING open parentheses."""
+        if self.peek() == "(" and self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} parentheses")
+        self.expect("(")
+        self.depth += 1
 
-    def read_name(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a name")
-        return self.text[start : self.pos], start
+    def close(self) -> None:
+        self.expect(")")
+        self.depth -= 1
 
     def parse(self) -> Polynomial:
         result = self.expression()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected input {self.text[self.pos]!r}")
+        if self.peek():
+            self.fail(f"unexpected input {self.peek()!r}")
         return result
 
     def expression(self) -> Polynomial:
@@ -423,48 +409,56 @@ class _ExpressionParser:
     def factor(self) -> Polynomial:
         result = self.atom()
         while self.accept("^"):
-            at = self.pos
-            n = self.read_integer()
+            token = self.peek()
+            if not token.isdigit():
+                self.fail("expected an integer")
+            n = int(token)
             if n < 1:
-                self.fail("exponent must be positive", at)
+                self.fail("exponent must be positive")
             if n > MAX_EXPONENT:
-                self.fail(f"exponent overflow: {n} > {MAX_EXPONENT}", at)
+                self.fail(f"exponent overflow: {n} > {MAX_EXPONENT}")
+            self.index += 1
             result = result**n
         return result
 
     def atom(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        token = self.peek()
+        if token == "(":
+            self.open()
             inner = self.expression()
-            self.expect(")")
+            self.close()
             return inner
-        if ch.isdigit():
-            return Polynomial.constant(self.variables, self.read_integer())
-        if ch.isalpha() or ch == "_":
-            name, at = self.read_name()
-            if name == "subst":
-                return self.subst_call()
-            if name not in self.variables:
-                self.fail(f"unknown variable {name!r}", at)
-            return Polynomial.variable(self.variables, name)
-        self.fail("expected a number, variable, or '('" if ch else "unexpected end of input")
+        if token.isdigit():
+            self.index += 1
+            return Polynomial.constant(self.variables, int(token))
+        if token == "subst":
+            self.index += 1
+            return self.subst_call()
+        if token.isidentifier():
+            if token not in self.variables:
+                self.fail(f"unknown variable {token!r}")
+            self.index += 1
+            return Polynomial.variable(self.variables, token)
+        self.fail("expected a number, variable, or '('" if token else "unexpected end of input")
 
     def subst_call(self) -> Polynomial:
-        self.expect("(")
+        self.open()
         target = self.expression()
         replacements: dict[str, Polynomial] = {}
         while self.accept(","):
-            name, at = self.read_name()
+            name = self.peek()
+            if not name.isidentifier():
+                self.fail("expected a name")
             if name not in self.variables:
-                self.fail(f"unknown variable {name!r}", at)
+                self.fail(f"unknown variable {name!r}")
             if name in replacements:
-                self.fail(f"variable {name!r} substituted twice", at)
+                self.fail(f"variable {name!r} substituted twice")
+            self.index += 1
             self.expect(",")
             replacements[name] = self.expression()
         if not replacements:
             self.fail("subst needs at least one variable/value pair")
-        self.expect(")")
+        self.close()
         return target.substitute(replacements)
 
 
@@ -484,6 +478,10 @@ def parse_expression(text: str, variables: Iterable[str] = DEFAULT_VARIABLES) ->
 # -- term-list format ---------------------------------------------------------
 
 
+# the tokens of a term list: a sign, a digit run, or the terminator
+_TERM_TOKEN = re.compile(rb"-|[0-9]+|/")
+
+
 def parse_term_list(data: bytes | str, variables: Iterable[str] = DEFAULT_VARIABLES) -> Polynomial:
     """Parse the '/'-terminated integer term stream.
 
@@ -491,45 +489,37 @@ def parse_term_list(data: bytes | str, variables: Iterable[str] = DEFAULT_VARIAB
     variable; any characters other than digits, '-' and '/' act as
     separators and are otherwise ignored.  All terms must share one total
     degree; duplicate exponent vectors are summed.  A list of more than
-    MAX_PRODUCT_TERMS terms is refused, as an expression whose expansion
-    would need that many term pairs is.
+    MAX_PRODUCT_TERMS terms is refused at the first number past that
+    budget, as an expression whose expansion would need that many term
+    pairs is.
     """
     names = tuple(variables)
-    text = data.decode("ascii", errors="replace") if isinstance(data, bytes) else data
+    if isinstance(data, str):
+        data = data.encode("ascii", errors="replace")
+    width = len(names) + 1
     numbers: list[int] = []
-    terminated = False
     negative = False
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "/":
-            terminated = True
+    for match in _TERM_TOKEN.finditer(data):
+        token = match.group()
+        if token == b"/":
             break
-        if ch == "-":
+        if token == b"-":
             negative = True
-            i += 1
             continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            value = int(text[start:i])
-            numbers.append(-value if negative else value)
-            negative = False
-            continue
-        i += 1
-    if not terminated:
+        if len(numbers) == MAX_PRODUCT_TERMS * width:
+            raise TermListError(f"too many terms: {MAX_PRODUCT_TERMS + 1} > {MAX_PRODUCT_TERMS}")
+        value = int(token)
+        numbers.append(-value if negative else value)
+        negative = False
+    else:
         raise TermListError("unexpected end of stream: missing '/' terminator")
     if negative:
         raise TermListError("dangling '-' with no following number")
-    width = len(names) + 1
     if len(numbers) % width != 0:
         raise TermListError(
             f"incomplete term before '/': got {len(numbers)} numbers, "
             f"expected a multiple of {width}"
         )
-    if len(numbers) // width > MAX_PRODUCT_TERMS:
-        raise TermListError(f"too many terms: {len(numbers) // width} > {MAX_PRODUCT_TERMS}")
     terms = []
     degree = None
     for k in range(0, len(numbers), width):

@@ -9,7 +9,33 @@ from math import comb
 import numpy as np
 
 from hyperdefect.koszul import SparseIntMatrix
-from hyperdefect.monomials import dim_graded, graded_monomials
+from hyperdefect.monomials import dim_graded
+from hyperdefect.polynomials import Polynomial
+
+
+def graded_monomials(m: int, e: int):
+    """Yield all degree-e exponent vectors in rank order (empty for e < 0):
+    descending first exponent, then recursively on the remaining variables."""
+    if m < 1:
+        raise ValueError(f"variable count must be >= 1, got {m}")
+    if e < 0:
+        return
+    if m == 1:
+        yield (e,)
+        return
+    for a in range(e, -1, -1):
+        for rest in graded_monomials(m - 1, e - a):
+            yield (a, *rest)
+
+
+def partial(poly: Polynomial, j: int) -> Polynomial:
+    """Formal partial derivative in the j-th variable, term by term."""
+    lowered = [
+        (key[:j] + (key[j] - 1,) + key[j + 1 :], key[j] * value)
+        for key, value in poly.items()
+        if key[j]
+    ]
+    return Polynomial(poly.variables, lowered)
 
 
 def monomial_index(exponents) -> int:

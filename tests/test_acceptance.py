@@ -6,7 +6,7 @@ PASS line (visible with `pytest -s`) once its assertions hold.
 
 import time
 
-from helpers import sparse_from_dense, stars_and_bars
+from helpers import partial, sparse_from_dense, stars_and_bars
 from hyperdefect.fixtures import FIXTURES, get_fixture
 from hyperdefect.invariants import (
     LocalVanishingData,
@@ -94,7 +94,7 @@ def test_criterion_10_property_suite(corpus):
         form = fixture.build()
         total = Polynomial.zero(form.variables)
         for j, name in enumerate(form.variables):
-            total = total + Polynomial.variable(form.variables, name) * form.poly.partial(j)
+            total = total + Polynomial.variable(form.variables, name) * partial(form.poly, j)
         assert total == form.degree * form.poly, fixture.name
 
     # monomial ranking is a bijection, exhaustively for m <= 5, e <= 8

@@ -123,6 +123,16 @@ def test_defect_expression_over_the_term_budget_exits_2_promptly(capsys):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize("depth", [250, 10_000])
+def test_defect_deep_nesting_exits_2_without_a_traceback(depth):
+    text = "(" * depth + "x^3+y^3+z^3+u^3+v^3" + ")" * depth
+    result = _run_child([sys.executable, "-m", "hyperdefect", "defect", "--expr", text])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: nesting deeper than 100")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_defect_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "defect", "--input", "/nonexistent/f.terms")
     assert code == 2

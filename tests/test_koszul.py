@@ -5,7 +5,9 @@ import pytest
 
 from helpers import (
     from_entries,
+    graded_monomials,
     monomial_index,
+    partial,
     per_entry_derivative_block,
     per_entry_full,
     per_entry_wedge_block,
@@ -17,7 +19,7 @@ from hyperdefect.koszul import (
     build_derivative_block,
     build_wedge_block,
 )
-from hyperdefect.monomials import dim_graded, graded_monomials
+from hyperdefect.monomials import dim_graded
 from hyperdefect.polynomials import HomogeneousForm, Polynomial, parse_expression
 
 
@@ -54,10 +56,10 @@ def test_wedge_rows_are_multiplication_by_partials():
     block = build_wedge_block(form, e)
     source = list(graded_monomials(5, e))
     for j in range(5):
-        partial = form.poly.partial(j)
+        derivative = partial(form.poly, j)
         for r, a in enumerate(source):
             monomial = Polynomial(form.variables, {a: 1})
-            product = monomial * partial
+            product = monomial * derivative
             expected = {monomial_index(t): c for t, c in product.items()}
             assert row_as_poly_coefficients(block, j * len(source) + r) == expected
 

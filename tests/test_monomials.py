@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import monomial_index, stars_and_bars
-from hyperdefect.monomials import dim_graded, exponent_array, graded_monomials, monomial_indices
+from helpers import graded_monomials, monomial_index, stars_and_bars
+from hyperdefect.monomials import dim_graded, exponent_array, monomial_indices
 
 
 def test_dim_graded_values():
@@ -49,11 +49,13 @@ def test_bijection_exhaustive():
 
 
 def test_enumeration_is_in_rank_order():
-    for m in (2, 3, 5):
-        for e in (0, 1, 4, 7):
+    for m in range(1, 7):
+        for e in range(-1, 12):
             ranks = [monomial_index(v) for v in graded_monomials(m, e)]
             assert ranks == list(range(dim_graded(m, e)))
-            assert exponent_array(m, e).tolist() == [list(v) for v in graded_monomials(m, e)]
+            basis = exponent_array(m, e)
+            assert basis.dtype == np.int64 and basis.shape == (dim_graded(m, e), m)
+            assert basis.tolist() == [list(v) for v in graded_monomials(m, e)]
 
 
 def test_degree_zero_monomial_ranks_first():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import monomial_index, power_sum_expansion
+from helpers import monomial_index, partial, power_sum_expansion
 from hyperdefect import polynomials
 from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import (
@@ -104,11 +104,96 @@ def test_non_ascii_rejected():
         parse_expression("x²")
 
 
+def nested(depth, inner="x"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert polynomials.MAX_NESTING == 100
+    assert parse_expression(nested(100)) == parse_expression("x")
+    assert parse_expression("subst(" * 50 + nested(50) + ", x, y)" * 50) == parse_expression("y")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [nested(101), "subst(" * 101 + "x" + ", x, y)" * 101],
+    ids=["parentheses", "subst"],
+)
+def test_nesting_past_the_limit_is_refused_at_that_parenthesis(text):
+    with pytest.raises(ExpressionError, match="nesting deeper than 100") as info:
+        parse_expression(text)
+    assert text[info.value.position] == "("
+    assert text[: info.value.position].count("(") == 100
+
+
 def test_subst_needs_pairs():
     with pytest.raises(ExpressionError):
         parse_expression("subst(x)")
     with pytest.raises(ExpressionError):
         parse_expression("subst(x, x, y, x, z)")
+
+
+# Malformed expressions, their message and the position it names: the start
+# of the offending token, or len(text) at the end of the input.
+EXPRESSION_ERRORS = [
+    ("x + * y", "expected a number, variable, or '('", 4),
+    ("x +", "unexpected end of input", 3),
+    ("x^", "expected an integer", 2),
+    ("x^-2", "expected an integer", 2),
+    ("x^2^", "expected an integer", 4),
+    ("subst(x)", "subst needs at least one variable/value pair", 7),
+    ("subst", "expected '('", 5),
+    ("subst(x, x y)", "expected ','", 11),
+    ("subst(x, x, y", "expected ')'", 13),
+    ("subst(x,,y)", "expected a name", 8),
+    ("subst(x, 2, y)", "expected a name", 9),
+    ("subst(x,x,y,x,z)", "variable 'x' substituted twice", 12),
+    ("(x", "expected ')'", 2),
+    ("x)", "unexpected input ')'", 1),
+    ("2x", "unexpected input 'x'", 1),
+    ("x 23", "unexpected input '23'", 2),
+    ("x^0", "exponent must be positive", 2),
+    ("x^ 0", "exponent must be positive", 3),
+    ("x^2147483648", "exponent overflow: 2147483648 > 2147483647", 2),
+    ("x # y", "unexpected input '#'", 2),
+    ("--x", "expected a number, variable, or '('", 1),
+    ("x*-y", "expected a number, variable, or '('", 2),
+    ("x + w", "unknown variable 'w'", 4),
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("x\u00b2", "expression must be ASCII", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, position", EXPRESSION_ERRORS)
+def test_expression_error_message_and_position(text, message, position):
+    with pytest.raises(ExpressionError) as info:
+        parse_expression(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+# Texts over the expression alphabet.  Digits are 0 and 1 and texts are
+# short, so chained powers of constants stay small enough to evaluate.
+expression_texts = st.one_of(
+    st.text(alphabet="xyw_s01+-*^(), \t#", max_size=12),
+    st.lists(
+        st.sampled_from(
+            ["x", "y", "w", "_a", "x1", "subst", "(", ")", ",", "+", "-", "*", "^",
+             "0", "1", "11", " ", "#"]
+        ),
+        max_size=12,
+    ).map("".join),
+)
+
+
+@given(expression_texts)
+@settings(max_examples=300, deadline=None)
+def test_any_expression_text_parses_or_raises_an_input_error(text):
+    try:
+        parse_expression(text)
+    except (PolynomialError, ValueError):
+        pass
 
 
 # -- homogeneity --------------------------------------------------------------
@@ -141,20 +226,36 @@ def test_homogeneous_form_validates_declared_degree():
         HomogeneousForm(poly, 3)
 
 
+def test_from_polynomial_scans_the_terms_once(monkeypatch):
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return check_homogeneous(poly)
+
+    monkeypatch.setattr(polynomials, "check_homogeneous", counting)
+    assert HomogeneousForm.from_polynomial(parse_expression(SEGRE)).degree == 3
+    assert len(calls) == 1
+    with pytest.raises(ZeroPolynomialError):
+        HomogeneousForm.from_polynomial(parse_expression("x - x"))
+    with pytest.raises(NonHomogeneousError, match="term x\\^2 has degree 2 but term y"):
+        HomogeneousForm.from_polynomial(parse_expression("x^2 + y"))
+
+
 # -- differentiation ----------------------------------------------------------
 
 
 def test_partial_derivative_power():
-    assert parse_expression("x^5").partial(0) == parse_expression("5*x^4")
+    assert partial(parse_expression("x^5"), 0) == parse_expression("5*x^4")
 
 
 def test_partial_derivative_absent_variable():
-    assert parse_expression("x^3").partial(4).is_zero
+    assert partial(parse_expression("x^3"), 4).is_zero
 
 
 def test_partial_derivative_of_segre_matches_expansion():
     poly = parse_expression(SEGRE)
-    assert poly.partial(0) == parse_expression("3*(x+y+z+u+v)^2-3*x^2")
+    assert partial(poly, 0) == parse_expression("3*(x+y+z+u+v)^2-3*x^2")
 
 
 def test_euler_identity_on_all_fixtures():
@@ -162,7 +263,7 @@ def test_euler_identity_on_all_fixtures():
         form = fixture.build()
         total = Polynomial.zero(form.variables)
         for j, name in enumerate(form.variables):
-            total = total + Polynomial.variable(form.variables, name) * form.poly.partial(j)
+            total = total + Polynomial.variable(form.variables, name) * partial(form.poly, j)
         assert total == form.degree * form.poly, fixture.name
 
 
@@ -183,7 +284,7 @@ term_lists = st.lists(
 @settings(max_examples=100, deadline=None)
 def test_differentiation_is_linear(terms_p, terms_q, j):
     p, q = _random_poly(terms_p), _random_poly(terms_q)
-    assert (p + q).partial(j) == p.partial(j) + q.partial(j)
+    assert partial(p + q, j) == partial(p, j) + partial(q, j)
 
 
 @given(term_lists, st.integers(min_value=0, max_value=4))
@@ -196,7 +297,7 @@ def test_differentiation_matches_termwise_oracle(terms, j):
             lowered = key[:j] + (key[j] - 1,) + key[j + 1 :]
             expected[lowered] = expected.get(lowered, 0) + key[j] * value
     expected = {k: v for k, v in expected.items() if v}
-    assert terms_of(p.partial(j)) == expected
+    assert terms_of(partial(p, j)) == expected
 
 
 # -- term-list format ---------------------------------------------------------
@@ -238,6 +339,31 @@ def test_parse_too_many_terms(monkeypatch):
     assert len(parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 /")) == 2
     with pytest.raises(TermListError, match="too many terms: 3 > 2"):
         parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 3 0 0 1 0 0 /")
+
+
+def test_parse_stops_at_the_first_number_past_the_budget(monkeypatch):
+    # refused before the missing terminator could be noticed
+    monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", 2)
+    with pytest.raises(TermListError, match="too many terms"):
+        parse_term_list(b"1 1 0 0 0 0 2 0 1 0 0 0 3 0 0 1 0 0")
+
+
+term_list_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.lists(
+        st.sampled_from([b"0", b"1", b"2", b"7", b"12", b"-", b" ", b"\n", b"/", b"(", b",", b"x"]),
+        max_size=40,
+    ).map(b"".join),
+)
+
+
+@given(term_list_bytes)
+@settings(max_examples=300, deadline=None)
+def test_any_term_list_bytes_parse_or_raise_an_input_error(data):
+    try:
+        parse_term_list(data)
+    except (PolynomialError, ValueError):
+        pass
 
 
 def test_septic_term_list_round_trips():
