@@ -49,7 +49,7 @@ def _load_form(args) -> HomogeneousForm:
         poly = parse_expression(args.expr, variables)
     else:
         with open(args.input, "rb") as handle:
-            poly = parse_term_list(handle.read(), variables)
+            poly = parse_term_list(handle, variables)
     return HomogeneousForm.from_polynomial(poly)
 
 

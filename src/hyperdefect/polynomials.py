@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 DEFAULT_VARIABLES = ("x", "y", "z", "u", "v")
 
@@ -23,6 +24,11 @@ MAX_EXPONENT = 2**31 - 1
 MAX_PRODUCT_TERMS = 2**20
 # most parentheses, plain or of a subst call, an expression may nest
 MAX_NESTING = 100
+# largest power of 2 a power may bring its coefficients to: no coefficient
+# of f^n exceeds 2**(n * ceil(log2(sum of |c| over f)))
+MAX_POWER_BITS = 2**11
+# bytes read at a time from a term-list stream
+_READ_SIZE = 1 << 20
 
 
 class PolynomialError(Exception):
@@ -198,6 +204,12 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolynomialError(f"exponent must be a non-negative integer, got {exponent!r}")
+        total = sum(abs(v) for v in self._terms.values())
+        bits = exponent * max(total - 1, 0).bit_length()
+        if bits > MAX_POWER_BITS:
+            raise PolynomialError(
+                f"power too large: coefficients up to 2^{bits} exceed 2^{MAX_POWER_BITS}"
+            )
         result = Polynomial.constant(self.variables, 1)
         base = self
         n = exponent
@@ -482,7 +494,21 @@ def parse_expression(text: str, variables: Iterable[str] = DEFAULT_VARIABLES) ->
 _TERM_TOKEN = re.compile(rb"-|[0-9]+|/")
 
 
-def parse_term_list(data: bytes | str, variables: Iterable[str] = DEFAULT_VARIABLES) -> Polynomial:
+def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The bytes of a binary stream, _READ_SIZE at a time, cut so that no
+    digit run is split between two blocks."""
+    carry = b""
+    while block := stream.read(_READ_SIZE):
+        block = carry + block
+        cut = len(block.rstrip(b"0123456789"))
+        carry = block[cut:]
+        yield block[:cut]
+    yield carry
+
+
+def parse_term_list(
+    data: bytes | str | BinaryIO, variables: Iterable[str] = DEFAULT_VARIABLES
+) -> Polynomial:
     """Parse the '/'-terminated integer term stream.
 
     Each term is one signed coefficient followed by one exponent per
@@ -491,15 +517,17 @@ def parse_term_list(data: bytes | str, variables: Iterable[str] = DEFAULT_VARIAB
     degree; duplicate exponent vectors are summed.  A list of more than
     MAX_PRODUCT_TERMS terms is refused at the first number past that
     budget, as an expression whose expansion would need that many term
-    pairs is.
+    pairs is.  A binary stream is read a block at a time, and no further
+    than that number or the terminator.
     """
     names = tuple(variables)
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
+    blocks = _blocks(data) if hasattr(data, "read") else [data]
     width = len(names) + 1
     numbers: list[int] = []
     negative = False
-    for match in _TERM_TOKEN.finditer(data):
+    for match in chain.from_iterable(map(_TERM_TOKEN.finditer, blocks)):
         token = match.group()
         if token == b"/":
             break

@@ -6,10 +6,26 @@ right.  Its length is the rank, and the number of its entries below k is
 the rank of the leading k columns, so one elimination gives the rank of
 every leading column block at once.
 
-* `_echelon` eliminates over the field with p elements.  It
-  densifies once, straight from the coordinate arrays (entries reduced
-  mod p in one int64 pass, or one Python-int pass when some entry does
-  not fit), and runs a blocked right-looking elimination that pivots on
+* `_echelon` eliminates over the field with p elements, sparse first
+  and dense last, as in Faugere and Lachartre (PASCO 2010) and SpaSM
+  (Bouillaguet and Delaplace, CASC 2016).  The coordinate entries are
+  reduced mod p (one int64 pass, or one Python-int pass when some entry
+  does not fit).  A row's leading column is its first entry nonzero mod
+  p; one row per distinct leading column, the shortest, is a structural
+  pivot row.  With S the pivot columns and R their rows, U11 = M[R, S]
+  is upper triangular with a nonzero diagonal, and the Schur complement
+  X2 - X1 U11^-1 U12 over the other rows and the other columns is formed
+  by sparse back substitution, one level of U11's dependency order at a
+  time, every sum kept within the dense engine's bound.  Only that
+  complement C is densified, and the profile is S together with the
+  other columns at C's profile.  Proof: adding multiples of R's rows to
+  the other rows changes the rank of no leading column block, and makes
+  those rows zero on S.  Before a column J, the rows of R that lead
+  before J hold a triangle with a nonzero diagonal on the pivots before
+  J, and the other rows of R are zero, so
+      rank M[:, :J] = |S before J| + rank C[:, other columns before J],
+  and the other columns before J are a leading column block of C.
+  C is eliminated by a blocked right-looking elimination that pivots on
   the first nonzero row, so the result is deterministic.  Each panel of
   up to 64 columns is copied out column-major and factored recursively,
   as in the CUP decomposition (Jeannerod, Pernet and Storjohann, J.
@@ -33,7 +49,10 @@ every leading column block at once.
   p < 2**31.  Any elimination that walks the columns in order finds the
   same profile, because the profile is a property of the matrix.
   Every panel is written back, so the same pass leaves the echelon
-  form U, row s from pivot column profile[s] on, in the dense array.
+  form of the complement in its dense array.  For a certification
+  target only, the echelon rows over the target's columns are then
+  built: the scaled pivot rows and the complement's echelon rows, put
+  back in their columns.
 * `rank_multimodular` runs the configured primes and reports the
   per-prime ranks with their consensus (the max, a guaranteed lower
   bound); given the leading column block of the matrix, it reports that
@@ -84,6 +103,7 @@ MODULAR_CELL_BUDGET = 1 << 25
 _PANEL = 64  # widest panel; narrower when p is too large for float64
 _LEAF = 8  # column ranges this narrow are factored one column at a time
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
+_SPARSE_CHUNK = 1 << 16  # products per step of a sparse product, bounds its scratch arrays
 _FLOAT_EXACT = 2**53
 _INT_EXACT = 2**63
 # first prime added to a lift: the largest that `_kernel` runs at the full panel width
@@ -228,15 +248,82 @@ def _reduce(x: np.ndarray, p: int) -> None:
     x -= q
 
 
-def _dense_mod_p(matrix: SparseIntMatrix, p: int, dtype: type) -> np.ndarray:
-    """Dense `dtype` array of the entries mod p."""
-    dense = np.zeros((matrix.rows, matrix.cols), dtype=dtype)
+def _residues(matrix: SparseIntMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value arrays of the entries that are nonzero mod p, values in [1, p)."""
     try:
-        residues = matrix.v.astype(np.int64) % p
+        values = matrix.v.astype(np.int64) % p
     except OverflowError:
-        residues = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
-    dense[matrix.r, matrix.c] = residues
-    return dense
+        values = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
+    keep = np.flatnonzero(values)
+    return matrix.r[keep], matrix.c[keep], values[keep]
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal consecutive `keys`."""
+    change = np.empty(len(keys) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _subtract_sparse_product(
+    target: np.ndarray,
+    rows: np.ndarray,
+    inner: np.ndarray,
+    values: np.ndarray,
+    right: tuple[np.ndarray, ...],
+    p: int,
+    step: int,
+) -> None:
+    """target[rows[e]] -= values[e] * R[inner[e]] for every entry e, in place.
+
+    R is given by its rows, `right` = (start, count, columns, values): row
+    j holds values[start[j]:start[j] + count[j]] at those columns.  The
+    entries of one target row must be consecutive.  Entries and R hold
+    residues in [0, p), so a cell takes at most one product of at most
+    (p-1)**2 per entry of its row; `target` is reduced after each `step`
+    of them, so with entries in [0, p) it stays within the bound
+    step*(p-1)**2 + p.
+    """
+    if len(rows) <= step:
+        _subtract_products(target, rows, inner, values, right)
+        return
+    heads, lengths = _runs(rows)
+    slots = np.arange(len(rows)) - heads.repeat(lengths)
+    slots //= step
+    for g in range(int(slots.max()) + 1):
+        if g:
+            _reduce_rows(target, p)
+        group = np.flatnonzero(slots == g)
+        _subtract_products(target, rows[group], inner[group], values[group], right)
+
+
+def _subtract_products(
+    target: np.ndarray,
+    rows: np.ndarray,
+    inner: np.ndarray,
+    values: np.ndarray,
+    right: tuple[np.ndarray, ...],
+) -> None:
+    """The products of `_subtract_sparse_product`, unreduced, formed in
+    chunks of about _SPARSE_CHUNK."""
+    if not len(rows):
+        return
+    start, count, columns, right_values = right
+    flat = target.reshape(-1)
+    sizes = count[inner]
+    ends = sizes.cumsum()
+    cuts = ends.searchsorted(np.arange(_SPARSE_CHUNK, ends[-1], _SPARSE_CHUNK), "right").tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        if lo == hi:
+            continue
+        size = sizes[lo:hi]
+        # the products of entry e are terms ends[e] - sizes[e] .. ends[e] - 1
+        taken = np.arange(ends[lo] - size[0], ends[hi - 1])
+        taken += (start[inner[lo:hi]] - ends[lo:hi] + size).repeat(size)
+        keys = (rows[lo:hi] * target.shape[1]).repeat(size) + columns[taken]
+        np.subtract.at(flat, keys, values[lo:hi].repeat(size) * right_values[taken])
 
 
 def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray, buffer) -> None:
@@ -399,11 +486,181 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
     return profile
 
 
-def _echelon(matrix: SparseIntMatrix, p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Column rank profile mod p and the dense echelon form (see `_eliminate`)."""
+@dataclass
+class _Split:
+    """A matrix mod p split at its structural pivots.
+
+    Pivot row i leads in column pivots[i] and is scaled mod p to lead
+    with 1, so U11, the pivot rows on the pivot columns, is unit upper
+    triangular.  The other columns are `rest`; the other rows number
+    `others`.  Each block is kept as (row, column, value) arrays, rows and
+    columns numbered within their sets: `upper` is U11 off its diagonal,
+    `right` U12 (pivot rows, rest), `left` X1 (other rows, pivots) and
+    `lower` X2 (other rows, rest).  Within each block the entries of a
+    row are consecutive.
+    """
+
+    pivots: np.ndarray
+    rest: np.ndarray
+    others: int
+    upper: tuple[np.ndarray, ...]
+    right: tuple[np.ndarray, ...]
+    left: tuple[np.ndarray, ...]
+    lower: tuple[np.ndarray, ...]
+
+
+def _split(matrix: SparseIntMatrix, p: int, dtype: type) -> _Split:
+    """The structural pivots of `matrix` mod p, and its blocks around them.
+
+    A row's leading column is its first entry nonzero mod p; of the rows
+    that lead in one column the one with the fewest entries, the first
+    of those, is the pivot row, which keeps the fill of U11^-1 U12 low.
+    Values are in [0, p), as `dtype`.
+    """
+    r, c, v = _residues(matrix, p)
+    first, lengths = _runs(r)
+    order = np.lexsort((lengths, c[first]))
+    chosen = first[order[_runs(c[first[order]])[0]]]
+    pivots, heads = c[chosen], r[chosen]
+    inverses = np.array([pow(x, -1, p) for x in v[chosen].tolist()], dtype=np.int64)
+    n = len(pivots)
+    is_head = np.zeros(matrix.rows, dtype=bool)
+    is_head[heads] = True
+    is_pivot = np.zeros(matrix.cols, dtype=bool)
+    is_pivot[pivots] = True
+    tails, rest = np.flatnonzero(~is_head), np.flatnonzero(~is_pivot)
+    row_at = np.empty(matrix.rows, dtype=np.int64)
+    row_at[heads], row_at[tails] = np.arange(n), np.arange(len(tails))
+    col_at = np.empty(matrix.cols, dtype=np.int64)
+    col_at[pivots], col_at[rest] = np.arange(n), np.arange(len(rest))
+    # entries by block, in row order within each: U11 off its diagonal,
+    # U12, X1, X2, then the diagonal
+    block = 2 * ~is_head[r] + ~is_pivot[c]
+    block[chosen] = 4
+    order = np.argsort(block, kind="stable")
+    cuts = np.searchsorted(block[order], np.arange(5))
+    i, j, v = row_at[r[order]], col_at[c[order]], v[order]
+    # scale each pivot row to lead with 1; products of residues stay below 2**62
+    v[: cuts[2]] = v[: cuts[2]] * inverses[i[: cuts[2]]] % p
+    v = v.astype(dtype)
+    blocks = [(i[lo:hi], j[lo:hi], v[lo:hi]) for lo, hi in zip(cuts[:4], cuts[1:])]
+    return _Split(pivots, rest, len(tails), *blocks)
+
+
+def _levels(n: int, upper: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Level of each row of a unit upper triangle with off-diagonal entries
+    `upper`: 0 with none, else one more than the highest level it reaches."""
+    i, j, _ = upper
+    level = np.zeros(n, dtype=np.int64)
+    while len(i):
+        raised = level.copy()
+        np.maximum.at(raised, i, level[j] + 1)
+        if np.array_equal(raised, level):
+            break
+        level = raised
+    return level
+
+
+def _by_level(level: np.ndarray, *blocks):
+    """For each level above 0: its rows, and the entries of each block in
+    those rows, renumbered by position within the level.  Sorting is
+    stable, so the entries of a row stay consecutive."""
+    depth = int(level.max(initial=0)) + 1
+    if depth == 1:
+        return
+    order = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[order], np.arange(depth + 1))
+    local = np.empty(len(level), dtype=np.int64)
+    local[order] = np.arange(len(level)) - bounds[level[order]]
+    parts = []
+    for i, j, v in blocks:
+        sort = np.argsort(level[i], kind="stable")
+        cuts = np.searchsorted(level[i][sort], np.arange(depth + 1))
+        i, j, v = local[i[sort]], j[sort], v[sort]
+        parts.append([(i[a:b], j[a:b], v[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+    for rank in range(1, depth):
+        yield order[bounds[rank] : bounds[rank + 1]], *(part[rank] for part in parts)
+
+
+def _schur(split: _Split, p: int, dtype: type, step: int) -> np.ndarray:
+    """X2 - X1 @ W mod p, W = U11^-1 U12, as a dense `dtype` array in [0, p).
+
+    W is found by back substitution, one level of U11's rows at a time
+    (see `_levels`): row i of W is U12[i] minus the sum of U11[i, j] * W[j]
+    over the entries right of its diagonal, all in rows of lower levels.
+    W starts as U12, whose rows of level 0 are final; each later level's
+    rows are formed dense, reduced and kept by their nonzeros.
+    """
+    n, width = len(split.pivots), len(split.rest)
+    i, columns, values = split.right
+    first, lengths = _runs(i)
+    start, count = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    start[i[first]], count[i[first]] = first, lengths
+    level = _levels(n, split.upper)
+    for members, given, upper in _by_level(level, split.right, split.upper):
+        rows = np.zeros((len(members), width), dtype=dtype)
+        i, j, v = given
+        rows[i, j] = v
+        _subtract_sparse_product(rows, *upper, (start, count, columns, values), p, step)
+        _reduce_rows(rows, p)
+        at, column = np.nonzero(rows)
+        found = np.bincount(at, minlength=len(members))
+        start[members] = len(columns) + np.cumsum(found) - found
+        count[members] = found
+        columns = np.concatenate([columns, column])
+        values = np.concatenate([values, rows[at, column]])
+    schur = np.zeros((split.others, width), dtype=dtype)
+    i, j, v = split.lower
+    schur[i, j] = v
+    _subtract_sparse_product(schur, *split.left, (start, count, columns, values), p, step)
+    _reduce_rows(schur, p)
+    return schur
+
+
+def _echelon(
+    matrix: SparseIntMatrix, p: int, cols: int = 0
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Column rank profile mod p, and echelon rows over the first `cols` columns.
+
+    The structural pivots are eliminated sparsely (see `_split` and
+    `_schur`) and only the Schur complement is eliminated dense, by
+    `_eliminate`; the profile is the pivots together with the rest
+    columns at the Schur complement's profile.  The echelon rows are
+    built only when `cols` is positive (see `_echelon_rows`).
+    """
     dtype, width, delay = _kernel(p)
-    dense = _dense_mod_p(matrix, p, dtype)
-    return tuple(_eliminate(dense, p, width, delay)), dense
+    split = _split(matrix, p, dtype)
+    schur = _schur(split, p, dtype, width * delay)
+    inner = np.array(_eliminate(schur, p, width, delay), dtype=np.int64)
+    profile = np.sort(np.concatenate([split.pivots, split.rest[inner]]))
+    return tuple(profile.tolist()), _echelon_rows(split, schur, inner, profile, cols)
+
+
+def _echelon_rows(
+    split: _Split, schur: np.ndarray, inner: np.ndarray, profile: np.ndarray, cols: int
+) -> np.ndarray:
+    """The rows, in profile order, of an echelon form whose pivots lie
+    below `cols`, restricted to those columns, entries in [0, p) and zero
+    left of each pivot: the scaled pivot rows, and the eliminated Schur
+    complement's rows (see `_eliminate`), profile `inner`, put back in
+    their columns.  A row whose pivot lies past `cols` has no entry
+    before it."""
+    echelon = np.zeros((np.searchsorted(profile, cols), cols), dtype=schur.dtype)
+    if not len(echelon):
+        return echelon
+    n = len(split.pivots)
+    rows = np.concatenate([np.arange(n), split.upper[0], split.right[0]])
+    columns = np.concatenate(
+        [split.pivots, split.pivots[split.upper[1]], split.rest[split.right[1]]]
+    )
+    values = np.concatenate([np.ones(n, dtype=schur.dtype), split.upper[2], split.right[2]])
+    keep = columns < cols
+    echelon[np.searchsorted(profile, split.pivots[rows[keep]]), columns[keep]] = values[keep]
+    shown = np.searchsorted(split.rest, cols)
+    inner = inner[inner < shown]
+    solved = np.where(np.arange(shown) >= inner[:, None], schur[: len(inner), :shown], 0)
+    echelon[np.ix_(np.searchsorted(profile, split.rest[inner]), split.rest[:shown])] = solved
+    return echelon
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
@@ -596,7 +853,7 @@ def _certify(
                 f"{matrix.rows}x{cols}: kernel lifted mod {modulus} does not verify"
             )
         p = next(extra)
-        found.append((p, *_echelon(matrix, p)))
+        found.append((p, *_echelon(matrix, p, cols)))
 
 
 def rank_exact(matrix: SparseIntMatrix) -> int:
@@ -634,8 +891,8 @@ def rank_multimodular(
     EXACT_CELL_BUDGET cells), else `leading` when it qualifies.  Each
     prime's echelon rows whose pivots lie among the target's columns,
     restricted to those columns, are an echelon form of the target, and
-    `_certify` proves its profile from them.  Only they are kept, and
-    only when there is a target; otherwise each prime's dense array is
+    `_certify` proves its profile from them.  Only they are built, and
+    only when there is a target; every other dense array of a prime is
     dropped before the next prime is eliminated.  The block's exact rank
     is the proven profile's prefix count over its columns.  A prime whose
     rank exceeds min(rows, cols) cannot be lifted, so the report is then
@@ -655,12 +912,10 @@ def rank_multimodular(
         target = leading
 
     def eliminate(p: int):
-        # the dense array must not outlive this call unless it certifies
-        profile, echelon = _echelon(matrix, p)
         if target is None:
-            return p, profile, None
-        t = bisect_left(profile, target.cols)
-        return p, profile, (profile[:t], echelon[:t, : target.cols])
+            return p, _echelon(matrix, p)[0], None
+        profile, echelon = _echelon(matrix, p, target.cols)
+        return p, profile, (profile[: len(echelon)], echelon)
 
     eliminated = [eliminate(p) for p in cfg.primes]
     liftable = all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated)

@@ -4,12 +4,13 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import hyperdefect
-from hyperdefect import ranks
+from hyperdefect import polynomials, ranks
 from hyperdefect.cli import main
 from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import parse_expression, emit_term_list
@@ -123,6 +124,30 @@ def test_defect_expression_over_the_term_budget_exits_2_promptly(capsys):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize("expression", ["7^9999999", "(7*x)^9999999", "9^9^9^9"])
+def test_defect_huge_power_exits_2_before_multiplying(capsys, expression):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "defect", "--expr", expression)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: power too large: coefficients up to 2^")
+
+
+def test_term_list_input_is_refused_without_reading_past_the_budget(tmp_path, capsys, monkeypatch):
+    # refused at term 1025 of 2**21: the file is streamed, never read whole
+    monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", 1024)
+    path = tmp_path / "terms.txt"
+    path.write_bytes(b"1 3 0 0 0 0\n" * (1 << 21) + b"/")  # 25 MB
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "defect", "--input", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (2, "error: too many terms: 1025 > 1024\n")
+    assert peak < path.stat().st_size // 4
+
+
 @pytest.mark.parametrize("depth", [250, 10_000])
 def test_defect_deep_nesting_exits_2_without_a_traceback(depth):
     text = "(" * depth + "x^3+y^3+z^3+u^3+v^3" + ")" * depth
@@ -182,8 +207,8 @@ def test_defect_huge_coefficient_is_not_an_overflow(capsys):
 def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p):
-        profile, echelon = real(matrix, p)
+    def one_pivot_too_many(matrix, p, *cols):
+        profile, echelon = real(matrix, p, *cols)
         if matrix.rows == 0:  # the Segre cubic's wedge_low, 0x5
             profile += (len(profile),)
         return profile, echelon

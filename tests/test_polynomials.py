@@ -1,3 +1,4 @@
+import io
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from hyperdefect import polynomials
 from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import (
     DEFAULT_VARIABLES,
+    MAX_POWER_BITS,
     MAX_PRODUCT_TERMS,
     ExpressionError,
     HomogeneousForm,
@@ -366,6 +368,23 @@ def test_any_term_list_bytes_parse_or_raise_an_input_error(data):
         pass
 
 
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except (PolynomialError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(term_list_bytes, st.integers(min_value=1, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_a_term_list_stream_parses_like_its_bytes(data, size):
+    # blocks of a few bytes split digit runs, signs and terminators everywhere
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_READ_SIZE", size)
+        streamed = _outcome(parse_term_list, io.BytesIO(data))
+    assert streamed == _outcome(parse_term_list, data)
+
+
 def test_septic_term_list_round_trips():
     # every degree-7 monomial in 5 variables
     poly = parse_expression("(x+y+z+u+v)^7+x^7")
@@ -384,6 +403,35 @@ def test_product_over_the_term_budget_is_refused():
         parse_expression("(x+y+z+u+v)^60")
     # a degree-7 power, like every corpus fixture, stays inside the budget
     assert len(parse_expression("(x+y+z+u+v)^7")) == comb(11, 4)
+
+
+def test_power_is_refused_before_its_coefficients_outgrow_the_budget():
+    assert MAX_POWER_BITS == 2048
+    assert parse_expression("2^2048") == Polynomial.constant(DEFAULT_VARIABLES, 2**2048)
+    with pytest.raises(PolynomialError, match="coefficients up to 2\\^2049 exceed 2\\^2048"):
+        parse_expression("2^2049")
+    # nested powers multiply their bounds: 9^81 is below 2^257
+    with pytest.raises(PolynomialError, match="2\\^2313 exceed"):
+        parse_expression("9^9^9^9")
+    # a unit coefficient never grows, nor does the zero polynomial
+    assert len(parse_expression("x^100000")) == 1
+    assert parse_expression("(x-x)^100000").is_zero
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-9, max_value=9)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_power_bound_holds(pairs, n):
+    poly = Polynomial(("x", "y"), [((a, 3 - a), c) for a, c in pairs])
+    total = sum(abs(c) for _, c in poly.items())
+    bound = 2 ** (n * max(total - 1, 0).bit_length())
+    assert all(abs(c) <= bound for _, c in (poly**n).items())
 
 
 def test_parse_rejects_negative_exponent():

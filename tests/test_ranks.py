@@ -139,17 +139,20 @@ RECURSION_EDGES = {
 }
 
 
-@pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME))
-@pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
-def test_recursive_panel_keeps_the_column_rank_profile(case, p):
-    matrix = RECURSION_EDGES[case](p)
+def _assert_profile_and_echelon(matrix, p):
+    """The profile mod p of a dense array is the one its leading column
+    blocks' ranks give, and its echelon rows back-solve to kernel vectors."""
     cols = matrix.shape[1]
     prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(cols + 1)]
     expected = tuple(k for k in range(cols) if prefix[k + 1] > prefix[k])
     assert rank_mod_p(sparse_from_dense(matrix), p) == len(expected)
-    # the kept echelon form back-solves to kernel vectors mod p
-    profile, echelon = ranks._echelon(sparse_from_dense(matrix), p)
+    profile, echelon = ranks._echelon(sparse_from_dense(matrix), p, cols)
     assert profile == expected
+    # an echelon form: zero left of each pivot, nonzero at it, entries in [0, p)
+    assert echelon.shape == (len(profile), cols)
+    assert ((0 <= echelon) & (echelon < p)).all()
+    for s, c in enumerate(profile):
+        assert not echelon[s, :c].any() and echelon[s, c]
     pivots, free = ranks._split_columns(profile, cols)
     basis = np.zeros((cols, len(free)), dtype=np.int64)
     basis[pivots] = ranks._kernel_mod_p(echelon, profile, cols, p)
@@ -157,6 +160,107 @@ def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     residues = np.array([[v % p for v in row] for row in matrix.tolist()], dtype=np.int64)
     high, low = divmod(basis, 1 << 16)  # keeps every int64 sum below 2**63
     assert not ((residues @ high % p * (1 << 16) + residues @ low) % p).any()
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME))
+@pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
+def test_recursive_panel_keeps_the_column_rank_profile(case, p):
+    _assert_profile_and_echelon(RECURSION_EDGES[case](p), p)
+
+
+STAGE_PRIMES = (2, 3, 32633, WIDE_PRIME, BIG_PRIME)
+
+
+@st.composite
+def structured_matrices(draw, p):
+    """Small object arrays whose rows stress the structural pivots: many
+    rows share a leading column, leading entries may be divisible by p,
+    rows may be zero or repeat an earlier row, and staircase rows make
+    pivot rows reach each other's pivot columns (chains inside U11)."""
+    cols = draw(st.integers(min_value=1, max_value=10))
+    value = st.sampled_from((1, -1, 2, p - 1, p, -p, 2 * p, p + 1, 2**70 + 1))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(("shared", "stair", "zero", "repeat")))
+        row = [0] * cols
+        if kind == "repeat" and rows:
+            row = list(rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))])
+        elif kind == "stair":
+            lead = draw(st.integers(min_value=0, max_value=cols - 1))
+            for c in range(lead, min(lead + 2, cols)):
+                row[c] = draw(value)
+        elif kind == "shared":
+            lead = draw(st.integers(min_value=0, max_value=min(2, cols - 1)))
+            for c in range(lead, cols):
+                if c == lead or draw(st.booleans()):
+                    row[c] = draw(value)
+        rows.append(row)
+    return np.array(rows, dtype=object)
+
+
+stage_cases = st.sampled_from(STAGE_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), structured_matrices(p))
+)
+
+
+@given(stage_cases)
+@settings(max_examples=150, deadline=None)
+def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
+    p, matrix = case
+    _assert_profile_and_echelon(matrix, p)
+
+
+@pytest.mark.parametrize("p", [WIDE_PRIME, BIG_PRIME])
+def test_sparse_sums_regroup_within_the_kernel_bound(p):
+    # a pivot row and a tail row that both lead in column 0 and fill every
+    # column with p - 1, over a staircase of pivot rows: both take more
+    # products per row than one exact sum holds at these primes
+    _, width, delay = _kernel(p)
+    n = width * delay + 6
+    matrix = np.zeros((n + 1, n + 1), dtype=object)
+    matrix[0] = matrix[n] = p - 1
+    for k in range(1, n):
+        matrix[k, k : k + 2] = p - 1, 1
+    split = ranks._split(sparse_from_dense(matrix), p, _kernel(p)[0])
+    assert (split.upper[0] == 0).sum() > width * delay  # pivot row 0, off its diagonal
+    assert len(split.left[0]) > width * delay  # the one tail row
+    _assert_profile_and_echelon(matrix, p)
+
+
+@pytest.fixture(scope="module")
+def sextic_blocks():
+    return assemble_phi(get_fixture("sextic-285-nodes").build(), 3)
+
+
+def test_sextic_full_hands_only_its_schur_complement_to_the_dense_engine(
+    sextic_blocks, monkeypatch
+):
+    # 923 structural pivots of 2160: the dense engine sees (2550 - 923) x (2710 - 923)
+    shapes = []
+    real = ranks._eliminate
+
+    def spy(dense, *rest):
+        shapes.append(dense.shape)
+        return real(dense, *rest)
+
+    monkeypatch.setattr(ranks, "_eliminate", spy)
+    assert rank_mod_p(sextic_blocks.full, DEFAULT_PRIMES[0]) == 2160
+    assert shapes == [(1627, 1787)]
+
+
+def test_uncertified_sextic_prime_stays_below_one_dense_copy(sextic_blocks):
+    full = sextic_blocks.full
+    copy = full.rows * full.cols * 8  # 55.3 MB as float64
+    tracemalloc.start()
+    try:
+        report = rank_multimodular(
+            full, RankConfig(primes=(DEFAULT_PRIMES[0],)), sextic_blocks.wedge_high
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.per_prime == ((DEFAULT_PRIMES[0], 2160),) and not report.certified
+    assert peak < copy
 
 
 def test_wide_identity_with_zero_columns():
@@ -251,9 +355,9 @@ def test_leading_block_certification_follows_its_own_shape():
     shapes = []
     real = ranks._echelon
 
-    def spy(matrix, p):
+    def spy(matrix, p, *cols):
         shapes.append((matrix.rows, matrix.cols))
-        return real(matrix, p)
+        return real(matrix, p, *cols)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ranks, "_echelon", spy)
@@ -408,8 +512,8 @@ def test_rank_exact_refuses_an_uncertifiable_report(monkeypatch):
     # report stays uncertified and rank_exact has no rank to give
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p):
-        profile, echelon = real(matrix, p)
+    def one_pivot_too_many(matrix, p, *cols):
+        profile, echelon = real(matrix, p, *cols)
         return profile + (matrix.cols,), echelon
 
     monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
@@ -439,9 +543,9 @@ def _spy_primes(monkeypatch):
     primes = []
     real = ranks._echelon
 
-    def spy(matrix, p):
+    def spy(matrix, p, *cols):
         primes.append(p)
-        return real(matrix, p)
+        return real(matrix, p, *cols)
 
     monkeypatch.setattr(ranks, "_echelon", spy)
     return primes
@@ -532,10 +636,11 @@ def test_prime_claiming_more_than_the_rank_stops_at_the_hadamard_bound(monkeypat
     real = ranks._echelon
     primes = []
 
-    def overclaim(matrix, p):
+    def overclaim(matrix, p, *cols):
         primes.append(p)
-        profile, echelon = real(matrix, p)
-        return ((1, 2) if p in DEFAULT_PRIMES else profile), echelon
+        if p in DEFAULT_PRIMES:
+            return (1, 2), np.eye(2, matrix.cols, 1)  # echelon rows e1, e2
+        return real(matrix, p, *cols)
 
     monkeypatch.setattr(ranks, "_echelon", overclaim)
     with pytest.raises(RankInvariantError, match="does not verify"):
