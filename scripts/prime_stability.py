@@ -5,15 +5,18 @@ A prime is bad for a matrix exactly when the mod-p rank drops below the
 rational rank; this experiment measures how often that happens for the
 bundled hypersurfaces (expected: never, for 15-bit primes and these
 blocks) and doubles as a reproducibility check of the defect across
-prime choices.
+prime choices.  A --window outside [1, len(PRIME_TABLE)] or a --filter
+that selects no fixture exits 2 with one error line.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from hyperdefect import PRIME_TABLE, RankConfig, defect, find_fixtures
+from hyperdefect.cli import EXIT_USAGE
 
 
 def main() -> int:
@@ -23,12 +26,18 @@ def main() -> int:
     )
     parser.add_argument("--filter", default="", help="substring fixture filter")
     args = parser.parse_args()
+    if not 1 <= args.window <= len(PRIME_TABLE):
+        print(f"error: --window must be in [1, {len(PRIME_TABLE)}]", file=sys.stderr)
+        return EXIT_USAGE
+    fixtures = find_fixtures(args.filter)
+    if not fixtures:
+        print(f"error: no fixture matches {args.filter!r}", file=sys.stderr)
+        return EXIT_USAGE
 
     windows = [
         PRIME_TABLE[i : i + args.window]
         for i in range(0, len(PRIME_TABLE) - args.window + 1, args.window)
     ]
-    fixtures = find_fixtures(args.filter)
     stable = True
     for fixture in fixtures:
         form = fixture.build()

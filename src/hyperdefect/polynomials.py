@@ -17,6 +17,8 @@ from operator import add
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
 DEFAULT_VARIABLES = ("x", "y", "z", "u", "v")
+# a variable name, as the expression scanner reads one
+_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 
 MAX_EXPONENT = 2**31 - 1
 # largest len(a) * len(b) a product of two polynomials may form, and the
@@ -97,6 +99,8 @@ class Polynomial:
             raise VariableCountError(f"need at least 2 variables, got {len(names)}")
         if len(set(names)) != len(names):
             raise VariableCountError(f"duplicate variable names in {names}")
+        if "subst" in names or not all(map(_NAME.fullmatch, names)):
+            raise PolynomialError(f"variable names must be identifiers other than subst: {names}")
         self.variables = names
         items = terms.items() if isinstance(terms, Mapping) else terms
         self._terms = _merge({}, ((self._checked(exponents), c) for exponents, c in items))
@@ -353,7 +357,7 @@ class HomogeneousForm:
 
 
 # one token: a digit run, a name, or any single non-space symbol
-_EXPRESSION_TOKEN = re.compile(r"[0-9]+|[A-Za-z_]\w*|\S", re.ASCII)
+_EXPRESSION_TOKEN = re.compile(rf"[0-9]+|{_NAME.pattern}|\S", re.ASCII)
 
 
 class _ExpressionParser:

@@ -49,30 +49,27 @@ every leading column block at once.
   p < 2**31.  Any elimination that walks the columns in order finds the
   same profile, because the profile is a property of the matrix.
   Every panel is written back, so the same pass leaves the echelon
-  form of the complement in its dense array.  For a certification
-  target only, the echelon rows over the target's columns are then
-  built: the scaled pivot rows and the complement's echelon rows, put
-  back in their columns.
+  form of the complement in its dense array.  To certify, the echelon
+  rows (the scaled pivot rows and the complement's, put back in their
+  columns) are back-substituted at once into the reduced-echelon right
+  kernel mod p, one vector per free column, the identity on those.
 * `rank_multimodular` runs the configured primes and reports the
   per-prime ranks with their consensus (the max, a guaranteed lower
   bound); given the leading column block of the matrix, it reports that
   block's ranks from the same eliminations, as profile prefixes.  When
-  asked, or when the matrix or else its leading block is small, it
-  certifies that one target from the same eliminations, keeping each
-  prime's echelon rows over the target's columns and no other dense
-  array.  `_certify` proves the target's profile over the rationals with
-  a lifted kernel (Dumas, Saunders and Villard, 2001): back substitution
-  gives the reduced-echelon right kernel mod p, one vector per free
-  column with the identity on the free columns; the primes that share
-  the best profile are combined by CRT and rational reconstruction
-  (Wang, 1981) with one common denominator, and every lifted vector is
-  checked to be zero past its free column and annihilated by the matrix
-  in exact integer arithmetic.  Each prefix count of a profile mod p
-  bounds the rank of those leading columns from below, the verified
-  vectors bound it from above, so the profile and every leading block's
-  rank are proven.  When the lift does not verify, primes descending
-  from 11863279 are added until a Hadamard bound says it must have, and
-  a failure past that is raised as RankInvariantError.
+  asked, or when the smallest block it reports is small, it certifies
+  the matrix it eliminates from each prime's kernel: `_certify` proves
+  the profile over the rationals with a lifted kernel (Dumas, Saunders
+  and Villard, 2001).  The kernels of the primes that share the best
+  profile are combined by CRT and rational reconstruction (Wang, 1981)
+  with one common denominator, and every lifted vector is checked to be
+  zero past its free column and annihilated by the matrix in exact
+  integer arithmetic.  Each prefix count of a profile mod p bounds the
+  rank of those leading columns from below, the verified vectors bound
+  it from above, so the profile and every leading block's rank are
+  proven.  When the lift does not verify, primes descending from
+  11863279 are added until a Hadamard bound says it must have, and a
+  failure past that is raised as RankInvariantError.
 * `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
   boundaries that perfbench/tracing.py wraps by name.
 
@@ -164,11 +161,6 @@ class RankConfig:
                 raise ValueError(f"{p} is not prime")
         if self.dense_threshold < 0:
             raise ValueError("dense_threshold must be >= 0")
-
-    def certifies(self, rows: int, cols: int) -> bool:
-        """Whether a rows x cols matrix gets an exact rank."""
-        small = max(rows, cols) <= self.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
-        return self.exact or small
 
 
 @dataclass(frozen=True)
@@ -618,48 +610,47 @@ def _schur(split: _Split, p: int, dtype: type, step: int) -> np.ndarray:
 
 
 def _echelon(
-    matrix: SparseIntMatrix, p: int, cols: int = 0
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Column rank profile mod p, and echelon rows over the first `cols` columns.
+    matrix: SparseIntMatrix, p: int, certify: bool = False
+) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """Column rank profile mod p, and, when `certify`, the kernel mod p.
 
     The structural pivots are eliminated sparsely (see `_split` and
     `_schur`) and only the Schur complement is eliminated dense, by
     `_eliminate`; the profile is the pivots together with the rest
-    columns at the Schur complement's profile.  The echelon rows are
-    built only when `cols` is positive (see `_echelon_rows`).
+    columns at the Schur complement's profile.  The kernel is that of
+    `_kernel_mod_p`, None when not certifying or of full column rank.
     """
     dtype, width, delay = _kernel(p)
     split = _split(matrix, p, dtype)
     schur = _schur(split, p, dtype, width * delay)
     inner = np.array(_eliminate(schur, p, width, delay), dtype=np.int64)
     profile = np.sort(np.concatenate([split.pivots, split.rest[inner]]))
-    return tuple(profile.tolist()), _echelon_rows(split, schur, inner, profile, cols)
+    found = tuple(profile.tolist())
+    if not certify or len(found) == matrix.cols:
+        return found, None
+    echelon = _echelon_rows(split, schur, inner, profile)
+    del schur  # the echelon rows hold what the kernel needs
+    return found, _kernel_mod_p(echelon, found, p)
 
 
 def _echelon_rows(
-    split: _Split, schur: np.ndarray, inner: np.ndarray, profile: np.ndarray, cols: int
+    split: _Split, schur: np.ndarray, inner: np.ndarray, profile: np.ndarray
 ) -> np.ndarray:
-    """The rows, in profile order, of an echelon form whose pivots lie
-    below `cols`, restricted to those columns, entries in [0, p) and zero
-    left of each pivot: the scaled pivot rows, and the eliminated Schur
-    complement's rows (see `_eliminate`), profile `inner`, put back in
-    their columns.  A row whose pivot lies past `cols` has no entry
-    before it."""
-    echelon = np.zeros((np.searchsorted(profile, cols), cols), dtype=schur.dtype)
-    if not len(echelon):
-        return echelon
+    """The rows, in profile order, of an echelon form, entries in [0, p)
+    and zero left of each pivot: the scaled pivot rows, and the eliminated
+    Schur complement's rows (see `_eliminate`), profile `inner`, put back
+    in their columns.  `schur` is zeroed left of each pivot, in place."""
     n = len(split.pivots)
+    echelon = np.zeros((len(profile), n + len(split.rest)), dtype=schur.dtype)
     rows = np.concatenate([np.arange(n), split.upper[0], split.right[0]])
     columns = np.concatenate(
         [split.pivots, split.pivots[split.upper[1]], split.rest[split.right[1]]]
     )
     values = np.concatenate([np.ones(n, dtype=schur.dtype), split.upper[2], split.right[2]])
-    keep = columns < cols
-    echelon[np.searchsorted(profile, split.pivots[rows[keep]]), columns[keep]] = values[keep]
-    shown = np.searchsorted(split.rest, cols)
-    inner = inner[inner < shown]
-    solved = np.where(np.arange(shown) >= inner[:, None], schur[: len(inner), :shown], 0)
-    echelon[np.ix_(np.searchsorted(profile, split.rest[inner]), split.rest[:shown])] = solved
+    echelon[np.searchsorted(profile, split.pivots[rows]), columns] = values
+    solved = schur[: len(inner)]
+    solved[np.arange(len(split.rest)) < inner[:, None]] = 0
+    echelon[np.ix_(np.searchsorted(profile, split.rest[inner]), split.rest)] = solved
     return echelon
 
 
@@ -681,21 +672,21 @@ def _split_columns(profile: tuple[int, ...], cols: int) -> tuple[np.ndarray, np.
     return pivots, np.flatnonzero(is_free)
 
 
-def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], cols: int, p: int) -> np.ndarray:
+def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.ndarray:
     """Pivot entries of the reduced-echelon right kernel mod p.
 
-    Column i holds, at row s, entry profile[s] of the kernel vector that
-    is 1 at the i-th non-pivot column below `cols` and 0 at the others.
-    Back substitution up the rows of U, scaled to a unit diagonal.
+    `echelon` holds the rows of U (see `_echelon_rows`) and is
+    overwritten.  Column i of the result holds, at row s, entry
+    profile[s] of the kernel vector that is 1 at the i-th non-pivot column
+    and 0 at the others.  Back substitution up the rows of U, scaled to a
+    unit diagonal.
     """
-    r = len(profile)
+    r, cols = echelon.shape
     pivots, free = _split_columns(profile, cols)
     scale = np.array([-pow(int(echelon[s, c]), p - 2, p) for s, c in enumerate(profile)])
-    # -U/diag(U), zero left of each pivot
-    upper = np.where(np.arange(cols) > pivots[:, None], echelon[:r, :cols], 0)
-    upper *= scale.astype(upper.dtype)[:, None]
-    _reduce(upper, p)
-    coupling, kernel = upper[:, pivots], upper[:, free]
+    echelon *= scale.astype(echelon.dtype)[:, None]  # -U/diag(U)
+    _reduce_rows(echelon, p)
+    coupling, kernel = echelon[:, pivots], echelon[:, free]
     _, width, delay = _kernel(p)
     step = width * delay  # products of residues one exact sum holds
     for s in range(r - 2, -1, -1):
@@ -809,20 +800,21 @@ def _lift_primes(skip: tuple[int, ...]):
 
 def _certify(
     matrix: SparseIntMatrix,
-    eliminated: list[tuple[int, tuple[int, ...], np.ndarray]],
+    eliminated: list[tuple[int, tuple[int, ...], np.ndarray | None]],
     skip: tuple[int, ...],
 ) -> tuple[int, ...]:
     """Column rank profile of `matrix` over the rationals, proven.
 
-    `eliminated` holds (p, profile, echelon form) of `matrix` at some
-    primes.  The best profile (longest, then lexicographically first) is
-    lifted from the primes that share it: kernel mod p, CRT, rational
-    reconstruction, then an exact check that every vector is a kernel
-    vector zero past its free column.  Each prefix count of a profile mod
-    p bounds the rank of that many leading columns from below; the
-    verified vectors, one per free column with the identity there, bound
-    it from above.  So the profile is the one over the rationals, and
-    its prefix counts are the ranks of all leading column blocks.
+    `eliminated` holds (p, profile, kernel) of `matrix` at some primes,
+    as `_echelon` returns them when certifying.  The best profile
+    (longest, then lexicographically first) is lifted from the kernels of
+    the primes that share it: CRT, rational reconstruction, then an exact
+    check that every vector is a kernel vector zero past its free column.
+    Each prefix count of a profile mod p bounds the rank of that many
+    leading columns from below; the verified vectors, one per free column
+    with the identity there, bound it from above.  So the profile is the
+    one over the rationals, and its prefix counts are the ranks of all
+    leading column blocks.
 
     While the lift fails, primes from `_lift_primes` are added.  All
     primes whose profile is not the rational one divide one nonzero
@@ -831,29 +823,24 @@ def _certify(
     reconstruction is unique and the lift verifies.  A failure past
     either bound is a fault, raised as RankInvariantError.
     """
-    cols = matrix.cols
     found = list(eliminated)
-    kernels: dict[int, np.ndarray] = {}
     hadamard = _hadamard_square(matrix)
     extra = _lift_primes(skip)
     while True:
         best = min((profile for _, profile, _ in found), key=lambda pr: (-len(pr), pr))
-        if len(best) == cols:
+        if len(best) == matrix.cols:
             return best
-        agree = [(p, echelon) for p, profile, echelon in found if profile == best]
-        for p, echelon in agree:
-            if p not in kernels:
-                kernels[p] = _kernel_mod_p(echelon, best, cols, p)
-        if _lift_verifies(matrix, best, [(p, kernels[p]) for p, _ in agree]):
+        agree = [(p, kernel) for p, profile, kernel in found if profile == best]
+        if _lift_verifies(matrix, best, agree):
             return best
         modulus = prod(p for p, _ in agree)
         others = prod(p for p, profile, _ in found if profile != best)
         if modulus > 2 * hadamard or others**2 > hadamard:
             raise RankInvariantError(
-                f"{matrix.rows}x{cols}: kernel lifted mod {modulus} does not verify"
+                f"{matrix.rows}x{matrix.cols}: kernel lifted mod {modulus} does not verify"
             )
         p = next(extra)
-        found.append((p, *_echelon(matrix, p, cols)))
+        found.append((p, *_echelon(matrix, p, True)))
 
 
 def rank_exact(matrix: SparseIntMatrix) -> int:
@@ -886,17 +873,15 @@ def rank_multimodular(
     columns, and the report's `leading` field carries its ranks, counted
     from the same profiles.
 
-    At most one target is certified: `matrix` when `config.certifies` its
-    shape (always under `config.exact`, which raises RankBudgetError past
-    EXACT_CELL_BUDGET cells), else `leading` when it qualifies.  Each
-    prime's echelon rows whose pivots lie among the target's columns,
-    restricted to those columns, are an echelon form of the target, and
-    `_certify` proves its profile from them.  Only they are built, and
-    only when there is a target; every other dense array of a prime is
-    dropped before the next prime is eliminated.  The block's exact rank
-    is the proven profile's prefix count over its columns.  A prime whose
-    rank exceeds min(rows, cols) cannot be lifted, so the report is then
-    left uncertified, for the caller to refuse.
+    `matrix` is certified when the smallest block reported (`leading`
+    when given, else `matrix`) has both dimensions at most
+    `config.dense_threshold` and `matrix` fits EXACT_CELL_BUDGET cells,
+    and always under `config.exact`, which raises RankBudgetError past
+    that budget.  Each prime then keeps only its kernel; uncertified, it
+    keeps no dense array.  `_certify` proves one profile from the
+    kernels, and every block's exact rank is its prefix count.  A prime
+    whose rank exceeds min(rows, cols) cannot be lifted, so the report
+    is then left uncertified, for the caller to refuse.
     """
     cfg = config or RankConfig()
     rows, cols = matrix.rows, matrix.cols
@@ -904,24 +889,14 @@ def rank_multimodular(
         raise ValueError(f"leading block {leading.rows}x{leading.cols} exceeds {rows}x{cols}")
     if cfg.exact and rows * cols > EXACT_CELL_BUDGET:
         raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {EXACT_CELL_BUDGET} cells")
-    whole = cfg.certifies(rows, cols)
-    target = None
-    if whole:
-        target = matrix
-    elif leading is not None and cfg.certifies(leading.rows, leading.cols):
-        target = leading
-
-    def eliminate(p: int):
-        if target is None:
-            return p, _echelon(matrix, p)[0], None
-        profile, echelon = _echelon(matrix, p, target.cols)
-        return p, profile, (profile[: len(echelon)], echelon)
-
-    eliminated = [eliminate(p) for p in cfg.primes]
-    liftable = all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated)
+    small = matrix if leading is None else leading
+    certify = cfg.exact or (
+        max(small.rows, small.cols) <= cfg.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
+    )
+    eliminated = [(p, *_echelon(matrix, p, certify)) for p in cfg.primes]
     proven = None
-    if target is not None and liftable:
-        proven = _certify(target, [(p, *prefix) for p, _, prefix in eliminated], cfg.primes)
+    if certify and all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated):
+        proven = _certify(matrix, eliminated, cfg.primes)
     block = None
     if leading is not None:
         block = RankReport(
@@ -934,6 +909,6 @@ def rank_multimodular(
         rows,
         cols,
         tuple((p, len(profile)) for p, profile, _ in eliminated),
-        len(proven) if whole and proven is not None else None,
+        None if proven is None else len(proven),
         block,
     )

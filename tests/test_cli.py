@@ -133,6 +133,23 @@ def test_defect_huge_power_exits_2_before_multiplying(capsys, expression):
     assert err.startswith("error: power too large: coefficients up to 2^")
 
 
+@pytest.mark.parametrize("expression", ["5", "9^9^9"])
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_defect_constant_form_exits_2(capsys, expression, k):
+    # a nonzero constant is a form of degree 0: it defines no hypersurface
+    code, out, err = run(capsys, "defect", "--expr", expression, "--k", k)
+    assert code == 2 and not out
+    assert err == "error: a form of degree 0 defines no hypersurface\n"
+
+
+@pytest.mark.parametrize("names", ["x,y,z,", "x,1", "x,subst"])
+def test_defect_bad_variable_name_exits_2(capsys, names):
+    code, out, err = run(capsys, "defect", "--expr", "x^3", "--vars", names, "--k", "2")
+    assert code == 2 and not out
+    assert err.startswith("error: variable names must be identifiers other than subst")
+    assert err.count("\n") == 1
+
+
 def test_term_list_input_is_refused_without_reading_past_the_budget(tmp_path, capsys, monkeypatch):
     # refused at term 1025 of 2**21: the file is streamed, never read whole
     monkeypatch.setattr(polynomials, "MAX_PRODUCT_TERMS", 1024)
@@ -207,11 +224,11 @@ def test_defect_huge_coefficient_is_not_an_overflow(capsys):
 def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p, *cols):
-        profile, echelon = real(matrix, p, *cols)
+    def one_pivot_too_many(matrix, p, *args):
+        profile, kernel = real(matrix, p, *args)
         if matrix.rows == 0:  # the Segre cubic's wedge_low, 0x5
             profile += (len(profile),)
-        return profile, echelon
+        return profile, kernel
 
     monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
     code, _, err = run(capsys, "defect", "--expr", SEGRE)
@@ -418,3 +435,12 @@ def test_prime_stability_script_runs():
     rows = _rows(result.stdout)
     assert rows[0][:4] == ["segre-cubic", "windows=5", "defects=[5]", "expected=5"], result.stdout
     assert rows[0][-1] == "stable" and rows[1:] == [["all", "stable"]], result.stdout
+
+
+def test_prime_stability_script_refuses_a_bad_window_or_selection():
+    script = str(SCRIPTS / "prime_stability.py")
+    for argv in (["--window", "0"], ["--window", "11"], ["--window", "-1"], ["--filter", "nomatch"]):
+        result = _run_child([sys.executable, script, *argv])
+        assert result.returncode == 2, (argv, result.stdout, result.stderr)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, argv
+        assert "Traceback" not in result.stderr and not result.stdout, argv

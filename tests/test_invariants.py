@@ -214,9 +214,9 @@ def test_fermat_shapes_cover_the_grid():
 def test_rank_above_its_shape_is_refused(monkeypatch):
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p, *cols):
-        profile, echelon = real(matrix, p, *cols)
-        return profile + (len(profile),), echelon
+    def one_pivot_too_many(matrix, p, *args):
+        profile, kernel = real(matrix, p, *args)
+        return profile + (len(profile),), kernel
 
     monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
     with pytest.raises(RankInvariantError, match=r"wedge_low: rank 6 mod 32633 outside \[0, 5\]"):
@@ -240,11 +240,11 @@ def test_full_rank_below_its_blocks_is_refused(monkeypatch):
     blocks = assemble_phi(form, 3)
     full_shape, lead = (blocks.full.rows, blocks.full.cols), blocks.wedge_high.cols
 
-    def drop_pivots_outside_the_leading_block(matrix, p, *cols):
-        profile, echelon = real(matrix, p, *cols)
+    def drop_pivots_outside_the_leading_block(matrix, p, *args):
+        profile, kernel = real(matrix, p, *args)
         if (matrix.rows, matrix.cols) == full_shape and p == 32647:
-            return tuple(c for c in profile if c < lead), echelon
-        return profile, echelon
+            return tuple(c for c in profile if c < lead), kernel
+        return profile, kernel
 
     monkeypatch.setattr(ranks, "_echelon", drop_pivots_outside_the_leading_block)
     with pytest.raises(RankInvariantError, match="full: rank 267 mod 32647 below"):
@@ -258,6 +258,9 @@ def test_e2_piece_validates_arguments():
     two_vars = HomogeneousForm.from_polynomial(parse_expression("x^2+y^2", ("x", "y")))
     with pytest.raises(VariableCountError):
         e2_piece(two_vars, 3)
+    constant = HomogeneousForm.from_polynomial(parse_expression("5"))
+    with pytest.raises(ValueError, match="degree 0 defines no hypersurface"):
+        e2_piece(constant, 3)
 
 
 def test_defect_requires_five_variables():

@@ -500,6 +500,11 @@ def test_constructor_validates():
         Polynomial(("x", "x"), [])
     with pytest.raises(PolynomialError):
         Polynomial(("x",), [])
+    # a name is an ASCII identifier, as the expression scanner reads one, other than subst
+    for names in (("x", "y", "z", ""), ("x", "1"), ("x", "subst"), ("x", "y z"), ("x", "\u00e9")):
+        with pytest.raises(PolynomialError, match="identifiers other than subst"):
+            Polynomial(names)
+    Polynomial(("_x1", "Y_"))
 
 
 def test_arithmetic_requires_matching_variables():

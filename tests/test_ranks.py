@@ -139,23 +139,24 @@ RECURSION_EDGES = {
 }
 
 
-def _assert_profile_and_echelon(matrix, p):
+def _assert_profile_and_kernel(matrix, p):
     """The profile mod p of a dense array is the one its leading column
-    blocks' ranks give, and its echelon rows back-solve to kernel vectors."""
+    blocks' ranks give, and the kernel mod p that a certified elimination
+    returns, with the identity on the free columns, is annihilated mod p."""
     cols = matrix.shape[1]
     prefix = [rowreduce_rank(matrix[:, :k], p) for k in range(cols + 1)]
     expected = tuple(k for k in range(cols) if prefix[k + 1] > prefix[k])
     assert rank_mod_p(sparse_from_dense(matrix), p) == len(expected)
-    profile, echelon = ranks._echelon(sparse_from_dense(matrix), p, cols)
+    profile, kernel = ranks._echelon(sparse_from_dense(matrix), p, True)
     assert profile == expected
-    # an echelon form: zero left of each pivot, nonzero at it, entries in [0, p)
-    assert echelon.shape == (len(profile), cols)
-    assert ((0 <= echelon) & (echelon < p)).all()
-    for s, c in enumerate(profile):
-        assert not echelon[s, :c].any() and echelon[s, c]
     pivots, free = ranks._split_columns(profile, cols)
+    if not len(free):
+        assert kernel is None  # full column rank: nothing to lift
+        return
+    assert kernel.shape == (len(profile), len(free))
+    assert ((0 <= kernel) & (kernel < p)).all()
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    basis[pivots] = ranks._kernel_mod_p(echelon, profile, cols, p)
+    basis[pivots] = kernel
     basis[free, np.arange(len(free))] = 1
     residues = np.array([[v % p for v in row] for row in matrix.tolist()], dtype=np.int64)
     high, low = divmod(basis, 1 << 16)  # keeps every int64 sum below 2**63
@@ -165,7 +166,7 @@ def _assert_profile_and_echelon(matrix, p):
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME))
 @pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
 def test_recursive_panel_keeps_the_column_rank_profile(case, p):
-    _assert_profile_and_echelon(RECURSION_EDGES[case](p), p)
+    _assert_profile_and_kernel(RECURSION_EDGES[case](p), p)
 
 
 STAGE_PRIMES = (2, 3, 32633, WIDE_PRIME, BIG_PRIME)
@@ -207,7 +208,7 @@ stage_cases = st.sampled_from(STAGE_PRIMES).flatmap(
 @settings(max_examples=150, deadline=None)
 def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     p, matrix = case
-    _assert_profile_and_echelon(matrix, p)
+    _assert_profile_and_kernel(matrix, p)
 
 
 @pytest.mark.parametrize("p", [WIDE_PRIME, BIG_PRIME])
@@ -224,7 +225,7 @@ def test_sparse_sums_regroup_within_the_kernel_bound(p):
     split = ranks._split(sparse_from_dense(matrix), p, _kernel(p)[0])
     assert (split.upper[0] == 0).sum() > width * delay  # pivot row 0, off its diagonal
     assert len(split.left[0]) > width * delay  # the one tail row
-    _assert_profile_and_echelon(matrix, p)
+    _assert_profile_and_kernel(matrix, p)
 
 
 @pytest.fixture(scope="module")
@@ -350,29 +351,29 @@ def test_leading_block_certification_follows_its_own_shape():
     curve = HomogeneousForm.from_polynomial(parse_expression("x^4+y^4+z^4", ("x", "y", "z")))
     blocks = assemble_phi(curve, 3)  # B 84x55, full 102x76
     exact_b, exact_full = rank_exact(blocks.wedge_high), rank_exact(blocks.full)
-    # B qualifies for exact certification and full does not: B's kernel comes
-    # from the echelon rows of full whose pivots lie among B's columns
+    assert (exact_full, exact_b) == (73, 55)
+    # B, the smallest block reported, qualifies for certification, so full's
+    # own eliminations are certified: one proven profile gives both ranks
     shapes = []
     real = ranks._echelon
 
-    def spy(matrix, p, *cols):
+    def spy(matrix, p, *args):
         shapes.append((matrix.rows, matrix.cols))
-        return real(matrix, p, *cols)
+        return real(matrix, p, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ranks, "_echelon", spy)
-        alone = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
+        report = rank_multimodular(blocks.full, RankConfig(), leading=blocks.wedge_high)
     assert shapes == [(102, 76)] * len(DEFAULT_PRIMES)
-    assert alone.exact_rank is None and not alone.certified
-    assert alone.leading.exact_rank == exact_b and alone.leading.certified
+    assert (report.exact_rank, report.leading.exact_rank) == (exact_full, exact_b)
+    assert report.certified and report.leading.certified
+    # B's 84 rows exceed the threshold: nothing is certified
     neither = rank_multimodular(
         blocks.full, RankConfig(dense_threshold=83), leading=blocks.wedge_high
     )
-    assert neither.leading.exact_rank is None
-    # one lift over full certifies both: its profile's prefix is B's
+    assert neither.exact_rank is None and neither.leading.exact_rank is None
     both = rank_multimodular(blocks.full, RankConfig(exact=True), leading=blocks.wedge_high)
-    assert (both.exact_rank, both.leading.exact_rank) == (exact_full, exact_b)
-    assert both.certified and both.leading.certified
+    assert both == report
     assert both.leading == rank_multimodular(blocks.wedge_high, RankConfig(exact=True))
     with pytest.raises(ValueError):
         rank_multimodular(blocks.wedge_high, leading=blocks.full)
@@ -512,9 +513,9 @@ def test_rank_exact_refuses_an_uncertifiable_report(monkeypatch):
     # report stays uncertified and rank_exact has no rank to give
     real = ranks._echelon
 
-    def one_pivot_too_many(matrix, p, *cols):
-        profile, echelon = real(matrix, p, *cols)
-        return profile + (matrix.cols,), echelon
+    def one_pivot_too_many(matrix, p, *args):
+        profile, kernel = real(matrix, p, *args)
+        return profile + (matrix.cols,), kernel
 
     monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
     identity = sparse_from_dense(np.eye(2, dtype=np.int64))
@@ -538,14 +539,33 @@ def test_uncertified_primes_hold_one_dense_copy_at_a_time():
     assert peak < 1.5 * copy
 
 
+def test_certified_primes_keep_their_kernels_not_their_echelon_rows():
+    # rank 990 of 1000 columns: the echelon rows are 990x1000 (7.9 MB as
+    # float64), the kernel 990x10.  Each prime keeps only its kernel, so the
+    # peak stays below four echelon copies; keeping every prime's echelon
+    # rows for the lift reaches five
+    rng = np.random.default_rng(3)
+    top = np.hstack([np.eye(990, dtype=np.int64), rng.integers(-3, 4, size=(990, 10))])
+    matrix = sparse_from_dense(np.vstack([top, top[:10] + top[10:20]]))
+    copy = 990 * 1000 * 8
+    tracemalloc.start()
+    try:
+        report = rank_multimodular(matrix, RankConfig(exact=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exact_rank == 990 and report.certified
+    assert peak < 4 * copy
+
+
 def _spy_primes(monkeypatch):
     """Record the prime of every elimination the report path runs."""
     primes = []
     real = ranks._echelon
 
-    def spy(matrix, p, *cols):
+    def spy(matrix, p, *args):
         primes.append(p)
-        return real(matrix, p, *cols)
+        return real(matrix, p, *args)
 
     monkeypatch.setattr(ranks, "_echelon", spy)
     return primes
@@ -636,11 +656,11 @@ def test_prime_claiming_more_than_the_rank_stops_at_the_hadamard_bound(monkeypat
     real = ranks._echelon
     primes = []
 
-    def overclaim(matrix, p, *cols):
+    def overclaim(matrix, p, *args):
         primes.append(p)
         if p in DEFAULT_PRIMES:
-            return (1, 2), np.eye(2, matrix.cols, 1)  # echelon rows e1, e2
-        return real(matrix, p, *cols)
+            return (1, 2), np.zeros((2, 1))  # kernel vector (1, 0, 0)
+        return real(matrix, p, *args)
 
     monkeypatch.setattr(ranks, "_echelon", overclaim)
     with pytest.raises(RankInvariantError, match="does not verify"):
