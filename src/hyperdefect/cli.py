@@ -23,7 +23,13 @@ from .polynomials import (
     parse_expression,
     parse_term_list,
 )
-from .ranks import PRIME_TABLE, RankBudgetError, RankConfig, RankInvariantError
+from .ranks import (
+    DEFAULT_PRIMES,
+    PRIME_TABLE,
+    RankBudgetError,
+    RankConfig,
+    RankInvariantError,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -33,13 +39,19 @@ EXIT_INVARIANT = 4
 
 
 def _rank_config(args) -> RankConfig:
-    if args.prime_list:
-        primes = tuple(int(p) for p in args.prime_list.split(","))
+    if args.prime_list is not None:
+        try:
+            primes = tuple(int(p) for p in args.prime_list.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--prime-list must be comma-separated integers, got {args.prime_list!r}"
+            ) from None
+    elif args.primes is None:
+        primes = DEFAULT_PRIMES
+    elif 1 <= args.primes <= len(PRIME_TABLE):
+        primes = PRIME_TABLE[: args.primes]
     else:
-        count = args.primes
-        if not 1 <= count <= len(PRIME_TABLE):
-            raise ValueError(f"--primes must be in [1, {len(PRIME_TABLE)}]")
-        primes = PRIME_TABLE[:count]
+        raise ValueError(f"--primes must be in [1, {len(PRIME_TABLE)}]")
     return RankConfig(primes=primes, exact=args.exact)
 
 
@@ -127,8 +139,7 @@ def _cmd_hodge(args) -> int:
 def _cmd_corpus(args) -> int:
     selected = sorted(find_fixtures(args.filter), key=lambda f: f.name)
     if not selected:
-        print(f"no fixture matches {args.filter!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no fixture matches {args.filter!r}")
     cfg = RankConfig()
     failures = []
     print(f"{'fixture':<24} {'d':>2} {'gamma':>6} {'defect':>7} {'time':>8}  status")
@@ -173,8 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--vars", default=",".join(DEFAULT_VARIABLES), help="comma-separated variable names"
     )
     primes = p_defect.add_mutually_exclusive_group()
+    # default None: argparse lets an explicit value equal to the default
+    # past the exclusion, so `--primes 3 --prime-list P` would slip through
     primes.add_argument(
-        "--primes", type=int, default=3, metavar="N", help="use the first N default primes"
+        "--primes",
+        type=int,
+        metavar="N",
+        help=f"use the first N primes of the table (default {len(DEFAULT_PRIMES)})",
     )
     primes.add_argument("--prime-list", metavar="CSV", help="explicit comma-separated primes")
     p_defect.add_argument("--exact", action="store_true", help="force exact rank certification")

@@ -27,7 +27,10 @@ MAX_PRODUCT_TERMS = 2**20
 # most parentheses, plain or of a subst call, an expression may nest
 MAX_NESTING = 100
 # largest power of 2 a power may bring its coefficients to: no coefficient
-# of f^n exceeds 2**(n * ceil(log2(sum of |c| over f)))
+# of f^n exceeds 2**(n * ceil(log2(sum of |c| over f))).  A product f*g,
+# whose coefficients are at most (sum over f) * (sum over g), may pass it
+# only up to the larger of those two sums, so that a literal times a
+# monomial stays a literal
 MAX_POWER_BITS = 2**11
 # bytes read at a time from a term-list stream
 _READ_SIZE = 1 << 20
@@ -84,7 +87,8 @@ class Polynomial:
     `terms` maps exponent tuples (one entry per variable) to nonzero
     integers.  Instances never mutate; all arithmetic returns new objects
     and is exact.  A product whose operands have more than
-    MAX_PRODUCT_TERMS pairs of terms is refused with a PolynomialError.
+    MAX_PRODUCT_TERMS pairs of terms, or whose coefficients could outgrow
+    MAX_POWER_BITS, is refused with a PolynomialError before it is formed.
     """
 
     __slots__ = ("variables", "_terms")
@@ -187,14 +191,19 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero(self.variables)
-            return self._with({k: other * v for k, v in self._terms.items()})
+            other = Polynomial.constant(self.variables, other)
         self._require_same_ring(other)
         if len(self._terms) * len(other._terms) > MAX_PRODUCT_TERMS:
             raise PolynomialError(
                 f"product too large: {len(self._terms)} x {len(other._terms)} terms "
                 f"exceeds {MAX_PRODUCT_TERMS} term pairs"
+            )
+        sums = [sum(map(abs, p._terms.values())) for p in (self, other)]
+        bound = sums[0] * sums[1]
+        if bound > max(2**MAX_POWER_BITS, *sums):
+            raise PolynomialError(
+                f"product too large: coefficients up to 2^{(bound - 1).bit_length()} "
+                f"exceed 2^{MAX_POWER_BITS}"
             )
         products = (
             (tuple(map(add, ka, kb)), va * vb)

@@ -13,10 +13,11 @@ every leading column block at once.
   does not fit).  A row's leading column is its first entry nonzero mod
   p; one row per distinct leading column, the shortest, is a structural
   pivot row.  With S the pivot columns and R their rows, U11 = M[R, S]
-  is upper triangular with a nonzero diagonal, and the Schur complement
-  X2 - X1 U11^-1 U12 over the other rows and the other columns is formed
-  by sparse back substitution, one level of U11's dependency order at a
-  time, every sum kept within the dense engine's bound.  Only that
+  is upper triangular with a nonzero diagonal.  With the rows numbered
+  level by level in U11's dependency order, the other rows last, one
+  sparse pass over those row ranges forms W = U11^-1 U12 and, as its
+  last range, the Schur complement X2 - X1 W over the other rows and
+  columns, every sum within the dense engine's bound.  Only that
   complement C is densified, and the profile is S together with the
   other columns at C's profile.  Proof: adding multiples of R's rows to
   the other rows changes the rank of no leading column block, and makes
@@ -49,10 +50,11 @@ every leading column block at once.
   p < 2**31.  Any elimination that walks the columns in order finds the
   same profile, because the profile is a property of the matrix.
   Every panel is written back, so the same pass leaves the echelon
-  form of the complement in its dense array.  To certify, the echelon
-  rows (the scaled pivot rows and the complement's, put back in their
-  columns) are back-substituted at once into the reduced-echelon right
-  kernel mod p, one vector per free column, the identity on those.
+  form of the complement in its dense array.  To certify, C's echelon
+  rows are back-substituted into its reduced-echelon right kernel K_C,
+  and the structural pivots take -(W[:, free] + W[:, C's pivots] K_C)
+  (U11 x_S + U12 x_rest = 0): the reduced-echelon right kernel mod p,
+  one vector per free column, the identity on those.
 * `rank_multimodular` runs the configured primes and reports the
   per-prime ranks with their consensus (the max, a guaranteed lower
   bound); given the leading column block of the matrix, it reports that
@@ -482,27 +484,24 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
 class _Split:
     """A matrix mod p split at its structural pivots.
 
-    Pivot row i leads in column pivots[i] and is scaled mod p to lead
-    with 1, so U11, the pivot rows on the pivot columns, is unit upper
-    triangular.  The other columns are `rest`; the other rows number
-    `others`.  Each block is kept as (row, column, value) arrays, rows and
-    columns numbered within their sets: `upper` is U11 off its diagonal,
-    `right` U12 (pivot rows, rest), `left` X1 (other rows, pivots) and
-    `lower` X2 (other rows, rest).  Within each block the entries of a
-    row are consecutive.
+    Pivot row i leads in column pivots[i], scaled mod p to lead with 1.
+    Rows are numbered level by level (see `_levels`): level k holds rows
+    bounds[k] to bounds[k + 1] - 1, and the other rows come last, from
+    bounds[-2] = len(pivots).  The other columns are `rest`.  Entries are
+    (row, column, value) arrays in row order: `left` those on pivot
+    columns off the diagonal (U11 and X1), columns numbered as the pivots,
+    and `right` those on the rest (U12 and X2), numbered within `rest`.
     """
 
     pivots: np.ndarray
     rest: np.ndarray
-    others: int
-    upper: tuple[np.ndarray, ...]
-    right: tuple[np.ndarray, ...]
+    bounds: np.ndarray
     left: tuple[np.ndarray, ...]
-    lower: tuple[np.ndarray, ...]
+    right: tuple[np.ndarray, ...]
 
 
 def _split(matrix: SparseIntMatrix, p: int, dtype: type) -> _Split:
-    """The structural pivots of `matrix` mod p, and its blocks around them.
+    """The structural pivots of `matrix` mod p, and its entries around them.
 
     A row's leading column is its first entry nonzero mod p; of the rows
     that lead in one column the one with the fewest entries, the first
@@ -513,36 +512,37 @@ def _split(matrix: SparseIntMatrix, p: int, dtype: type) -> _Split:
     first, lengths = _runs(r)
     order = np.lexsort((lengths, c[first]))
     chosen = first[order[_runs(c[first[order]])[0]]]
-    pivots, heads = c[chosen], r[chosen]
-    inverses = np.array([pow(x, -1, p) for x in v[chosen].tolist()], dtype=np.int64)
-    n = len(pivots)
-    is_head = np.zeros(matrix.rows, dtype=bool)
-    is_head[heads] = True
-    is_pivot = np.zeros(matrix.cols, dtype=bool)
-    is_pivot[pivots] = True
-    tails, rest = np.flatnonzero(~is_head), np.flatnonzero(~is_pivot)
+    n = len(chosen)
+    # pivot numbers in column order, -1 off the pivot rows and columns
+    head_of = np.full(matrix.rows, -1)
+    head_of[r[chosen]] = np.arange(n)
+    pivot_of = np.full(matrix.cols, -1)
+    pivot_of[c[chosen]] = np.arange(n)
+    part = (pivot_of[c] < 0).astype(np.int8)  # 0 on pivot columns, 1 on the rest
+    part[chosen] = 2  # the diagonal
+    upper = (part == 0) & (head_of[r] >= 0)
+    level = _levels(n, head_of[r[upper]], pivot_of[c[upper]])
+    by_level = np.argsort(level, kind="stable")
+    tails, rest = np.flatnonzero(head_of < 0), np.flatnonzero(pivot_of < 0)
+    bounds = np.searchsorted(level[by_level], np.arange(level.max(initial=0) + 2))
     row_at = np.empty(matrix.rows, dtype=np.int64)
-    row_at[heads], row_at[tails] = np.arange(n), np.arange(len(tails))
+    row_at[r[chosen[by_level]]], row_at[tails] = np.arange(n), n + np.arange(len(tails))
     col_at = np.empty(matrix.cols, dtype=np.int64)
-    col_at[pivots], col_at[rest] = np.arange(n), np.arange(len(rest))
-    # entries by block, in row order within each: U11 off its diagonal,
-    # U12, X1, X2, then the diagonal
-    block = 2 * ~is_head[r] + ~is_pivot[c]
-    block[chosen] = 4
-    order = np.argsort(block, kind="stable")
-    cuts = np.searchsorted(block[order], np.arange(5))
-    i, j, v = row_at[r[order]], col_at[c[order]], v[order]
-    # scale each pivot row to lead with 1; products of residues stay below 2**62
-    v[: cuts[2]] = v[: cuts[2]] * inverses[i[: cuts[2]]] % p
-    v = v.astype(dtype)
-    blocks = [(i[lo:hi], j[lo:hi], v[lo:hi]) for lo, hi in zip(cuts[:4], cuts[1:])]
-    return _Split(pivots, rest, len(tails), *blocks)
+    col_at[c[chosen[by_level]]], col_at[rest] = np.arange(n), np.arange(len(rest))
+    # scale each pivot row to lead with 1, the other rows (-1) by the
+    # appended 1; products of residues stay below 2**62
+    inverses = [pow(x, -1, p) for x in v[chosen].tolist()]
+    v = v * np.array(inverses + [1], dtype=np.int64)[head_of[r]] % p
+    order = np.lexsort((row_at[r], part))
+    cut = np.searchsorted(part[order], [1, 2])
+    i, j, v = row_at[r[order]], col_at[c[order]], v[order].astype(dtype)
+    blocks = [(i[a:b], j[a:b], v[a:b]) for a, b in ((0, cut[0]), (cut[0], cut[1]))]
+    return _Split(c[chosen[by_level]], rest, np.append(bounds, n + len(tails)), *blocks)
 
 
-def _levels(n: int, upper: tuple[np.ndarray, ...]) -> np.ndarray:
+def _levels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Level of each row of a unit upper triangle with off-diagonal entries
-    `upper`: 0 with none, else one more than the highest level it reaches."""
-    i, j, _ = upper
+    at (i, j): 0 with none, else one more than the highest level it reaches."""
     level = np.zeros(n, dtype=np.int64)
     while len(i):
         raised = level.copy()
@@ -553,60 +553,45 @@ def _levels(n: int, upper: tuple[np.ndarray, ...]) -> np.ndarray:
     return level
 
 
-def _by_level(level: np.ndarray, *blocks):
-    """For each level above 0: its rows, and the entries of each block in
-    those rows, renumbered by position within the level.  Sorting is
-    stable, so the entries of a row stay consecutive."""
-    depth = int(level.max(initial=0)) + 1
-    if depth == 1:
-        return
-    order = np.argsort(level, kind="stable")
-    bounds = np.searchsorted(level[order], np.arange(depth + 1))
-    local = np.empty(len(level), dtype=np.int64)
-    local[order] = np.arange(len(level)) - bounds[level[order]]
-    parts = []
-    for i, j, v in blocks:
-        sort = np.argsort(level[i], kind="stable")
-        cuts = np.searchsorted(level[i][sort], np.arange(depth + 1))
-        i, j, v = local[i[sort]], j[sort], v[sort]
-        parts.append([(i[a:b], j[a:b], v[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
-    for rank in range(1, depth):
-        yield order[bounds[rank] : bounds[rank + 1]], *(part[rank] for part in parts)
+def _sparse_rows(dense: np.ndarray, offset: int = 0) -> tuple[np.ndarray, ...]:
+    """(start, count, columns, values) of the nonzeros of `dense` by rows,
+    the rows' starts counted from `offset`."""
+    at, columns = np.nonzero(dense)
+    count = np.bincount(at, minlength=dense.shape[0])
+    return offset + np.cumsum(count) - count, count, columns, dense[at, columns]
 
 
-def _schur(split: _Split, p: int, dtype: type, step: int) -> np.ndarray:
-    """X2 - X1 @ W mod p, W = U11^-1 U12, as a dense `dtype` array in [0, p).
+def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, tuple]:
+    """X2 - X1 @ W mod p as a dense `dtype` array in [0, p), and W = U11^-1 U12.
 
-    W is found by back substitution, one level of U11's rows at a time
-    (see `_levels`): row i of W is U12[i] minus the sum of U11[i, j] * W[j]
-    over the entries right of its diagonal, all in rows of lower levels.
-    W starts as U12, whose rows of level 0 are final; each later level's
-    rows are formed dense, reduced and kept by their nonzeros.
+    Row i of W is U12[i] minus the sum of U11[i, j] * W[j] over the
+    entries right of its diagonal, all in rows of lower levels, so one
+    pass over the row ranges of `split.bounds` forms W level by level and,
+    as its last range, the Schur complement.  Rows of level 0 are U12's
+    own; each later range is formed dense and reduced.  W is returned by
+    rows, (start, count, columns, values), its entries in row order.
     """
     n, width = len(split.pivots), len(split.rest)
-    i, columns, values = split.right
-    first, lengths = _runs(i)
-    start, count = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    start[i[first]], count[i[first]] = first, lengths
-    level = _levels(n, split.upper)
-    for members, given, upper in _by_level(level, split.right, split.upper):
-        rows = np.zeros((len(members), width), dtype=dtype)
-        i, j, v = given
-        rows[i, j] = v
-        _subtract_sparse_product(rows, *upper, (start, count, columns, values), p, step)
-        _reduce_rows(rows, p)
-        at, column = np.nonzero(rows)
-        found = np.bincount(at, minlength=len(members))
-        start[members] = len(columns) + np.cumsum(found) - found
-        count[members] = found
-        columns = np.concatenate([columns, column])
-        values = np.concatenate([values, rows[at, column]])
-    schur = np.zeros((split.others, width), dtype=dtype)
-    i, j, v = split.lower
-    schur[i, j] = v
-    _subtract_sparse_product(schur, *split.left, (start, count, columns, values), p, step)
-    _reduce_rows(schur, p)
-    return schur
+    bounds = split.bounds.tolist()
+    right_at = np.searchsorted(split.right[0], bounds)
+    left_at = np.searchsorted(split.left[0], bounds)
+    rows, columns, values = (x[: right_at[1]] for x in split.right)
+    count = np.bincount(rows, minlength=n)
+    w = (np.cumsum(count) - count, count, columns, values)
+    for k in range(1, len(bounds) - 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        block = np.zeros((hi - lo, width), dtype=dtype)
+        i, j, v = (x[right_at[k] : right_at[k + 1]] for x in split.right)
+        block[i - lo, j] = v
+        i, j, v = (x[left_at[k] : left_at[k + 1]] for x in split.left)
+        _subtract_sparse_product(block, i - lo, j, v, w, p, step)
+        _reduce_rows(block, p)
+        if k < len(bounds) - 2:
+            start, count, columns, values = w
+            found = _sparse_rows(block, len(columns))
+            start[lo:hi], count[lo:hi] = found[:2]
+            w = start, count, np.concatenate([columns, found[2]]), np.concatenate([values, found[3]])
+    return block, w
 
 
 def _echelon(
@@ -615,43 +600,35 @@ def _echelon(
     """Column rank profile mod p, and, when `certify`, the kernel mod p.
 
     The structural pivots are eliminated sparsely (see `_split` and
-    `_schur`) and only the Schur complement is eliminated dense, by
+    `_schur`) and only the Schur complement C is eliminated dense, by
     `_eliminate`; the profile is the pivots together with the rest
-    columns at the Schur complement's profile.  The kernel is that of
-    `_kernel_mod_p`, None when not certifying or of full column rank.
+    columns at C's profile.  The kernel, laid out as `_kernel_mod_p`'s,
+    is None when not certifying or of full column rank.  It is C's
+    kernel K_C on C's pivots, -(W[:, free] + W[:, C's pivots] K_C) on S.
     """
     dtype, width, delay = _kernel(p)
     split = _split(matrix, p, dtype)
-    schur = _schur(split, p, dtype, width * delay)
-    inner = np.array(_eliminate(schur, p, width, delay), dtype=np.int64)
-    profile = np.sort(np.concatenate([split.pivots, split.rest[inner]]))
+    schur, w = _schur(split, p, dtype, width * delay)
+    pivots, rest = split.pivots, split.rest
+    del split  # of the sparse stage, only W outlives it, and only to certify
+    w = w if certify else None
+    inner = _eliminate(schur, p, width, delay)
+    profile = np.sort(np.concatenate([pivots, rest[inner]]))
     found = tuple(profile.tolist())
     if not certify or len(found) == matrix.cols:
         return found, None
-    echelon = _echelon_rows(split, schur, inner, profile)
-    del schur  # the echelon rows hold what the kernel needs
-    return found, _kernel_mod_p(echelon, found, p)
-
-
-def _echelon_rows(
-    split: _Split, schur: np.ndarray, inner: np.ndarray, profile: np.ndarray
-) -> np.ndarray:
-    """The rows, in profile order, of an echelon form, entries in [0, p)
-    and zero left of each pivot: the scaled pivot rows, and the eliminated
-    Schur complement's rows (see `_eliminate`), profile `inner`, put back
-    in their columns.  `schur` is zeroed left of each pivot, in place."""
-    n = len(split.pivots)
-    echelon = np.zeros((len(profile), n + len(split.rest)), dtype=schur.dtype)
-    rows = np.concatenate([np.arange(n), split.upper[0], split.right[0]])
-    columns = np.concatenate(
-        [split.pivots, split.pivots[split.upper[1]], split.rest[split.right[1]]]
-    )
-    values = np.concatenate([np.ones(n, dtype=schur.dtype), split.upper[2], split.right[2]])
-    echelon[np.searchsorted(profile, split.pivots[rows]), columns] = values
-    solved = schur[: len(inner)]
-    solved[np.arange(len(split.rest)) < inner[:, None]] = 0
-    echelon[np.ix_(np.searchsorted(profile, split.rest[inner]), split.rest)] = solved
-    return echelon
+    free = _split_columns(inner, len(rest))[1]
+    x_rest = np.zeros((len(rest), len(free)), dtype=dtype)
+    x_rest[inner] = _kernel_mod_p(schur[: len(inner)], inner, p)
+    x_rest[free, np.arange(len(free))] = 1
+    x_s = np.zeros((len(pivots), len(free)), dtype=dtype)
+    rows = np.repeat(np.arange(len(pivots)), w[1])
+    _subtract_sparse_product(x_s, rows, *w[2:], _sparse_rows(x_rest), p, width * delay)
+    _reduce_rows(x_s, p)
+    kernel = np.empty((len(found), len(free)), dtype=dtype)
+    kernel[np.searchsorted(profile, pivots)] = x_s
+    kernel[np.searchsorted(profile, rest[inner])] = x_rest[inner]
+    return found, kernel
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
@@ -675,11 +652,12 @@ def _split_columns(profile: tuple[int, ...], cols: int) -> tuple[np.ndarray, np.
 def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.ndarray:
     """Pivot entries of the reduced-echelon right kernel mod p.
 
-    `echelon` holds the rows of U (see `_echelon_rows`) and is
-    overwritten.  Column i of the result holds, at row s, entry
-    profile[s] of the kernel vector that is 1 at the i-th non-pivot column
-    and 0 at the others.  Back substitution up the rows of U, scaled to a
-    unit diagonal.
+    `echelon` holds the rows of an echelon form U as `_eliminate` leaves
+    them, row s from column profile[s] on, and is overwritten; what lies
+    left of each pivot is ignored.  Column i of the result holds, at row
+    s, entry profile[s] of the kernel vector that is 1 at the i-th
+    non-pivot column and 0 at the others.  Back substitution up the rows
+    of U, scaled to a unit diagonal.
     """
     r, cols = echelon.shape
     pivots, free = _split_columns(profile, cols)
@@ -687,6 +665,7 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
     echelon *= scale.astype(echelon.dtype)[:, None]  # -U/diag(U)
     _reduce_rows(echelon, p)
     coupling, kernel = echelon[:, pivots], echelon[:, free]
+    kernel[free < pivots[:, None]] = 0
     _, width, delay = _kernel(p)
     step = width * delay  # products of residues one exact sum holds
     for s in range(r - 2, -1, -1):

@@ -133,6 +133,17 @@ def test_defect_huge_power_exits_2_before_multiplying(capsys, expression):
     assert err.startswith("error: power too large: coefficients up to 2^")
 
 
+def test_defect_chained_product_exits_2_before_multiplying():
+    # 4000 factors of 2^2048 (28 KB): refused at the second factor, where
+    # the coefficients could first pass 2^2048
+    text = "*".join(["2^2048"] * 4000) + "*x^3+y^3+z^3+u^3+v^3"
+    start = time.perf_counter()
+    result = _run_child([sys.executable, "-m", "hyperdefect", "defect", "--expr", text])
+    assert time.perf_counter() - start < 1
+    assert result.returncode == 2
+    assert result.stderr == "error: product too large: coefficients up to 2^4096 exceed 2^2048\n"
+
+
 @pytest.mark.parametrize("expression", ["5", "9^9^9"])
 @pytest.mark.parametrize("k", ["2", "3"])
 def test_defect_constant_form_exits_2(capsys, expression, k):
@@ -269,6 +280,33 @@ def test_defect_bad_prime_count_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--prime-list", ""], "error: --prime-list must be comma-separated integers, got ''\n"),
+        (
+            ["--prime-list", "32633,"],
+            "error: --prime-list must be comma-separated integers, got '32633,'\n",
+        ),
+    ],
+)
+def test_defect_bad_prime_list_names_the_flag(capsys, flags, message):
+    code, out, err = run(capsys, "defect", "--expr", SEGRE, *flags)
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("count", ["2", "3"])
+def test_defect_primes_and_prime_list_exclude_each_other(capsys, count):
+    # 3 is the default count: it must be refused like any other
+    with pytest.raises(SystemExit) as exit_info:
+        main(["defect", "--expr", SEGRE, "--primes", count, "--prime-list", "32633"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "hyperdefect defect: error: argument --prime-list: not allowed with argument --primes"
+    ]
+
+
 def test_hodge_quintic(capsys):
     code, out, _ = run(capsys, "hodge", "--n", "3", "--d", "5")
     assert code == 0
@@ -323,6 +361,7 @@ def test_corpus_filter_segre(capsys):
 def test_corpus_filter_no_match_exits_2(capsys):
     code, _, err = run(capsys, "corpus", "--filter", "nosuchfixture")
     assert code == 2
+    assert err == "error: no fixture matches 'nosuchfixture'\n"
 
 
 def test_corpus_filter_quintic_passes_four_fixtures(capsys):

@@ -418,6 +418,21 @@ def test_power_is_refused_before_its_coefficients_outgrow_the_budget():
     assert parse_expression("(x-x)^100000").is_zero
 
 
+def test_product_is_refused_before_its_coefficients_outgrow_the_budget():
+    with pytest.raises(PolynomialError, match="coefficients up to 2\\^4096 exceed 2\\^2048"):
+        parse_expression("2^2048*2^2048")
+    with pytest.raises(PolynomialError, match="coefficients up to 2\\^2049 exceed"):
+        parse_expression("2^2048*(x+y)")
+    assert parse_expression("2*2^2047") == parse_expression("2^2048")
+    # a product may pass 2^2048 up to its larger operand: a literal times a
+    # monomial, or times a unit, stays accepted, as in a term list
+    literal = int("9" * 4300)
+    form = parse_expression(f"{literal}*x^3*1+y^3")
+    assert dict(form.items())[(3, 0, 0, 0, 0)] == literal
+    with pytest.raises(PolynomialError, match="product too large"):
+        parse_expression(f"{literal}*2")
+
+
 @given(
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-9, max_value=9)),

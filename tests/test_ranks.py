@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import from_entries, rational_rank, rowreduce_rank, sparse_from_dense
 from hyperdefect.fixtures import get_fixture
+from hyperdefect.invariants import defect
 from hyperdefect import ranks
 from hyperdefect.koszul import assemble_phi
 from hyperdefect.polynomials import HomogeneousForm, parse_expression
@@ -209,6 +210,12 @@ stage_cases = st.sampled_from(STAGE_PRIMES).flatmap(
 def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     p, matrix = case
     _assert_profile_and_kernel(matrix, p)
+    # rows are numbered level by level: a row in range k of the bounds
+    # reaches only pivots of lower levels, which W holds before range k
+    split = ranks._split(sparse_from_dense(matrix), p, _kernel(p)[0])
+    rows, reached, _ = split.left
+    level = np.searchsorted(split.bounds, rows, "right") - 1
+    assert (reached < split.bounds[level]).all()
 
 
 @pytest.mark.parametrize("p", [WIDE_PRIME, BIG_PRIME])
@@ -223,8 +230,10 @@ def test_sparse_sums_regroup_within_the_kernel_bound(p):
     for k in range(1, n):
         matrix[k, k : k + 2] = p - 1, 1
     split = ranks._split(sparse_from_dense(matrix), p, _kernel(p)[0])
-    assert (split.upper[0] == 0).sum() > width * delay  # pivot row 0, off its diagonal
-    assert len(split.left[0]) > width * delay  # the one tail row
+    on_pivots = np.bincount(split.left[0], minlength=split.bounds[-1])
+    # pivot row 0 reaches every other pivot row, so it is the last of them
+    assert on_pivots[len(split.pivots) - 1] > width * delay  # off its diagonal
+    assert on_pivots[-1] > width * delay  # the one tail row
     _assert_profile_and_kernel(matrix, p)
 
 
@@ -247,6 +256,23 @@ def test_sextic_full_hands_only_its_schur_complement_to_the_dense_engine(
     monkeypatch.setattr(ranks, "_eliminate", spy)
     assert rank_mod_p(sextic_blocks.full, DEFAULT_PRIMES[0]) == 2160
     assert shapes == [(1627, 1787)]
+
+
+def test_certified_kernel_back_solves_only_the_schur_complement(monkeypatch):
+    # Segre cubic: A is 0x5, full 75x75 of rank 60 with 25 structural
+    # pivots.  The pivots take their kernel entries from W, so only the
+    # echelon rows of full's 50x50 complement (rank 35) are back-solved
+    shapes = []
+    real = ranks._kernel_mod_p
+
+    def spy(echelon, *rest):
+        shapes.append(echelon.shape)
+        return real(echelon, *rest)
+
+    monkeypatch.setattr(ranks, "_kernel_mod_p", spy)
+    report = defect(get_fixture("segre-cubic").build())
+    assert report.defect == 5 and report.rank_reports["full"].certified
+    assert shapes == [(0, 5)] * len(DEFAULT_PRIMES) + [(35, 50)] * len(DEFAULT_PRIMES)
 
 
 def test_uncertified_sextic_prime_stays_below_one_dense_copy(sextic_blocks):
@@ -540,10 +566,11 @@ def test_uncertified_primes_hold_one_dense_copy_at_a_time():
 
 
 def test_certified_primes_keep_their_kernels_not_their_echelon_rows():
-    # rank 990 of 1000 columns: the echelon rows are 990x1000 (7.9 MB as
-    # float64), the kernel 990x10.  Each prime keeps only its kernel, so the
-    # peak stays below four echelon copies; keeping every prime's echelon
-    # rows for the lift reaches five
+    # rank 990 of 1000 columns: echelon rows would be 990x1000 (7.9 MB as
+    # float64), the kernel is 990x10.  The 990 structural pivots take their
+    # kernel entries from W = U11^-1 U12 and only the 10x10 Schur complement
+    # is eliminated dense, so no prime builds one echelon copy; building the
+    # echelon rows reaches two
     rng = np.random.default_rng(3)
     top = np.hstack([np.eye(990, dtype=np.int64), rng.integers(-3, 4, size=(990, 10))])
     matrix = sparse_from_dense(np.vstack([top, top[:10] + top[10:20]]))
@@ -555,7 +582,7 @@ def test_certified_primes_keep_their_kernels_not_their_echelon_rows():
     finally:
         tracemalloc.stop()
     assert report.exact_rank == 990 and report.certified
-    assert peak < 4 * copy
+    assert peak < copy
 
 
 def _spy_primes(monkeypatch):
