@@ -6,54 +6,62 @@ right.  Its length is the rank, and the number of its entries below k is
 the rank of the leading k columns, so one elimination gives the rank of
 every leading column block at once.
 
-* `_echelon` eliminates over the field with p elements, sparse first
-  and dense last, as in Faugere and Lachartre (PASCO 2010) and SpaSM
+* `_echelon` eliminates over the field with p elements, sparse first and
+  dense last, as in Faugere and Lachartre (PASCO 2010) and SpaSM
   (Bouillaguet and Delaplace, CASC 2016).  The coordinate entries are
-  reduced mod p (one int64 pass, or one Python-int pass when some entry
-  does not fit).  A row's leading column is its first entry nonzero mod
-  p; one row per distinct leading column, the shortest, is a structural
-  pivot row.  With S the pivot columns and R their rows, U11 = M[R, S]
-  is upper triangular with a nonzero diagonal.  With the rows numbered
-  level by level in U11's dependency order, the other rows last, one
-  sparse pass over those row ranges forms W = U11^-1 U12 and, as its
-  last range, the Schur complement X2 - X1 W over the other rows and
-  columns, every sum within the dense engine's bound.  Only that
-  complement C is densified, and the profile is S together with the
-  other columns at C's profile.  Proof: adding multiples of R's rows to
-  the other rows changes the rank of no leading column block, and makes
-  those rows zero on S.  Before a column J, the rows of R that lead
-  before J hold a triangle with a nonzero diagonal on the pivots before
-  J, and the other rows of R are zero, so
+  reduced mod p once (one int64 pass, or one Python-int pass when some
+  entry does not fit).  A row's leading column is its first entry
+  nonzero mod p; one row per distinct leading column, the shortest, is a
+  structural pivot row.  With S the pivot columns and R their rows,
+  U11 = M[R, S] is upper triangular with a nonzero diagonal.  With the
+  rows numbered level by level in U11's dependency order, the other rows
+  last, one sparse pass over those row ranges forms W = U11^-1 U12 and,
+  as its last range, the Schur complement C = X2 - X1 W over the other
+  rows and columns, every sum within the dense engine's bound.  The
+  profile is S together with the other columns at C's profile.  Proof:
+  adding multiples of R's rows to the other rows changes the rank of no
+  leading column block, and makes those rows zero on S.  Before a column
+  J, the rows of R that lead before J hold a triangle with a nonzero
+  diagonal on the pivots before J, and the other rows of R are zero, so
       rank M[:, :J] = |S before J| + rank C[:, other columns before J],
   and the other columns before J are a leading column block of C.
-  C is eliminated by a blocked right-looking elimination that pivots on
-  the first nonzero row, so the result is deterministic.  Each panel of
-  up to 64 columns is copied out column-major and factored recursively,
-  as in the CUP decomposition (Jeannerod, Pernet and Storjohann, J.
-  Symbolic Comput. 2013): halve the columns, factor the left half, solve
-  the right half's rows beside its pivots with one product by the
-  inverse of its unit lower triangle, update the rows below with one
-  product, and factor the right half.  Only ranges of at most 8 columns
-  are factored column by column.  The panel's pivot rows are then solved
-  across the trailing columns with one product by the inverse of the
-  panel's unit lower triangle, and the trailing matrix takes the panel
-  product in place.  All products run in float64 BLAS on integer values:
-  a product of inner dimension w with operands in [0, p) adds at most
-  w*(p-1)**2 to a magnitude, and reduction x - floor(x/p)*p with a
-  correctly rounded quotient is exact while |x| + p < 2**53.  Every
-  operand is reduced before a product, and within a panel an entry takes
-  at most one product term per pivot column left of it, so it stays
-  within one panel width's bound.  Reduction of the trailing matrix is
-  delayed: it absorbs panel products unreduced for as long as the bound
-  allows.  The width follows from p: float64 with w <= 64 while
-  w*(p-1)**2 + p < 2**53, else int64 with w = 1, which covers every
-  p < 2**31.  Any elimination that walks the columns in order finds the
-  same profile, because the profile is a property of the matrix.
-  Every panel is written back, so the same pass leaves the echelon
-  form of the complement in its dense array.  To certify, C's echelon
-  rows are back-substituted into its reduced-echelon right kernel K_C,
-  and the structural pivots take -(W[:, free] + W[:, C's pivots] K_C)
-  (U11 x_S + U12 x_rest = 0): the reduced-echelon right kernel mod p,
+  Because they are, the lemma applies to C in turn, round by round:
+  while a round finds a pivot and leaves C sparse (at most _SPARSE_FILL
+  of its cells nonzero), C's nonzero rows are split at their own
+  structural pivots.  Each round's pivots, mapped back through the
+  earlier rounds' other columns, are pivots of M, and only the last
+  complement, the first that is dense or that a round leaves without a
+  pivot, is eliminated dense.  Each round releases its complement before
+  the next forms one.  That remainder is eliminated by a blocked
+  right-looking elimination that pivots on the first nonzero row, so the
+  result is deterministic.  Each panel of up to 64 columns is copied out
+  column-major and factored recursively, as in the CUP decomposition
+  (Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013): halve
+  the columns, factor the left half, solve the right half's rows beside
+  its pivots with one product by the inverse of its unit lower triangle,
+  update the rows below with one product, and factor the right half.
+  Only ranges of at most 8 columns are factored column by column.  The
+  panel's pivot rows are then solved across the trailing columns with
+  one product by the inverse of the panel's unit lower triangle, and the
+  trailing matrix takes the panel product in place.  All products run in
+  float64 BLAS on integer values: a product of inner dimension w with
+  operands in [0, p) adds at most w*(p-1)**2 to a magnitude, and
+  reduction x - floor(x/p)*p with a correctly rounded quotient is exact
+  while |x| + p < 2**53.  Every operand is reduced before a product, and
+  within a panel an entry takes at most one product term per pivot
+  column left of it, so it stays within one panel width's bound.
+  Reduction of the trailing matrix is delayed: it absorbs panel products
+  unreduced for as long as the bound allows.  The width follows from p:
+  float64 with w <= 64 while w*(p-1)**2 + p < 2**53, else int64 with
+  w = 1, which covers every p < 2**31.  Any elimination that walks the
+  columns in order finds the same profile, because the profile is a
+  property of the matrix.  Every panel is written back, so the same pass
+  leaves the echelon form of the remainder in its dense array.  To
+  certify, its echelon rows are back-substituted into its reduced-echelon
+  right kernel, and the kernel is extended back through each round in
+  reverse: as U11 x[S] + U12 x[rest] = 0, the round's structural pivots
+  take x[S] = -W x[rest] from the entries already found on its other
+  columns.  The result is the reduced-echelon right kernel mod p of M,
   one vector per free column, the identity on those.
 * `rank_multimodular` runs the configured primes and reports the
   per-prime ranks with their consensus (the max, a guaranteed lower
@@ -103,6 +111,14 @@ _PANEL = 64  # widest panel; narrower when p is too large for float64
 _LEAF = 8  # column ranges this narrow are factored one column at a time
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
 _SPARSE_CHUNK = 1 << 16  # products per step of a sparse product, bounds its scratch arrays
+# A Schur complement with more nonzeros than this fraction of its cells is
+# eliminated dense, a sparser one by another round of structural pivots.
+# A round's sparse products grow with the complement's density, while the
+# dense engine costs the same at any density.  Measured per prime at k = 3
+# (2-vCPU VM, OpenBLAS): more rounds pay on sextic-285 (1.2 to 5.2%
+# nonzero) and on the vGW quintics (6.9%, then 12.3%: 41 -> 31 ms), and
+# cost quintic-130 more than they save (21.9%: 113 -> 143 ms).
+_SPARSE_FILL = 0.1
 _FLOAT_EXACT = 2**53
 _INT_EXACT = 2**63
 # first prime added to a lift: the largest that `_kernel` runs at the full panel width
@@ -482,15 +498,18 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
 
 @dataclass
 class _Split:
-    """A matrix mod p split at its structural pivots.
+    """One round of structural pivots: a matrix mod p split at them.
 
     Pivot row i leads in column pivots[i], scaled mod p to lead with 1.
     Rows are numbered level by level (see `_levels`): level k holds rows
     bounds[k] to bounds[k + 1] - 1, and the other rows come last, from
-    bounds[-2] = len(pivots).  The other columns are `rest`.  Entries are
-    (row, column, value) arrays in row order: `left` those on pivot
-    columns off the diagonal (U11 and X1), columns numbered as the pivots,
-    and `right` those on the rest (U12 and X2), numbered within `rest`.
+    bounds[-2] = len(pivots).  The other columns are `rest`, in increasing
+    order; they are the columns of the round's Schur complement, so a
+    later round's columns are mapped back through every earlier `rest`.
+    Entries are (row, column, value) arrays in row order: `left` those on
+    pivot columns off the diagonal (U11 and X1), columns numbered as the
+    pivots, and `right` those on the rest (U12 and X2), numbered within
+    `rest`.
     """
 
     pivots: np.ndarray
@@ -500,23 +519,26 @@ class _Split:
     right: tuple[np.ndarray, ...]
 
 
-def _split(matrix: SparseIntMatrix, p: int, dtype: type) -> _Split:
-    """The structural pivots of `matrix` mod p, and its entries around them.
+def _split(
+    rows: int, cols: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, p: int, dtype: type
+) -> _Split:
+    """The structural pivots of a rows x cols matrix mod p, and its entries around them.
 
-    A row's leading column is its first entry nonzero mod p; of the rows
-    that lead in one column the one with the fewest entries, the first
-    of those, is the pivot row, which keeps the fill of U11^-1 U12 low.
-    Values are in [0, p), as `dtype`.
+    The entries are int64 arrays in row order, columns increasing within
+    a row, values in [1, p), as `_residues` gives them.  A row's leading
+    column is its first entry; of the rows that lead in one column the
+    one with the fewest entries, the first of those, is the pivot row,
+    which keeps the fill of U11^-1 U12 low.  Values are in [0, p), as
+    `dtype`.
     """
-    r, c, v = _residues(matrix, p)
     first, lengths = _runs(r)
     order = np.lexsort((lengths, c[first]))
     chosen = first[order[_runs(c[first[order]])[0]]]
     n = len(chosen)
     # pivot numbers in column order, -1 off the pivot rows and columns
-    head_of = np.full(matrix.rows, -1)
+    head_of = np.full(rows, -1)
     head_of[r[chosen]] = np.arange(n)
-    pivot_of = np.full(matrix.cols, -1)
+    pivot_of = np.full(cols, -1)
     pivot_of[c[chosen]] = np.arange(n)
     part = (pivot_of[c] < 0).astype(np.int8)  # 0 on pivot columns, 1 on the rest
     part[chosen] = 2  # the diagonal
@@ -525,9 +547,9 @@ def _split(matrix: SparseIntMatrix, p: int, dtype: type) -> _Split:
     by_level = np.argsort(level, kind="stable")
     tails, rest = np.flatnonzero(head_of < 0), np.flatnonzero(pivot_of < 0)
     bounds = np.searchsorted(level[by_level], np.arange(level.max(initial=0) + 2))
-    row_at = np.empty(matrix.rows, dtype=np.int64)
+    row_at = np.empty(rows, dtype=np.int64)
     row_at[r[chosen[by_level]]], row_at[tails] = np.arange(n), n + np.arange(len(tails))
-    col_at = np.empty(matrix.cols, dtype=np.int64)
+    col_at = np.empty(cols, dtype=np.int64)
     col_at[c[chosen[by_level]]], col_at[rest] = np.arange(n), np.arange(len(rest))
     # scale each pivot row to lead with 1, the other rows (-1) by the
     # appended 1; products of residues stay below 2**62
@@ -553,12 +575,23 @@ def _levels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return level
 
 
+def _entries(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value arrays of the nonzeros of `dense`, in row order.
+
+    One scan of the flattened array: np.nonzero of a 2-d array takes
+    several times as long (21 against 4 ms on a 1627x1787 complement,
+    2-vCPU VM).
+    """
+    flat = np.flatnonzero(dense != 0)
+    return *np.divmod(flat, dense.shape[1]), dense.reshape(-1)[flat]
+
+
 def _sparse_rows(dense: np.ndarray, offset: int = 0) -> tuple[np.ndarray, ...]:
     """(start, count, columns, values) of the nonzeros of `dense` by rows,
     the rows' starts counted from `offset`."""
-    at, columns = np.nonzero(dense)
+    at, columns, values = _entries(dense)
     count = np.bincount(at, minlength=dense.shape[0])
-    return offset + np.cumsum(count) - count, count, columns, dense[at, columns]
+    return offset + np.cumsum(count) - count, count, columns, values
 
 
 def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, tuple]:
@@ -599,36 +632,61 @@ def _echelon(
 ) -> tuple[tuple[int, ...], np.ndarray | None]:
     """Column rank profile mod p, and, when `certify`, the kernel mod p.
 
-    The structural pivots are eliminated sparsely (see `_split` and
-    `_schur`) and only the Schur complement C is eliminated dense, by
-    `_eliminate`; the profile is the pivots together with the rest
-    columns at C's profile.  The kernel, laid out as `_kernel_mod_p`'s,
-    is None when not certifying or of full column rank.  It is C's
-    kernel K_C on C's pivots, -(W[:, free] + W[:, C's pivots] K_C) on S.
+    The structural pivots are eliminated sparsely in rounds (see `_split`
+    and `_schur`).  While a round finds a pivot and leaves a Schur
+    complement with at most _SPARSE_FILL of its cells nonzero, the
+    complement's nonzero rows are the next round's matrix; the first
+    complement that is denser, or that a round leaves without a pivot,
+    is eliminated dense by `_eliminate`.  The profile is every round's
+    pivots together with that remainder's profile, each mapped back to
+    the matrix's columns through the rounds' `rest`.  The kernel, laid
+    out as `_kernel_mod_p`'s, is None when not certifying or of full
+    column rank.  It is the remainder's reduced kernel, extended back
+    through each round in reverse by x[S] = -W x[rest].
     """
     dtype, width, delay = _kernel(p)
-    split = _split(matrix, p, dtype)
-    schur, w = _schur(split, p, dtype, width * delay)
-    pivots, rest = split.pivots, split.rest
-    del split  # of the sparse stage, only W outlives it, and only to certify
-    w = w if certify else None
+    step = width * delay
+    rows, cols = matrix.rows, matrix.cols
+    entries = _residues(matrix, p)
+    columns = np.arange(cols)  # the matrix's column of each column of the round
+    found, rounds = [], []
+    while True:
+        split = _split(rows, cols, *entries, p, dtype)
+        entries = None  # the split holds them, reordered
+        schur, w = _schur(split, p, dtype, step)
+        found.append(columns[split.pivots])
+        columns = columns[split.rest]
+        if certify:
+            rounds.append((split.pivots, split.rest, w))
+        del split, w  # of the sparse stage, only W outlives it, and only to certify
+        rows, cols = schur.shape
+        # counting a mask takes half the time of counting the float64 cells
+        if not len(found[-1]) or np.count_nonzero(schur != 0) > _SPARSE_FILL * schur.size:
+            break
+        at, c, v = _entries(schur)
+        del schur  # released before the next round allocates its complement
+        lengths = _runs(at)[1]
+        rows = len(lengths)  # the zero rows are dropped
+        entries = np.repeat(np.arange(rows), lengths), c, v.astype(np.int64)
     inner = _eliminate(schur, p, width, delay)
-    profile = np.sort(np.concatenate([pivots, rest[inner]]))
-    found = tuple(profile.tolist())
-    if not certify or len(found) == matrix.cols:
-        return found, None
-    free = _split_columns(inner, len(rest))[1]
-    x_rest = np.zeros((len(rest), len(free)), dtype=dtype)
-    x_rest[inner] = _kernel_mod_p(schur[: len(inner)], inner, p)
-    x_rest[free, np.arange(len(free))] = 1
-    x_s = np.zeros((len(pivots), len(free)), dtype=dtype)
-    rows = np.repeat(np.arange(len(pivots)), w[1])
-    _subtract_sparse_product(x_s, rows, *w[2:], _sparse_rows(x_rest), p, width * delay)
-    _reduce_rows(x_s, p)
-    kernel = np.empty((len(found), len(free)), dtype=dtype)
-    kernel[np.searchsorted(profile, pivots)] = x_s
-    kernel[np.searchsorted(profile, rest[inner])] = x_rest[inner]
-    return found, kernel
+    found.append(columns[inner])
+    profile = np.sort(np.concatenate(found))
+    if not certify or len(profile) == matrix.cols:
+        return tuple(profile.tolist()), None
+    free = _split_columns(inner, cols)[1]
+    x = np.zeros((cols, len(free)), dtype=dtype)
+    x[inner] = _kernel_mod_p(schur[: len(inner)], inner, p)
+    x[free, np.arange(len(free))] = 1
+    del schur
+    for pivots, rest, w in reversed(rounds):
+        x_s = np.zeros((len(pivots), len(free)), dtype=dtype)
+        w_rows = np.repeat(np.arange(len(pivots)), w[1])
+        _subtract_sparse_product(x_s, w_rows, *w[2:], _sparse_rows(x), p, step)
+        _reduce_rows(x_s, p)
+        x_all = np.empty((len(pivots) + len(rest), len(free)), dtype=dtype)
+        x_all[pivots], x_all[rest] = x_s, x
+        x = x_all
+    return tuple(profile.tolist()), x[profile]
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:

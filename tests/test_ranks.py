@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -200,6 +201,13 @@ def structured_matrices(draw, p):
     return np.array(rows, dtype=object)
 
 
+def _first_split(matrix, p):
+    """The first round of structural pivots of a dense array mod p."""
+    sparse = sparse_from_dense(matrix)
+    entries = ranks._residues(sparse, p)
+    return ranks._split(sparse.rows, sparse.cols, *entries, p, _kernel(p)[0])
+
+
 stage_cases = st.sampled_from(STAGE_PRIMES).flatmap(
     lambda p: st.tuples(st.just(p), structured_matrices(p))
 )
@@ -212,7 +220,7 @@ def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     _assert_profile_and_kernel(matrix, p)
     # rows are numbered level by level: a row in range k of the bounds
     # reaches only pivots of lower levels, which W holds before range k
-    split = ranks._split(sparse_from_dense(matrix), p, _kernel(p)[0])
+    split = _first_split(matrix, p)
     rows, reached, _ = split.left
     level = np.searchsorted(split.bounds, rows, "right") - 1
     assert (reached < split.bounds[level]).all()
@@ -229,7 +237,7 @@ def test_sparse_sums_regroup_within_the_kernel_bound(p):
     matrix[0] = matrix[n] = p - 1
     for k in range(1, n):
         matrix[k, k : k + 2] = p - 1, 1
-    split = ranks._split(sparse_from_dense(matrix), p, _kernel(p)[0])
+    split = _first_split(matrix, p)
     on_pivots = np.bincount(split.left[0], minlength=split.bounds[-1])
     # pivot row 0 reaches every other pivot row, so it is the last of them
     assert on_pivots[len(split.pivots) - 1] > width * delay  # off its diagonal
@@ -237,25 +245,130 @@ def test_sparse_sums_regroup_within_the_kernel_bound(p):
     _assert_profile_and_kernel(matrix, p)
 
 
+def _spy_rounds(monkeypatch):
+    """Record the pivot count of every round of structural pivots, and the
+    shape of every array the dense engine eliminates."""
+    rounds, dense = [], []
+    real_schur, real_eliminate = ranks._schur, ranks._eliminate
+
+    def schur(split, *args):
+        rounds.append(len(split.pivots))
+        return real_schur(split, *args)
+
+    def eliminate(array, *args):
+        dense.append(array.shape)
+        return real_eliminate(array, *args)
+
+    monkeypatch.setattr(ranks, "_schur", schur)
+    monkeypatch.setattr(ranks, "_eliminate", eliminate)
+    return rounds, dense
+
+
+def _sparse_random(rng, p):
+    """Up to 60x60 with at most 5% of its cells nonzero, values that may
+    vanish mod p, and some rows repeated, so that rows share leading
+    columns and complements keep rows that vanish or share leads again."""
+    values = (1, -1, 2, 3, p - 1, p, -p, 2 * p, p + 1, 2**70 + 1)
+    while True:
+        rows, cols = rng.integers(1, 61, size=2)
+        matrix = np.zeros((rows, cols), dtype=object)
+        count = rng.integers(1, rows * cols // 20 + 2)
+        # rows and columns drawn towards the first: long rows, and many
+        # rows that share a leading column
+        at = [(n * rng.random(count) ** 2).astype(int) for n in (rows, cols)]
+        matrix[tuple(at)] = [values[i] for i in rng.integers(len(values), size=count)]
+        repeats = rng.integers(rows, size=rng.integers(rows // 4 + 1))
+        matrix[rng.integers(rows, size=len(repeats))] = matrix[repeats]
+        if 20 * np.count_nonzero(matrix) <= matrix.size:
+            return matrix
+
+
+def test_rounds_keep_the_profile_and_the_kernel_on_sparse_matrices(monkeypatch):
+    rounds, dense = _spy_rounds(monkeypatch)
+    taken = Counter()
+    for p in STAGE_PRIMES:
+        rng = np.random.default_rng(p)
+        for _ in range(60):
+            matrix = _sparse_random(rng, p)
+            rounds.clear(), dense.clear()
+            _assert_profile_and_kernel(matrix, p)  # two eliminations
+            taken[sum(1 for n in rounds if n) // 2, dense[0][0] > 0] += 1
+    # rounds that find a pivot, and whether the dense engine still sees
+    # rows: most remainders are empty, some follow two rounds
+    several = sum(n for (found, _), n in taken.items() if found >= 2)
+    assert several >= 60 and taken[3, False] and taken[2, True]
+
+
+@pytest.mark.parametrize("p", STAGE_PRIMES)
+def test_rounds_stop_without_a_pivot_and_past_an_empty_complement(p, monkeypatch):
+    rounds, dense = _spy_rounds(monkeypatch)
+    # every entry vanishes mod p: the one round finds no pivot, and the
+    # dense engine sees the whole matrix
+    _assert_profile_and_kernel(np.array([[p, 0, -p], [0, 2 * p, 0]], dtype=object), p)
+    assert rounds == [0, 0] and dense == [(2, 3), (2, 3)]
+    rounds.clear(), dense.clear()
+    # the second row repeats the first: its 1x1 complement is all zero, so
+    # its row is dropped and the next round, on no rows, finds no pivot
+    _assert_profile_and_kernel(np.array([[1, 1], [1, 1]], dtype=object), p)
+    assert rounds == [1, 0] * 2 and dense == [(0, 1)] * 2
+    # e0 + e1, e0 + e2, e0 + e3 beside 100 zero columns, so that every
+    # complement stays sparse: one pivot a round, the third leaves no rows
+    chain = np.zeros((3, 104), dtype=object)
+    chain[:, 0] = chain[[0, 1, 2], [1, 2, 3]] = 1
+    rounds.clear(), dense.clear()
+    _assert_profile_and_kernel(chain, p)
+    assert rounds == [1, 1, 1, 0] * 2 and dense == [(0, 101)] * 2
+
+
 @pytest.fixture(scope="module")
 def sextic_blocks():
     return assemble_phi(get_fixture("sextic-285-nodes").build(), 3)
 
 
-def test_sextic_full_hands_only_its_schur_complement_to_the_dense_engine(
+def _certified_rank(matrix, p):
+    """Rank mod p of a corpus block from a certified elimination, whose
+    kernel, extended back through every round, must be annihilated."""
+    profile, kernel = ranks._echelon(matrix, p, True)
+    pivots, free = ranks._split_columns(profile, matrix.cols)
+    basis = np.zeros((matrix.cols, len(free)))
+    basis[pivots], basis[free, np.arange(len(free))] = kernel, 1
+    residues = np.zeros((matrix.rows, matrix.cols))
+    residues[matrix.r, matrix.c] = matrix.v % p
+    assert not (residues @ basis % p).any()  # every sum stays below 2**53
+    return len(profile)
+
+
+def test_sextic_full_repeats_rounds_while_its_schur_complement_stays_sparse(
     sextic_blocks, monkeypatch
 ):
-    # 923 structural pivots of 2160: the dense engine sees (2550 - 923) x (2710 - 923)
-    shapes = []
-    real = ranks._eliminate
+    # 923 structural pivots leave a 1627x1787 complement 1.2% nonzero, and
+    # every later complement is at most 5.2% nonzero: the rounds find all
+    # 2160 pivots, the tenth leaves 9 rows zero, and the eleventh none
+    rounds, dense = _spy_rounds(monkeypatch)
+    assert _certified_rank(sextic_blocks.full, DEFAULT_PRIMES[0]) == 2160
+    assert rounds == [923, 719, 313, 110, 43, 26, 15, 7, 3, 1, 0]
+    assert dense == [(0, 550)]
 
-    def spy(dense, *rest):
-        shapes.append(dense.shape)
-        return real(dense, *rest)
 
-    monkeypatch.setattr(ranks, "_eliminate", spy)
-    assert rank_mod_p(sextic_blocks.full, DEFAULT_PRIMES[0]) == 2160
-    assert shapes == [(1627, 1787)]
+@pytest.mark.parametrize(
+    "name, rank, expected_rounds, expected_dense",
+    [
+        # the rounds find every pivot; the sixth leaves its 20 rows zero
+        ("sextic-90-points", 2170, [1066, 699, 271, 80, 45, 9, 0], [(0, 540)]),
+        # complements 6.9% and then 12.3% nonzero: a second round, then dense
+        ("quintic-vgw-118a", 906, [565, 113], [(356, 449)]),
+        # complements 21.9% and 21% nonzero go straight to the dense engine
+        ("quintic-vanstraten-130", 896, [303], [(772, 824)]),
+        ("segre-cubic", 60, [25], [(50, 50)]),
+    ],
+)
+def test_corpus_rounds_stop_at_a_dense_or_empty_complement(
+    name, rank, expected_rounds, expected_dense, monkeypatch
+):
+    full = assemble_phi(get_fixture(name).build(), 3).full
+    rounds, dense = _spy_rounds(monkeypatch)
+    assert _certified_rank(full, DEFAULT_PRIMES[0]) == rank
+    assert (rounds, dense) == (expected_rounds, expected_dense)
 
 
 def test_certified_kernel_back_solves_only_the_schur_complement(monkeypatch):
@@ -276,8 +389,11 @@ def test_certified_kernel_back_solves_only_the_schur_complement(monkeypatch):
 
 
 def test_uncertified_sextic_prime_stays_below_one_dense_copy(sextic_blocks):
+    # the first round's 1627x1787 complement (23.3 MB as float64) is the
+    # largest dense array; each round releases its complement before the
+    # next round forms its own
     full = sextic_blocks.full
-    copy = full.rows * full.cols * 8  # 55.3 MB as float64
+    first = 1627 * 1787 * 8
     tracemalloc.start()
     try:
         report = rank_multimodular(
@@ -287,7 +403,7 @@ def test_uncertified_sextic_prime_stays_below_one_dense_copy(sextic_blocks):
     finally:
         tracemalloc.stop()
     assert report.per_prime == ((DEFAULT_PRIMES[0], 2160),) and not report.certified
-    assert peak < copy
+    assert peak < 1.3 * first
 
 
 def test_wide_identity_with_zero_columns():
