@@ -15,6 +15,7 @@ of the monomial; columns by target monomials in rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -31,8 +32,10 @@ class SparseIntMatrix:
     `r` and `c` are int64 arrays of row and column indices, sorted by
     (row, column) without repeats; `v` holds the nonzero values as Python
     ints, so coefficient size is unlimited.  Built from row, column and
-    value sequences of one length; the shape, range, nonzero values and
-    strict order are checked.
+    value sequences of one length; the shape, range, strict order and
+    values are checked, and each value is taken through operator.index,
+    so an integer of any type is stored as a Python int and anything else
+    is refused.
     """
 
     __slots__ = ("rows", "cols", "r", "c", "v")
@@ -51,9 +54,18 @@ class SparseIntMatrix:
         if outside.size:
             i = outside[0]
             raise ValueError(f"entry ({r[i]}, {c[i]}) outside {rows}x{cols}")
-        if not all(v):
-            i = v.tolist().index(0)
+        try:
+            values = list(map(index, v.tolist()))
+        except TypeError:
+            for i, x in enumerate(v.tolist()):
+                try:
+                    index(x)
+                except TypeError:
+                    raise ValueError(f"value {x!r} at ({r[i]}, {c[i]}) is not an integer") from None
+        if not all(values):
+            i = values.index(0)
             raise ValueError(f"stored zero at ({r[i]}, {c[i]})")
+        v[:] = values
         step, shift = np.diff(r), np.diff(c)
         unsorted = np.flatnonzero((step < 0) | ((step == 0) & (shift <= 0)))
         if unsorted.size:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import add
+from operator import add, index
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
 DEFAULT_VARIABLES = ("x", "y", "z", "u", "v")
@@ -107,17 +107,24 @@ class Polynomial:
             raise PolynomialError(f"variable names must be identifiers other than subst: {names}")
         self.variables = names
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _merge({}, ((self._checked(exponents), c) for exponents, c in items))
+        self._terms = _merge({}, (self._checked(exponents, c) for exponents, c in items))
 
-    def _checked(self, exponents: Iterable[int]) -> tuple[int, ...]:
+    def _checked(self, exponents: Iterable[int], coefficient: int) -> tuple[tuple[int, ...], int]:
+        """One term, its exponents and coefficient taken through operator.index."""
         key = tuple(exponents)
+        try:
+            key, coefficient = tuple(map(index, key)), index(coefficient)
+        except TypeError:
+            raise PolynomialError(
+                f"term {key}: {coefficient!r} has an exponent or coefficient that is not an integer"
+            ) from None
         if len(key) != len(self.variables):
             raise PolynomialError(
                 f"exponent vector {key} has length {len(key)}, expected {len(self.variables)}"
             )
         if any(a < 0 for a in key):
             raise PolynomialError(f"negative exponent in {key}")
-        return key
+        return key, coefficient
 
     # -- constructors ------------------------------------------------------
 

@@ -83,7 +83,11 @@ every leading column block at once.
 * `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
   boundaries that perfbench/tracing.py wraps by name.
 
-Every function takes a `SparseIntMatrix`.
+Every function takes a `SparseIntMatrix`.  Inside the sparse stage every
+sparse matrix (the residues, each round's entries around its pivots, W
+and the complement handed to the next round) is held one way, as
+(row, column, value) arrays in row order with columns increasing within
+a row; only `_subtract_sparse_product` indexes one by rows.
 
 A "bad" prime can only lower a rank, never raise it, so disagreement
 between primes is reported rather than fatal.
@@ -94,6 +98,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt, prod
+from operator import index
 
 import numpy as np
 
@@ -166,7 +171,10 @@ class RankConfig:
     dense_threshold: int = 100
 
     def __post_init__(self):
-        primes = tuple(self.primes)
+        try:
+            primes = tuple(map(index, self.primes))
+        except TypeError:
+            raise ValueError(f"primes must be integers: {self.primes!r}") from None
         object.__setattr__(self, "primes", primes)
         if not primes:
             raise ValueError("need at least one prime")
@@ -259,7 +267,7 @@ def _reduce(x: np.ndarray, p: int) -> None:
 
 
 def _residues(matrix: SparseIntMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value arrays of the entries that are nonzero mod p, values in [1, p)."""
+    """The entries that are nonzero mod p, values in [1, p), as int64 arrays."""
     try:
         values = matrix.v.astype(np.int64) % p
     except OverflowError:
@@ -288,16 +296,18 @@ def _subtract_sparse_product(
 ) -> None:
     """target[rows[e]] -= values[e] * R[inner[e]] for every entry e, in place.
 
-    R is given by its rows, `right` = (start, count, columns, values): row
-    j holds values[start[j]:start[j] + count[j]] at those columns.  The
-    entries of one target row must be consecutive.  Entries and R hold
-    residues in [0, p), so a cell takes at most one product of at most
-    (p-1)**2 per entry of its row; `target` is reduced after each `step`
-    of them, so with entries in [0, p) it stays within the bound
+    R, like the entries, is given as (row, column, value) arrays in row
+    order; the entries of one target row must be consecutive.  Entries
+    and R hold residues in [0, p), so a cell takes at most one product of
+    at most (p-1)**2 per entry of its row; `target` is reduced after each
+    `step` of them, so with entries in [0, p) it stays within the bound
     step*(p-1)**2 + p.
     """
+    # R by rows: row j holds its values at start[j]:start[j] + count[j]
+    count = np.bincount(right[0], minlength=int(inner.max(initial=-1)) + 1)
+    by_rows = (np.cumsum(count) - count, count, *right[1:])
     if len(rows) <= step:
-        _subtract_products(target, rows, inner, values, right)
+        _subtract_products(target, rows, inner, values, by_rows)
         return
     heads, lengths = _runs(rows)
     slots = np.arange(len(rows)) - heads.repeat(lengths)
@@ -306,7 +316,7 @@ def _subtract_sparse_product(
         if g:
             _reduce_rows(target, p)
         group = np.flatnonzero(slots == g)
-        _subtract_products(target, rows[group], inner[group], values[group], right)
+        _subtract_products(target, rows[group], inner[group], values[group], by_rows)
 
 
 def _subtract_products(
@@ -314,13 +324,14 @@ def _subtract_products(
     rows: np.ndarray,
     inner: np.ndarray,
     values: np.ndarray,
-    right: tuple[np.ndarray, ...],
+    by_rows: tuple[np.ndarray, ...],
 ) -> None:
     """The products of `_subtract_sparse_product`, unreduced, formed in
-    chunks of about _SPARSE_CHUNK."""
+    chunks of about _SPARSE_CHUNK; R is given `by_rows`, (start, count,
+    columns, values)."""
     if not len(rows):
         return
-    start, count, columns, right_values = right
+    start, count, columns, right_values = by_rows
     flat = target.reshape(-1)
     sizes = count[inner]
     ends = sizes.cumsum()
@@ -502,12 +513,13 @@ class _Split:
 
     Pivot row i leads in column pivots[i], scaled mod p to lead with 1.
     Rows are numbered level by level (see `_levels`): level k holds rows
-    bounds[k] to bounds[k + 1] - 1, and the other rows come last, from
-    bounds[-2] = len(pivots).  The other columns are `rest`, in increasing
-    order; they are the columns of the round's Schur complement, so a
-    later round's columns are mapped back through every earlier `rest`.
-    Entries are (row, column, value) arrays in row order: `left` those on
-    pivot columns off the diagonal (U11 and X1), columns numbered as the
+    bounds[k] to bounds[k + 1] - 1, and the other rows that hold an entry
+    come last, from bounds[-2] = len(pivots) to bounds[-1]; rows without
+    one are dropped.  The other columns are `rest`, in increasing order;
+    they are the columns of the round's Schur complement, so a later
+    round's columns are mapped back through every earlier `rest`.
+    Entries are held as everywhere in this module: `left` those on pivot
+    columns off the diagonal (U11 and X1), columns numbered as the
     pivots, and `right` those on the rest (U12 and X2), numbered within
     `rest`.
     """
@@ -524,13 +536,14 @@ def _split(
 ) -> _Split:
     """The structural pivots of a rows x cols matrix mod p, and its entries around them.
 
-    The entries are int64 arrays in row order, columns increasing within
-    a row, values in [1, p), as `_residues` gives them.  A row's leading
-    column is its first entry; of the rows that lead in one column the
-    one with the fewest entries, the first of those, is the pivot row,
-    which keeps the fill of U11^-1 U12 low.  Values are in [0, p), as
-    `dtype`.
+    The entries hold values in [1, p), as `_residues` or `_entries` of a
+    complement gives them.  A row's leading column is its first entry; of
+    the rows that lead in one column the one with the fewest entries, the
+    first of those, is the pivot row, which keeps the fill of U11^-1 U12
+    low.  A row without an entry is dropped, so the Schur complement
+    holds only rows that had one.  Values are in [0, p), as `dtype`.
     """
+    v = v.astype(np.int64, copy=False)  # products of residues stay below 2**62
     first, lengths = _runs(r)
     order = np.lexsort((lengths, c[first]))
     chosen = first[order[_runs(c[first[order]])[0]]]
@@ -545,14 +558,13 @@ def _split(
     upper = (part == 0) & (head_of[r] >= 0)
     level = _levels(n, head_of[r[upper]], pivot_of[c[upper]])
     by_level = np.argsort(level, kind="stable")
-    tails, rest = np.flatnonzero(head_of < 0), np.flatnonzero(pivot_of < 0)
+    tails, rest = r[first[head_of[r[first]] < 0]], np.flatnonzero(pivot_of < 0)
     bounds = np.searchsorted(level[by_level], np.arange(level.max(initial=0) + 2))
     row_at = np.empty(rows, dtype=np.int64)
     row_at[r[chosen[by_level]]], row_at[tails] = np.arange(n), n + np.arange(len(tails))
     col_at = np.empty(cols, dtype=np.int64)
     col_at[c[chosen[by_level]]], col_at[rest] = np.arange(n), np.arange(len(rest))
-    # scale each pivot row to lead with 1, the other rows (-1) by the
-    # appended 1; products of residues stay below 2**62
+    # scale each pivot row to lead with 1, the other rows (-1) by the appended 1
     inverses = [pow(x, -1, p) for x in v[chosen].tolist()]
     v = v * np.array(inverses + [1], dtype=np.int64)[head_of[r]] % p
     order = np.lexsort((row_at[r], part))
@@ -576,7 +588,7 @@ def _levels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _entries(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value arrays of the nonzeros of `dense`, in row order.
+    """The nonzeros of `dense`.
 
     One scan of the flattened array: np.nonzero of a 2-d array takes
     several times as long (21 against 4 ms on a 1627x1787 complement,
@@ -586,14 +598,6 @@ def _entries(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return *np.divmod(flat, dense.shape[1]), dense.reshape(-1)[flat]
 
 
-def _sparse_rows(dense: np.ndarray, offset: int = 0) -> tuple[np.ndarray, ...]:
-    """(start, count, columns, values) of the nonzeros of `dense` by rows,
-    the rows' starts counted from `offset`."""
-    at, columns, values = _entries(dense)
-    count = np.bincount(at, minlength=dense.shape[0])
-    return offset + np.cumsum(count) - count, count, columns, values
-
-
 def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, tuple]:
     """X2 - X1 @ W mod p as a dense `dtype` array in [0, p), and W = U11^-1 U12.
 
@@ -601,16 +605,14 @@ def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, t
     entries right of its diagonal, all in rows of lower levels, so one
     pass over the row ranges of `split.bounds` forms W level by level and,
     as its last range, the Schur complement.  Rows of level 0 are U12's
-    own; each later range is formed dense and reduced.  W is returned by
-    rows, (start, count, columns, values), its entries in row order.
+    own; each later range is formed dense and reduced, and its nonzeros,
+    shifted to the range's rows, are appended to W.
     """
-    n, width = len(split.pivots), len(split.rest)
+    width = len(split.rest)
     bounds = split.bounds.tolist()
     right_at = np.searchsorted(split.right[0], bounds)
     left_at = np.searchsorted(split.left[0], bounds)
-    rows, columns, values = (x[: right_at[1]] for x in split.right)
-    count = np.bincount(rows, minlength=n)
-    w = (np.cumsum(count) - count, count, columns, values)
+    w = tuple(x[: right_at[1]] for x in split.right)
     for k in range(1, len(bounds) - 1):
         lo, hi = bounds[k], bounds[k + 1]
         block = np.zeros((hi - lo, width), dtype=dtype)
@@ -620,10 +622,8 @@ def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, t
         _subtract_sparse_product(block, i - lo, j, v, w, p, step)
         _reduce_rows(block, p)
         if k < len(bounds) - 2:
-            start, count, columns, values = w
-            found = _sparse_rows(block, len(columns))
-            start[lo:hi], count[lo:hi] = found[:2]
-            w = start, count, np.concatenate([columns, found[2]]), np.concatenate([values, found[3]])
+            i, j, v = _entries(block)
+            w = tuple(map(np.concatenate, zip(w, (i + lo, j, v))))
     return block, w
 
 
@@ -635,7 +635,7 @@ def _echelon(
     The structural pivots are eliminated sparsely in rounds (see `_split`
     and `_schur`).  While a round finds a pivot and leaves a Schur
     complement with at most _SPARSE_FILL of its cells nonzero, the
-    complement's nonzero rows are the next round's matrix; the first
+    complement's entries are the next round's matrix; the first
     complement that is denser, or that a round leaves without a pivot,
     is eliminated dense by `_eliminate`.  The profile is every round's
     pivots together with that remainder's profile, each mapped back to
@@ -663,11 +663,8 @@ def _echelon(
         # counting a mask takes half the time of counting the float64 cells
         if not len(found[-1]) or np.count_nonzero(schur != 0) > _SPARSE_FILL * schur.size:
             break
-        at, c, v = _entries(schur)
+        entries = _entries(schur)
         del schur  # released before the next round allocates its complement
-        lengths = _runs(at)[1]
-        rows = len(lengths)  # the zero rows are dropped
-        entries = np.repeat(np.arange(rows), lengths), c, v.astype(np.int64)
     inner = _eliminate(schur, p, width, delay)
     found.append(columns[inner])
     profile = np.sort(np.concatenate(found))
@@ -680,8 +677,7 @@ def _echelon(
     del schur
     for pivots, rest, w in reversed(rounds):
         x_s = np.zeros((len(pivots), len(free)), dtype=dtype)
-        w_rows = np.repeat(np.arange(len(pivots)), w[1])
-        _subtract_sparse_product(x_s, w_rows, *w[2:], _sparse_rows(x), p, step)
+        _subtract_sparse_product(x_s, *w, _entries(x), p, step)
         _reduce_rows(x_s, p)
         x_all = np.empty((len(pivots) + len(rest), len(free)), dtype=dtype)
         x_all[pivots], x_all[rest] = x_s, x

@@ -21,6 +21,7 @@ from hyperdefect.koszul import (
 )
 from hyperdefect.monomials import dim_graded
 from hyperdefect.polynomials import HomogeneousForm, Polynomial, parse_expression
+from hyperdefect.ranks import RankConfig, rank_multimodular
 
 
 def form_of(text, variables=("x", "y", "z", "u", "v")):
@@ -245,3 +246,13 @@ def test_sparse_matrix_validation():
         matrix.rows = 3
     with pytest.raises(ValueError):
         matrix.r[0] = 1  # the arrays are read-only
+    # a value that is not an integer is refused, not truncated to a rank
+    for value in (0.5, 1.0, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match=r"at \(0, 0\) is not an integer"):
+            SparseIntMatrix(1, 1, [0], [0], [value])
+    # numpy integers are stored as Python ints, so exact sums cannot overflow
+    a, b = np.int64(2**40 + 1), np.int64(2**40 + 3)
+    matrix = SparseIntMatrix(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [a, b, 2 * a, 2 * b])
+    assert all(type(x) is int for x in matrix.v)
+    report = rank_multimodular(matrix, RankConfig(exact=True))
+    assert report.certified and report.exact_rank == 1

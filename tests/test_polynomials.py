@@ -1,6 +1,7 @@
 import io
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -515,6 +516,14 @@ def test_constructor_validates():
         Polynomial(("x", "x"), [])
     with pytest.raises(PolynomialError):
         Polynomial(("x",), [])
+    # exponents and coefficients are integers, of any integer type
+    cube = (0, 0, 0, 0, 3)
+    for terms in ({cube: 0.5}, {cube: 1.0}, {(0, 0, 0, 0, 3.0): 1}, {(0, 0, 0, 0, "3"): 1}):
+        with pytest.raises(PolynomialError, match="that is not an integer"):
+            Polynomial(DEFAULT_VARIABLES, terms)
+    poly = Polynomial(DEFAULT_VARIABLES, {(0, 0, 0, 0, np.int64(3)): np.int64(2)})
+    assert poly == parse_expression("2*v^3")
+    assert all(type(x) is int for key, c in poly.items() for x in (*key, c))
     # a name is an ASCII identifier, as the expression scanner reads one, other than subst
     for names in (("x", "y", "z", ""), ("x", "1"), ("x", "subst"), ("x", "y z"), ("x", "\u00e9")):
         with pytest.raises(PolynomialError, match="identifiers other than subst"):

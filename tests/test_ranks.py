@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import from_entries, rational_rank, rowreduce_rank, sparse_from_dense
@@ -214,6 +214,7 @@ stage_cases = st.sampled_from(STAGE_PRIMES).flatmap(
 
 
 @given(stage_cases)
+@example((3, np.array([[3, 0, 6], [0, 1, 2], [0, 0, 0], [1, 0, 1]], dtype=object)))
 @settings(max_examples=150, deadline=None)
 def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     p, matrix = case
@@ -224,6 +225,8 @@ def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     rows, reached, _ = split.left
     level = np.searchsorted(split.bounds, rows, "right") - 1
     assert (reached < split.bounds[level]).all()
+    # a row with no entry nonzero mod p is dropped
+    assert split.bounds[-1] == np.count_nonzero((matrix % p != 0).any(axis=1))
 
 
 @pytest.mark.parametrize("p", [WIDE_PRIME, BIG_PRIME])
@@ -302,10 +305,10 @@ def test_rounds_keep_the_profile_and_the_kernel_on_sparse_matrices(monkeypatch):
 @pytest.mark.parametrize("p", STAGE_PRIMES)
 def test_rounds_stop_without_a_pivot_and_past_an_empty_complement(p, monkeypatch):
     rounds, dense = _spy_rounds(monkeypatch)
-    # every entry vanishes mod p: the one round finds no pivot, and the
-    # dense engine sees the whole matrix
+    # every entry vanishes mod p: the one round finds no pivot and drops
+    # both rows, which hold no entry, so the dense engine sees no rows
     _assert_profile_and_kernel(np.array([[p, 0, -p], [0, 2 * p, 0]], dtype=object), p)
-    assert rounds == [0, 0] and dense == [(2, 3), (2, 3)]
+    assert rounds == [0, 0] and dense == [(0, 3), (0, 3)]
     rounds.clear(), dense.clear()
     # the second row repeats the first: its 1x1 complement is all zero, so
     # its row is dropped and the next round, on no rows, finds no pivot
@@ -637,6 +640,12 @@ def test_rank_config_validation():
         RankConfig(primes=(2**31 + 11,))
     with pytest.raises(ValueError):
         RankConfig(dense_threshold=-1)
+    for primes in ((32633.0,), (3, 5.0), ("7",)):
+        with pytest.raises(ValueError, match="primes must be integers"):
+            RankConfig(primes=primes)
+    # any integer type is taken, and stored as a Python int
+    config = RankConfig(primes=(np.int64(32633), np.int32(3)))
+    assert config.primes == (32633, 3) and all(type(p) is int for p in config.primes)
 
 
 def test_exact_budget():
