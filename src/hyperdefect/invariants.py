@@ -201,10 +201,10 @@ def e2_piece(
 ) -> E2Report:
     """Assemble the graded map at grading multiplier*d and count its E2 piece.
 
-    Requires at least 3 variables, multiplier >= 2 and a form of degree
-    at least 1.  `full` is eliminated once per prime; B's columns lead
-    it, so the same elimination gives the ranks of B and of `full`
-    together.  Raises RankBudgetError, before building anything, when
+    Requires at least 3 variables, an integer multiplier >= 2 and a form
+    of degree at least 1.  `full` is eliminated once per prime; B's
+    columns lead it, so the same elimination gives the ranks of B and of
+    `full` together.  Raises RankBudgetError, before building anything, when
     `full` would exceed MODULAR_CELL_BUDGET cells.  Rank-engine errors
     propagate, as does RankInvariantError when a per-prime rank breaks a
     bound; disagreement between primes is visible on the block reports.
@@ -212,11 +212,11 @@ def e2_piece(
     m = form.variable_count
     if m < 3:
         raise VariableCountError(f"need at least 3 variables, got {m}")
-    if multiplier < 2:
-        raise ValueError(f"multiplier must be >= 2, got {multiplier}")
+    degrees = PhiDegrees.of(m, form.degree, multiplier)
+    multiplier = degrees.multiplier
     if form.degree < 1:
         raise ValueError(f"a form of degree {form.degree} defines no hypersurface")
-    rows, cols = PhiDegrees.of(m, form.degree, multiplier).full_shape
+    rows, cols = degrees.full_shape
     if rows * cols > MODULAR_CELL_BUDGET:
         raise RankBudgetError(
             f"full block {rows}x{cols} exceeds the modular budget of {MODULAR_CELL_BUDGET} cells"

@@ -182,10 +182,18 @@ class PhiDegrees:
     @classmethod
     def of(cls, m: int, d: int, multiplier: int) -> PhiDegrees:
         """Source coefficient degrees (multiplier-2)*d - (m-1) and
-        (multiplier-1)*d - (m-1); targets are one wedge degree above each."""
-        low = (multiplier - 2) * d - (m - 1)
-        high = (multiplier - 1) * d - (m - 1)
-        return cls(m, d, multiplier, low, high, low + d - 1, high + d - 1)
+        (multiplier-1)*d - (m-1); targets are one wedge degree above each.
+        The multiplier is taken through operator.index; anything other
+        than an integer of at least 2 raises ValueError."""
+        try:
+            k = index(multiplier)
+        except TypeError:
+            k = None
+        if k is None or k < 2:
+            raise ValueError(f"multiplier must be an integer >= 2, got {multiplier!r}")
+        low = (k - 2) * d - (m - 1)
+        high = (k - 1) * d - (m - 1)
+        return cls(m, d, k, low, high, low + d - 1, high + d - 1)
 
     @property
     def full_shape(self) -> tuple[int, int]:
@@ -241,8 +249,6 @@ def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     Degrees as in `PhiDegrees.of`.  Empty blocks are allowed (small d or
     multiplier = 2).
     """
-    if multiplier < 2:
-        raise ValueError(f"multiplier must be >= 2, got {multiplier}")
     m = form.variable_count
     degrees = PhiDegrees.of(m, form.degree, multiplier)
     wedge_low = build_wedge_block(form, degrees.source_low)

@@ -3,9 +3,9 @@
 Polynomials are sparse maps from exponent tuples to nonzero arbitrary
 precision integers, immutable after construction.  Two text formats are
 supported: a small expression language (sums/products/powers/parentheses
-plus a simultaneous `subst`), and a whitespace-tolerant integer term
-stream terminated by '/' (one coefficient and one exponent per variable
-per term).
+plus a `subst` that expands its target once, under the new values), and a
+whitespace-tolerant integer term stream terminated by '/' (one coefficient
+and one exponent per variable per term).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, index
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from operator import add, index, itemgetter, mul, sub
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 DEFAULT_VARIABLES = ("x", "y", "z", "u", "v")
 # a variable name, as the expression scanner reads one
@@ -248,42 +248,6 @@ class Polynomial:
 
     __hash__ = None  # type: ignore[assignment]
 
-    # -- substitution --------------------------------------------------------
-
-    def substitute(self, replacements: Mapping[str, "Polynomial | int"]) -> "Polynomial":
-        """Simultaneously replace variables by polynomials.
-
-        Every substitution reads the original polynomial; variables not
-        listed map to themselves.
-        """
-        images: list[Polynomial] = []
-        for name in self.variables:
-            image = replacements.get(name)
-            if image is None:
-                image = Polynomial.variable(self.variables, name)
-            elif isinstance(image, int):
-                image = Polynomial.constant(self.variables, image)
-            else:
-                self._require_same_ring(image)
-            images.append(image)
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, n: int) -> Polynomial:
-            cached = power_cache.get((i, n))
-            if cached is None:
-                cached = images[i] ** n
-                power_cache[(i, n)] = cached
-            return cached
-
-        result = Polynomial.zero(self.variables)
-        for key, value in self._terms.items():
-            term = Polynomial.constant(self.variables, value)
-            for i, a in enumerate(key):
-                if a:
-                    term = term * power(i, a)
-            result = result + term
-        return result
-
     # -- rendering -----------------------------------------------------------
 
     def _render_monomial(self, exponents: tuple[int, ...]) -> str:
@@ -374,9 +338,37 @@ class HomogeneousForm:
 
 # one token: a digit run, a name, or any single non-space symbol
 _EXPRESSION_TOKEN = re.compile(rf"[0-9]+|{_NAME.pattern}|\S", re.ASCII)
+# a parsed subexpression: its expansion under given variable bindings
+_Evaluate = Callable[[dict], Polynomial]
+
+
+def _literal(value) -> _Evaluate:
+    return lambda bindings: value
+
+
+def _fold(first: _Evaluate, steps: list[tuple[Callable, _Evaluate]]) -> _Evaluate:
+    """`first`, then each (operator, operand) step applied in turn."""
+    if not steps:
+        return first
+
+    def evaluate(bindings: dict) -> Polynomial:
+        result = first(bindings)
+        for operator, operand in steps:
+            result = operator(result, operand(bindings))
+        return result
+
+    return evaluate
 
 
 class _ExpressionParser:
+    """Recursive descent that reads the whole text before any arithmetic.
+
+    Each rule returns its subexpression as a function of the bindings, a
+    dict from each variable name to the polynomial it stands for.  `parse`
+    calls the result once, every variable bound to itself, so each
+    subexpression, a `subst` target included, is expanded exactly once.
+    """
+
     def __init__(self, text: str, variables: tuple[str, ...]):
         # (token, start) pairs, closed by an empty end token at len(text)
         self.tokens = [(m.group(), m.start()) for m in _EXPRESSION_TOKEN.finditer(text)]
@@ -414,32 +406,32 @@ class _ExpressionParser:
         self.depth -= 1
 
     def parse(self) -> Polynomial:
-        result = self.expression()
+        evaluate = self.expression()
         if self.peek():
             self.fail(f"unexpected input {self.peek()!r}")
-        return result
+        names = self.variables
+        return evaluate({name: Polynomial.variable(names, name) for name in names})
 
-    def expression(self) -> Polynomial:
+    def expression(self) -> _Evaluate:
         negate = self.accept("-")
-        result = self.term()
+        first = self.term()
         if negate:
-            result = -result
-        while True:
-            if self.accept("+"):
-                result = result + self.term()
-            elif self.accept("-"):
-                result = result - self.term()
-            else:
-                return result
+            first = _fold(_literal(Polynomial.zero(self.variables)), [(sub, first)])
+        steps = []
+        while operator := (add if self.accept("+") else sub if self.accept("-") else None):
+            steps.append((operator, self.term()))
+        return _fold(first, steps)
 
-    def term(self) -> Polynomial:
-        result = self.factor()
+    def term(self) -> _Evaluate:
+        first = self.factor()
+        steps = []
         while self.accept("*"):
-            result = result * self.factor()
-        return result
+            steps.append((mul, self.factor()))
+        return _fold(first, steps)
 
-    def factor(self) -> Polynomial:
-        result = self.atom()
+    def factor(self) -> _Evaluate:
+        base = self.atom()
+        steps = []
         while self.accept("^"):
             token = self.peek()
             if not token.isdigit():
@@ -450,10 +442,10 @@ class _ExpressionParser:
             if n > MAX_EXPONENT:
                 self.fail(f"exponent overflow: {n} > {MAX_EXPONENT}")
             self.index += 1
-            result = result**n
-        return result
+            steps.append((pow, _literal(n)))
+        return _fold(base, steps)
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> _Evaluate:
         token = self.peek()
         if token == "(":
             self.open()
@@ -462,7 +454,7 @@ class _ExpressionParser:
             return inner
         if token.isdigit():
             self.index += 1
-            return Polynomial.constant(self.variables, int(token))
+            return _literal(Polynomial.constant(self.variables, int(token)))
         if token == "subst":
             self.index += 1
             return self.subst_call()
@@ -470,13 +462,15 @@ class _ExpressionParser:
             if token not in self.variables:
                 self.fail(f"unknown variable {token!r}")
             self.index += 1
-            return Polynomial.variable(self.variables, token)
+            return itemgetter(token)
         self.fail("expected a number, variable, or '('" if token else "unexpected end of input")
 
-    def subst_call(self) -> Polynomial:
+    def subst_call(self) -> _Evaluate:
+        """The target under each named variable bound to its value; the
+        values read the enclosing bindings, so all are replaced at once."""
         self.open()
         target = self.expression()
-        replacements: dict[str, Polynomial] = {}
+        replacements: dict[str, _Evaluate] = {}
         while self.accept(","):
             name = self.peek()
             if not name.isidentifier():
@@ -491,7 +485,9 @@ class _ExpressionParser:
         if not replacements:
             self.fail("subst needs at least one variable/value pair")
         self.close()
-        return target.substitute(replacements)
+        return lambda bindings: target(
+            {**bindings, **{name: value(bindings) for name, value in replacements.items()}}
+        )
 
 
 def parse_expression(text: str, variables: Iterable[str] = DEFAULT_VARIABLES) -> Polynomial:
@@ -500,7 +496,10 @@ def parse_expression(text: str, variables: Iterable[str] = DEFAULT_VARIABLES) ->
     The grammar supports integer literals, variables, +, -, *, ^ with a
     positive integer exponent, parentheses, a leading unary minus, and
     subst(expr, var, expr, ...) performing simultaneous substitution.
-    All arithmetic is exact over the integers.
+    All arithmetic is exact over the integers.  The budgets bound the
+    arithmetic of the expansion, so a `subst` is refused exactly when the
+    expression with its values written in is; a syntax error anywhere in
+    the text is reported first.
     """
     if not text.isascii():
         raise ExpressionError("expression must be ASCII", 0)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from typing import Mapping
 
 import numpy as np
 
 from hyperdefect.koszul import SparseIntMatrix
 from hyperdefect.monomials import dim_graded
-from hyperdefect.polynomials import Polynomial
+from hyperdefect.polynomials import DEFAULT_VARIABLES, Polynomial
 
 
 def graded_monomials(m: int, e: int):
@@ -36,6 +38,50 @@ def partial(poly: Polynomial, j: int) -> Polynomial:
         if key[j]
     ]
     return Polynomial(poly.variables, lowered)
+
+
+def compose(target: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynomial:
+    """Simultaneous substitution into an expanded polynomial, term by term:
+    each variable's powers are formed once from its replacement (itself
+    when unlisted), and every term reads the original target."""
+    images = [replacements.get(name, Polynomial.variable(target.variables, name))
+              for name in target.variables]
+    powers: dict[tuple[int, int], Polynomial] = {}
+    result = Polynomial.zero(target.variables)
+    for key, value in target.items():
+        term = Polynomial.constant(target.variables, value)
+        for i, a in enumerate(key):
+            if a:
+                if (i, a) not in powers:
+                    powers[i, a] = images[i] ** a
+                term = term * powers[i, a]
+        result = result + term
+    return result
+
+
+def unimodular_rows(rng: random.Random, n: int) -> list[list[int]]:
+    """The rows of L*U in a shuffled order, L and U unitriangular with
+    entries in {-1, 0, 1}: an integer matrix of determinant +-1."""
+
+    def unitriangular(below: bool) -> list[list[int]]:
+        return [
+            [1 if i == j else rng.choice((-1, 0, 1)) if (j < i) == below else 0 for j in range(n)]
+            for i in range(n)
+        ]
+
+    lower, upper = unitriangular(True), unitriangular(False)
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)] for row in lower]
+    rng.shuffle(rows)
+    return rows
+
+
+def coordinate_change(base: str, rows, variables=DEFAULT_VARIABLES) -> str:
+    """`subst(base, x, L1, y, L2, ...)`, L_i the linear form of row i."""
+    forms = (
+        "".join(f"{c:+d}*{name}" for c, name in zip(row, variables) if c).lstrip("+")
+        for row in rows
+    )
+    return f"subst({base},{','.join(f'{name},{form}' for name, form in zip(variables, forms))})"
 
 
 def monomial_index(exponents) -> int:

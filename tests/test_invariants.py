@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from helpers import bounded_compositions_count, euler_series_oracle, prim_series_oracle
@@ -255,6 +256,15 @@ def test_e2_piece_validates_arguments():
     form = get_fixture("segre-cubic").build()
     with pytest.raises(ValueError):
         e2_piece(form, 1)
+    # an integer of any integer type; True reads as 1, below 2
+    for multiplier in (3.0, 2.5, "3", True):
+        with pytest.raises(ValueError, match="multiplier must be an integer >= 2"):
+            e2_piece(form, multiplier)
+        with pytest.raises(ValueError, match="multiplier must be an integer >= 2"):
+            assemble_phi(form, multiplier)
+    report = e2_piece(form, np.int64(3))
+    assert type(report.multiplier) is int
+    assert report.as_dict() == e2_piece(form, 3).as_dict()
     two_vars = HomogeneousForm.from_polynomial(parse_expression("x^2+y^2", ("x", "y")))
     with pytest.raises(VariableCountError):
         e2_piece(two_vars, 3)

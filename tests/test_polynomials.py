@@ -1,12 +1,13 @@
 import io
 from math import comb
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import monomial_index, partial, power_sum_expansion
+from helpers import compose, monomial_index, partial, power_sum_expansion
 from hyperdefect import polynomials
 from hyperdefect.fixtures import FIXTURES
 from hyperdefect.polynomials import (
@@ -165,6 +166,9 @@ EXPRESSION_ERRORS = [
     ("", "unexpected end of input", 0),
     ("   ", "unexpected end of input", 3),
     ("x\u00b2", "expression must be ASCII", 0),
+    ("subst(x y, x, z)", "subst needs at least one variable/value pair", 8),
+    ("subst((x, x, y)", "expected ')'", 8),
+    ("subst(x+, x, y z)", "expected a number, variable, or '('", 8),
 ]
 
 
@@ -174,6 +178,107 @@ def test_expression_error_message_and_position(text, message, position):
         parse_expression(text)
     assert str(info.value) == f"{message} (at position {position})"
     assert info.value.position == position
+
+
+def test_a_subst_target_is_expanded_under_its_bindings():
+    # expanded in full, the target alone is over the term-pair budget
+    with pytest.raises(PolynomialError, match="product too large"):
+        parse_expression("(x+y+z+u+v)^24")
+    zero_bound = "subst((x+y+z+u+v)^24, x, 0, y, 0, z, 0, u, 0)"
+    assert parse_expression(zero_bound) == parse_expression("v^24")
+
+
+def test_a_subst_is_refused_like_its_values_written_in():
+    for text in ("subst((x+y)^1100, x, 2*z)", "(2*z+y)^1100"):
+        with pytest.raises(PolynomialError, match="coefficients up to 2\\^2200 exceed"):
+            parse_expression(text)
+    # the whole text is read before any of it is expanded
+    with pytest.raises(ExpressionError, match="unexpected end of input"):
+        parse_expression("(x+y+z+u+v)^60 +")
+
+
+# -- subst against the composition oracle --------------------------------------
+#
+# A generated expression is a (text, polynomial, degree bound) triple.  The
+# polynomial is built beside the text by plain arithmetic, and for a subst by
+# the `compose` oracle, never by the parser.  The bound is the degree of the
+# text with every subst written out; a node past MAX_DEGREE is dropped before
+# it is built, which keeps every expansion far inside both budgets.
+
+NAMES = ("x", "y", "z")
+MAX_DEGREE = 12
+OPERATORS = {"+": add, "-": sub, "*": mul}
+
+
+def _constant(c):
+    return (f"({c})" if c < 0 else str(c)), Polynomial.constant(NAMES, c), 0
+
+
+def _variable(name):
+    return name, Polynomial.variable(NAMES, name), 1
+
+
+def _binary(symbol, a, b):
+    degree = a[2] + b[2] if symbol == "*" else max(a[2], b[2])
+    if degree > MAX_DEGREE:
+        return None
+    return f"({a[0]}{symbol}{b[0]})", OPERATORS[symbol](a[1], b[1]), degree
+
+
+def _power(a, n):
+    if a[2] * n > MAX_DEGREE:
+        return None
+    return f"{a[0]}^{n}", a[1] ** n, a[2] * n
+
+
+def _subst(target, pairs):
+    degree = target[2] * max(1, *(value[2] for _, value in pairs))
+    if degree > MAX_DEGREE:
+        return None
+    text = "".join(f",{name},{value[0]}" for name, value in pairs)
+    expected = compose(target[1], {name: value[1] for name, value in pairs})
+    return f"subst({target[0]}{text})", expected, degree
+
+
+def _built(nodes):
+    return nodes.filter(lambda node: node is not None)
+
+
+def _pairs(values):
+    return st.lists(
+        st.tuples(st.sampled_from(NAMES), values), min_size=1, max_size=3, unique_by=lambda p: p[0]
+    )
+
+
+def _extend(children):
+    return _built(
+        st.one_of(
+            st.builds(_binary, st.sampled_from(sorted(OPERATORS)), children, children),
+            st.builds(_power, children, st.integers(min_value=1, max_value=3)),
+            st.builds(_subst, children, _pairs(children)),
+        )
+    )
+
+
+_leaves = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(_constant), st.sampled_from(NAMES).map(_variable)
+)
+_expressions = st.recursive(_leaves, _extend, max_leaves=6)
+X, Y, Z = map(_variable, NAMES)
+
+
+@given(_built(st.builds(_subst, _expressions, _pairs(_expressions))))
+@example(_subst(_binary("*", X, Y), [("x", _constant(0))]))
+@example(_subst(_binary("-", _power(X, 2), Z), [("x", _constant(2)), ("z", _constant(-3))]))
+@example(_subst(_binary("*", _power(X, 2), Y), [("x", Y), ("y", _binary("+", X, Z))]))
+@example(_subst(_subst(_binary("*", X, Y), [("x", _binary("+", Y, Z))]), [("y", Z)]))
+@example(_subst(_power(X, 3), [("x", _subst(_binary("+", Y, Z), [("z", X)]))]))
+@settings(max_examples=150, deadline=None)
+def test_subst_matches_the_composition_oracle(node):
+    # examples: a zero value, constant values, values naming replaced
+    # variables, a subst nested in the target and one nested in a value
+    text, expected, _ = node
+    assert parse_expression(text, NAMES) == expected
 
 
 # Texts over the expression alphabet.  Digits are 0 and 1 and texts are
