@@ -65,7 +65,8 @@ def _load_form(args) -> HomogeneousForm:
     return HomogeneousForm.from_polynomial(poly)
 
 
-def _print_rank_table(reports: dict) -> None:
+def _print_rank_details(reports: dict, warnings: tuple[str, ...]) -> None:
+    print("rank details:")
     for name, rep in reports.items():
         per_prime = "  ".join(f"{p}:{r}" for p, r in rep.per_prime)
         line = f"  {name:<11} {per_prime}  consensus={rep.consensus}"
@@ -74,6 +75,8 @@ def _print_rank_table(reports: dict) -> None:
         if rep.exact_rank is not None:
             line += f"  exact={rep.exact_rank}" + ("  certified" if rep.certified else "")
         print(line)
+    for warning in warnings:
+        print(f"warning: {warning}")
 
 
 def _print_e2(report: E2Report) -> None:
@@ -103,10 +106,7 @@ def _cmd_defect(args) -> int:
             _print_e2(report.e2)
             print(f"mu2:     {report.mu2}")
             print(f"defect:  {report.defect}")
-            print("rank details:")
-            _print_rank_table(report.rank_reports)
-            for warning in report.warnings:
-                print(f"warning: {warning}")
+            _print_rank_details(report.rank_reports, report.warnings)
             for note in report.hypothesis_notes:
                 print(f"note: {note}")
     else:
@@ -117,6 +117,7 @@ def _cmd_defect(args) -> int:
             print(json.dumps(payload, indent=2))
         else:
             _print_e2(report)
+            _print_rank_details(report.rank_reports, report.warnings)
     return EXIT_OK
 
 

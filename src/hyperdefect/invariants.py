@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
 
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
 from .polynomials import HomogeneousForm, VariableCountError
@@ -42,9 +43,14 @@ from .ranks import (
 HODGE_SERIES_BUDGET = 1 << 12
 
 
-def _check_fiber(n: int, d: int) -> None:
-    """Refuse n or d below 1 (ValueError) and a fiber whose Hodge series
+def _check_fiber(n: int, d: int) -> tuple[int, int]:
+    """n and d taken through operator.index.  Refuses anything other than
+    integers of at least 1 (ValueError) and a fiber whose Hodge series
     exceeds HODGE_SERIES_BUDGET (RankBudgetError), before any work."""
+    try:
+        n, d = index(n), index(d)
+    except TypeError:
+        raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}") from None
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     length = (n + 2) * (d - 1) + 1
@@ -53,6 +59,7 @@ def _check_fiber(n: int, d: int) -> None:
             f"hodge series for n={n}, d={d} ({length} coefficients, {n + 2} factors)"
             f" exceeds the budget of {HODGE_SERIES_BUDGET}"
         )
+    return n, d
 
 
 def smooth_euler(n: int, d: int) -> int:
@@ -62,7 +69,7 @@ def smooth_euler(n: int, d: int) -> int:
     n + 2 + ((1-d)^(n+2) - 1)/d; the division is exact since 1-d = 1 mod d.
     Raises RankBudgetError past HODGE_SERIES_BUDGET (see `_check_fiber`).
     """
-    _check_fiber(n, d)
+    n, d = _check_fiber(n, d)
     return n + 2 + ((1 - d) ** (n + 2) - 1) // d
 
 
@@ -86,7 +93,7 @@ def _series_coefficient(series: list[int], k: int) -> int:
 
 def _hodge_row(n: int, d: int) -> tuple[int, ...]:
     """`smooth_hodge_prim` for p = 0 .. n, read off one series."""
-    _check_fiber(n, d)
+    n, d = _check_fiber(n, d)
     series = _prim_series(n + 2, d)
     return tuple(_series_coefficient(series, (p + 1) * d) for p in range(n + 1))
 
@@ -99,8 +106,12 @@ def smooth_hodge_prim(n: int, d: int, p: int) -> int:
     palindromic, so p and n-p give the same value (Hodge symmetry).
     """
     row = _hodge_row(n, d)
-    if not 0 <= p <= n:
-        raise ValueError(f"Hodge index p={p} outside [0, {n}]")
+    try:
+        p = index(p)
+    except TypeError:
+        raise ValueError(f"Hodge index must be an integer, got p={p!r}") from None
+    if not 0 <= p < len(row):
+        raise ValueError(f"Hodge index p={p} outside [0, {len(row) - 1}]")
     return row[p]
 
 
@@ -115,6 +126,7 @@ class SmoothFiberInvariants:
 
     @classmethod
     def compute(cls, n: int, d: int) -> "SmoothFiberInvariants":
+        n, d = _check_fiber(n, d)
         return cls(
             n=n,
             d=d,
@@ -152,6 +164,15 @@ class E2Report:
     @property
     def prime_disagreement(self) -> bool:
         return not all(report.agreed for report in self.rank_reports.values())
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        if not self.prime_disagreement:
+            return ()
+        return (
+            "per-prime ranks disagree: some primes are bad for these blocks; "
+            "the reported value uses the consensus (maximum) ranks",
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -305,12 +326,6 @@ def defect(form: HomogeneousForm, config: RankConfig | None = None) -> DefectRep
         )
     report = e2_piece(form, 3, config)
     mu2 = report.wedge_low.cols - report.wedge_low.rank
-    warnings = ()
-    if report.prime_disagreement:
-        warnings = (
-            "per-prime ranks disagree: some primes are bad for these blocks; "
-            "the reported value uses the consensus (maximum) ranks",
-        )
     return DefectReport(
         variables=form.variables,
         degree=form.degree,
@@ -319,7 +334,7 @@ def defect(form: HomogeneousForm, config: RankConfig | None = None) -> DefectRep
         mu2=mu2,
         defect=report.e2_dim,
         hypothesis_notes=HYPOTHESIS_NOTES,
-        warnings=warnings,
+        warnings=report.warnings,
     )
 
 

@@ -183,8 +183,12 @@ class PhiDegrees:
     def of(cls, m: int, d: int, multiplier: int) -> PhiDegrees:
         """Source coefficient degrees (multiplier-2)*d - (m-1) and
         (multiplier-1)*d - (m-1); targets are one wedge degree above each.
-        The multiplier is taken through operator.index; anything other
-        than an integer of at least 2 raises ValueError."""
+        m, d and the multiplier are taken through operator.index; anything
+        other than integers, the multiplier at least 2, raises ValueError."""
+        try:
+            m, d = index(m), index(d)
+        except TypeError:
+            raise ValueError(f"m and d must be integers, got m={m!r}, d={d!r}") from None
         try:
             k = index(multiplier)
         except TypeError:
@@ -223,26 +227,6 @@ class PhiBlocks:
     degrees: PhiDegrees
 
 
-def _side_by_side(
-    left: SparseIntMatrix, right: SparseIntMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value arrays of [left, right], in order, unsorted.
-
-    An entry's position is the number of entries before it in its own
-    block plus those of the other block in earlier rows (for a `right`
-    entry: in its row too, since left's columns come first).
-    """
-    at_left = np.searchsorted(right.r, left.r) + np.arange(left.nnz)
-    at_right = np.searchsorted(left.r, right.r, side="right") + np.arange(right.nnz)
-    r = np.empty(left.nnz + right.nnz, dtype=np.int64)
-    c = np.empty_like(r)
-    v = np.empty(len(r), dtype=object)
-    r[at_left], r[at_right] = left.r, right.r
-    c[at_left], c[at_right] = left.c, right.c + left.cols
-    v[at_left], v[at_right] = left.v, right.v
-    return r, c, v
-
-
 def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     """Build the graded map at target grading multiplier*d.
 
@@ -256,12 +240,17 @@ def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     derivative = build_derivative_block(m, degrees.source_high)
     assert derivative.cols == wedge_low.cols
     assert derivative.rows == wedge_high.rows
-    lower = _side_by_side(wedge_high, derivative)
+    # [B, D] in row order: D's columns follow B's, so a stable sort by row
+    # keeps each row's columns increasing
+    r = np.concatenate((wedge_high.r, derivative.r))
+    c = np.concatenate((wedge_high.c, derivative.c + wedge_high.cols))
+    v = np.concatenate((wedge_high.v, derivative.v))
+    order = np.argsort(r, kind="stable")
     full = SparseIntMatrix(
         wedge_low.rows + wedge_high.rows,
         wedge_high.cols + wedge_low.cols,
-        np.concatenate((wedge_low.r, lower[0] + wedge_low.rows)),
-        np.concatenate((wedge_low.c + wedge_high.cols, lower[1])),
-        np.concatenate((wedge_low.v, lower[2])),
+        np.concatenate((wedge_low.r, r[order] + wedge_low.rows)),
+        np.concatenate((wedge_low.c + wedge_high.cols, c[order])),
+        np.concatenate((wedge_low.v, v[order])),
     )
     return PhiBlocks(wedge_low, wedge_high, derivative, full, degrees)

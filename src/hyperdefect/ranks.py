@@ -35,30 +35,28 @@ every leading column block at once.
   the next forms one.  That remainder is eliminated by a blocked
   right-looking elimination that pivots on the first nonzero row, so the
   result is deterministic.  Each panel of up to 64 columns is copied out
-  column-major and factored recursively, as in the CUP decomposition
-  (Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013): halve
-  the columns, factor the left half, solve the right half's rows beside
-  its pivots with one product by the inverse of its unit lower triangle,
-  update the rows below with one product, and factor the right half.
-  Only ranges of at most 8 columns are factored column by column.  The
-  panel's pivot rows are then solved across the trailing columns with
-  one product by the inverse of the panel's unit lower triangle, and the
-  trailing matrix takes the panel product in place.  All products run in
-  float64 BLAS on integer values: a product of inner dimension w with
-  operands in [0, p) adds at most w*(p-1)**2 to a magnitude, and
-  reduction x - floor(x/p)*p with a correctly rounded quotient is exact
-  while |x| + p < 2**53.  Every operand is reduced before a product, and
-  within a panel an entry takes at most one product term per pivot
-  column left of it, so it stays within one panel width's bound.
-  Reduction of the trailing matrix is delayed: it absorbs panel products
-  unreduced for as long as the bound allows.  The width follows from p:
-  float64 with w <= 64 while w*(p-1)**2 + p < 2**53, else int64 with
-  w = 1, which covers every p < 2**31.  Any elimination that walks the
-  columns in order finds the same profile, because the profile is a
-  property of the matrix.  Every panel is written back, so the same pass
-  leaves the echelon form of the remainder in its dense array.  To
-  certify, its echelon rows are back-substituted into its reduced-echelon
-  right kernel, and the kernel is extended back through each round in
+  column-major and factored by halves, down to 8 columns, as in the CUP
+  decomposition (Jeannerod, Pernet and Storjohann, J. Symbolic Comput.
+  2013).  Each half's pivot rows, and then the panel's, are solved across
+  the columns right of them with one product by the inverse of their
+  unit lower triangle, a product of squarings (`_unit_lower_inverse`),
+  and the rows below take one product in place.
+  All products run in float64 BLAS on integer values: a product of inner
+  dimension w with operands in [0, p) adds at most w*(p-1)**2 to a
+  magnitude, and reduction x - floor(x/p)*p with a correctly rounded
+  quotient is exact while |x| + p < 2**53.  Every operand is reduced
+  before a product, and within a panel an entry takes at most one
+  product term per pivot column left of it, so it stays within one panel
+  width's bound.  Reduction of the trailing matrix is delayed: it
+  absorbs panel products unreduced for as long as the bound allows.  The
+  width follows from p: float64 with w <= 64 while w*(p-1)**2 + p < 2**53,
+  else int64 with w = 1, which covers every p < 2**31.  Any elimination
+  that walks the columns in order finds the same profile, because the
+  profile is a property of the matrix.  Every panel is written back, so
+  the same pass leaves the echelon form of the remainder in its dense
+  array.  To certify, its echelon rows are back-substituted into its
+  reduced-echelon right kernel, one panel width of rows at a time from
+  the bottom up, and the kernel is extended back through each round in
   reverse: as U11 x[S] + U12 x[rest] = 0, the round's structural pivots
   take x[S] = -W x[rest] from the entries already found on its other
   columns.  The result is the reduced-echelon right kernel mod p of M,
@@ -365,16 +363,21 @@ def _reduce_rows(x: np.ndarray, p: int) -> None:
 def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of the unit lower triangle under the diagonal of `lower`.
 
-    Entries of `lower` below the diagonal must lie in [0, p); the diagonal
-    and what lies above it are ignored.  Forward substitution, one row per
-    step, each a product of inner dimension below the row count.
+    Entries of `lower` below the diagonal must lie in (-p, p); the diagonal
+    and what lies above it are ignored.  With L = I + N on t rows, N**t = 0,
+    so L^-1, the sum of (-N)**k over k < t, is the product of I + (-N)**2**i
+    over 2**i < t: ceil(log2(t)) - 1 squarings.  Each product has reduced
+    operands and inner dimension t <= the panel width w, so every sum stays
+    within `_kernel`'s bound w*(p-1)**2 + p; at w = 1 none is formed.
     """
-    t = lower.shape[0]
-    inverse = np.eye(t, dtype=lower.dtype)
-    for s in range(1, t):
-        row = -(lower[s, :s] @ inverse[:s, :s])
-        _reduce(row, p)
-        inverse[s, :s] = row
+    power = -np.tril(lower, -1)
+    _reduce(power, p)
+    inverse = power + np.eye(len(lower), dtype=lower.dtype)
+    for _ in range(1, (len(lower) - 1).bit_length()):
+        power = power @ power
+        _reduce(power, p)
+        inverse += inverse @ power
+        _reduce(inverse, p)
     return inverse
 
 
@@ -387,20 +390,20 @@ def _take(columns: np.ndarray, indices: list[int]) -> np.ndarray:
 
 def _factor(
     panel: np.ndarray, trailing: np.ndarray, work: np.ndarray, p: int, lo: int, hi: int, top: int
-) -> tuple[list[int], np.ndarray]:
+) -> list[int]:
     """Factor columns [lo, hi) of `panel` below row `top`, recursively.
 
-    Returns the pivot columns and the inverse mod p of their unit lower
-    triangle of multipliers.  The s-th pivot ends in row top + s, its
-    multipliers below it in its column; row swaps move whole panel rows
-    and the same rows of `trailing`.  A range wider than _LEAF is split
-    in two: the left half is factored, the right half's rows beside its
-    pivots are solved with one product by that half's inverse triangle,
-    the rows below take one product of the multipliers with them (formed
-    in `work`, room for the panel's height times its right half), and the
-    right half is factored below the left half's pivots.  Every operand
-    of a product is reduced first, so an entry absorbs at most one
-    product term per pivot column left of it in the panel.
+    Returns the pivot columns.  The s-th pivot ends in row top + s, its
+    multipliers below it in its column, so the pivots' rows and columns
+    hold their unit lower triangle; row swaps move whole panel rows and
+    the same rows of `trailing`.  A range wider than _LEAF is split in
+    two: the left half is factored, the right half's rows beside its
+    pivots are solved with one product by the inverse of that half's
+    triangle, the rows below take one product of the multipliers with
+    them (formed in `work`, room for the panel's height times its right
+    half), and the right half is factored below the left half's pivots.
+    Every operand of a product is reduced first, so an entry absorbs at
+    most one product term per pivot column left of it in the panel.
     """
     height = panel.shape[0]
     if hi - lo <= _LEAF:
@@ -427,38 +430,21 @@ def _factor(
             panel[r + 1 :, j + 1 : hi] -= (head[:, None] * multipliers).T
             pivots.append(j)
             r += 1
-        return pivots, _unit_lower_inverse(panel[top:r, pivots], p)
+        return pivots
     mid = (lo + hi) // 2
-    left, left_inverse = _factor(panel, trailing, work, p, lo, mid, top)
+    left = _factor(panel, trailing, work, p, lo, mid, top)
     below = top + len(left)
     if left:
         # solved even when no rows remain below: these are rows of U
         beside = panel[top:below, mid:hi]
         _reduce(beside, p)
-        beside[...] = left_inverse @ beside
+        beside[...] = _unit_lower_inverse(_take(panel[top:below], left), p) @ beside
         _reduce(beside, p)
-    if below == height:
-        return left, left_inverse
-    if left:
         rest = panel[below:, mid:hi]
         product = work[: rest.size].reshape(rest.shape, order="F")
         np.matmul(_take(panel[below:], left), beside, out=product)
         rest -= product
-    right, right_inverse = _factor(panel, trailing, work, p, mid, hi, below)
-    if not right:
-        return left, left_inverse
-    if not left:
-        return right, right_inverse
-    # [[L1, 0], [C, L2]]^-1 = [[L1^-1, 0], [-L2^-1 C L1^-1, L2^-1]]
-    coupling = panel[below : below + len(right), left] @ left_inverse
-    _reduce(coupling, p)
-    coupling = -(right_inverse @ coupling)
-    _reduce(coupling, p)
-    inverse = np.zeros((below - top + len(right),) * 2, dtype=panel.dtype)
-    inverse[: len(left), : len(left)] = left_inverse
-    inverse[len(left) :, len(left) :] = right_inverse
-    inverse[len(left) :, : len(left)] = coupling
-    return left + right, inverse
+    return left + _factor(panel, trailing, work, p, mid, hi, below)
 
 
 def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
@@ -484,7 +470,7 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
             break
         hi = min(col + width, ncols)
         panel = np.array(A[row:, col:hi], order="F")
-        pivots, inverse = _factor(panel, A[row:, hi:], work, p, 0, hi - col, 0)
+        pivots = _factor(panel, A[row:, hi:], work, p, 0, hi - col, 0)
         t = len(pivots)
         profile.extend(col + j for j in pivots)
         if t and hi < ncols:
@@ -492,7 +478,7 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
             upper = A[row : row + t, hi:]
             _reduce(upper, p)
             solved = buffer[: upper.size].reshape(upper.shape)
-            np.matmul(inverse, upper, out=solved)
+            np.matmul(_unit_lower_inverse(panel[:t, pivots], p), upper, out=solved)
             _reduce(solved, p)
             upper[...] = solved
             if t < panel.shape[0]:
@@ -710,8 +696,11 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
     them, row s from column profile[s] on, and is overwritten; what lies
     left of each pivot is ignored.  Column i of the result holds, at row
     s, entry profile[s] of the kernel vector that is 1 at the i-th
-    non-pivot column and 0 at the others.  Back substitution up the rows
-    of U, scaled to a unit diagonal.
+    non-pivot column and 0 at the others.  Scaled to -U/diag(U), U holds
+    -T on the pivot columns, T a unit upper triangle, and -F on the free
+    ones, so K = T^-1 (-F), solved one panel width of rows at a time from
+    the bottom up: a block takes the rows below it, width*delay product
+    terms per reduction, then one product by its own triangle's inverse.
     """
     r, cols = echelon.shape
     pivots, free = _split_columns(profile, cols)
@@ -721,12 +710,15 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
     coupling, kernel = echelon[:, pivots], echelon[:, free]
     kernel[free < pivots[:, None]] = 0
     _, width, delay = _kernel(p)
-    step = width * delay  # products of residues one exact sum holds
-    for s in range(r - 2, -1, -1):
-        row = kernel[s]
-        for start in range(s + 1, r, step):
-            row += coupling[s, start : start + step] @ kernel[start : start + step]
-            _reduce(row, p)
+    step = width * delay
+    for lo in reversed(range(0, r, width)):
+        hi = min(lo + width, r)
+        block = kernel[lo:hi]
+        for start in range(hi, r, step):
+            block += coupling[lo:hi, start : start + step] @ kernel[start : start + step]
+            _reduce(block, p)
+        block[...] = _unit_lower_inverse(-coupling[lo:hi, lo:hi].T, p).T @ block
+        _reduce(block, p)
     return kernel
 
 
@@ -902,9 +894,9 @@ def rank_multimodular(
 
     `leading` names the leading column block of `matrix`: its first
     leading.cols columns hold `leading` in their last leading.rows rows
-    and zeros above.  Its rank is then the number of pivots among those
-    columns, and the report's `leading` field carries its ranks, counted
-    from the same profiles.
+    and zeros above, else ValueError is raised.  Its rank is then the
+    number of pivots among those columns, and the report's `leading`
+    field carries its ranks, counted from the same profiles.
 
     `matrix` is certified when the smallest block reported (`leading`
     when given, else `matrix`) has both dimensions at most
@@ -918,8 +910,15 @@ def rank_multimodular(
     """
     cfg = config or RankConfig()
     rows, cols = matrix.rows, matrix.cols
-    if leading is not None and (leading.rows > rows or leading.cols > cols):
-        raise ValueError(f"leading block {leading.rows}x{leading.cols} exceeds {rows}x{cols}")
+    if leading is not None:
+        inside, shift = matrix.c < leading.cols, rows - leading.rows
+        # one copy at a time: all three at once raise quintic-130's peak RSS by 2 MB
+        if shift < 0 or leading.cols > cols or not (
+            np.array_equal(matrix.c[inside], leading.c)
+            and np.array_equal(matrix.r[inside], leading.r + shift)
+            and np.array_equal(matrix.v[inside], leading.v)
+        ):
+            raise ValueError(f"{leading!r} is not the leading column block of {matrix!r}")
     if cfg.exact and rows * cols > EXACT_CELL_BUDGET:
         raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {EXACT_CELL_BUDGET} cells")
     small = matrix if leading is None else leading

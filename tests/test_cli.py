@@ -483,3 +483,15 @@ def test_prime_stability_script_refuses_a_bad_window_or_selection():
         assert result.returncode == 2, (argv, result.stdout, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, argv
         assert "Traceback" not in result.stderr and not result.stdout, argv
+
+
+def test_raw_report_shows_disagreeing_primes(capsys):
+    # mod 3 the Fermat cubic surface's blocks lose rank: 0, 0, 10 against 4, 56, 60
+    code, out, _ = run(
+        capsys, "defect", "--expr", "x^3+y^3+z^3+u^3", "--vars", "x,y,z,u",
+        "--prime-list", "2,3,5",
+    )
+    assert code == 0
+    assert "rank details:" in out
+    assert "3:0  5:4  consensus=4  DISAGREE" in out
+    assert "warning: per-prime ranks disagree" in out

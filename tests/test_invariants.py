@@ -337,3 +337,28 @@ def test_local_data_validation():
     odp = LocalVanishingData.ordinary_double_points(10)
     assert odp.dim_vanishing == odp.dim_monodromy_kernel == 10
     assert odp.gr2_vanishing == 10
+
+
+@pytest.mark.parametrize("bad", [5.0, 2.5, "5"])
+def test_fiber_sizes_must_be_integers(bad):
+    calls = (
+        lambda: smooth_euler(3, bad),
+        lambda: smooth_euler(bad, 5),
+        lambda: smooth_hodge_prim(3, bad, 1),
+        lambda: smooth_hodge_prim(bad, 5, 1),
+        lambda: smooth_hodge_prim(3, 5, bad),
+        lambda: SmoothFiberInvariants.compute(3, bad),
+        lambda: SmoothFiberInvariants.compute(bad, 5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_numpy_integer_fiber_sizes_act_as_ints():
+    n, d = np.int64(3), np.int64(5)
+    assert smooth_euler(n, d) == smooth_euler(3, 5) == -200
+    assert smooth_hodge_prim(n, d, np.int64(1)) == smooth_hodge_prim(3, 5, 1)
+    fiber = SmoothFiberInvariants.compute(n, d)
+    assert fiber == SmoothFiberInvariants.compute(3, 5)
+    assert type(fiber.n) is int and type(fiber.d) is int

@@ -14,6 +14,7 @@ from helpers import (
 )
 from hyperdefect.fixtures import FIXTURES, get_fixture
 from hyperdefect.koszul import (
+    PhiDegrees,
     SparseIntMatrix,
     assemble_phi,
     build_derivative_block,
@@ -256,3 +257,16 @@ def test_sparse_matrix_validation():
     assert all(type(x) is int for x in matrix.v)
     report = rank_multimodular(matrix, RankConfig(exact=True))
     assert report.certified and report.exact_rank == 1
+
+
+@pytest.mark.parametrize("bad", [5.0, 2.5, "5"])
+def test_phi_degrees_take_integer_sizes(bad):
+    for args in ((bad, 3, 3), (5, bad, 3)):
+        with pytest.raises(ValueError):
+            PhiDegrees.of(*args)
+
+
+def test_phi_degrees_of_numpy_integers_are_ints():
+    degrees = PhiDegrees.of(np.int64(5), np.int64(3), np.int64(3))
+    assert degrees == PhiDegrees.of(5, 3, 3)
+    assert all(type(x) is int for x in vars(degrees).values())

@@ -834,3 +834,72 @@ def test_huge_coefficient_lifts_with_more_primes(monkeypatch):
     extra = [p for p in primes if p not in DEFAULT_PRIMES]
     assert extra and extra[0] == WIDE_PRIME
     assert extra == sorted(extra, reverse=True)
+
+
+# -- the unit-triangle inverse and the kernel it back-substitutes ---------------
+
+TRIANGLE_PRIMES = BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME)
+
+
+@given(st.sampled_from(TRIANGLE_PRIMES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_unit_lower_inverse_inverts_every_panel_triangle(p, data):
+    # t = 1 .. the panel width; the diagonal and above hold residues that must
+    # be ignored; all-(p-1) entries give the largest sums
+    dtype, width, _ = _kernel(p)
+    t = data.draw(st.integers(min_value=1, max_value=width))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if data.draw(st.booleans()):
+        lower = np.full((t, t), p - 1, dtype=np.int64)
+    else:
+        lower = rng.integers(0, p, size=(t, t), dtype=np.int64)
+    inverse = ranks._unit_lower_inverse(lower.astype(dtype), p)
+    assert ((inverse >= 0) & (inverse < p)).all()
+    unit = (np.tril(lower, -1) + np.eye(t, dtype=np.int64)).astype(object)
+    product = unit.dot(inverse.astype(np.int64).astype(object)) % p
+    assert (product == np.eye(t, dtype=np.int64)).all()
+
+
+@given(st.sampled_from((1, 63, 64, 65, 130)), st.sampled_from(TRIANGLE_PRIMES), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_mod_p_annihilates_full_row_rank_echelons(r, p, data):
+    # U holds a nonzero pivot in each row and residues right of it; what lies
+    # left of a pivot is not part of U and must be ignored
+    dtype, _, _ = _kernel(p)
+    free_count = data.draw(st.integers(min_value=0, max_value=6))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cols = r + free_count
+    profile = tuple(sorted(rng.choice(cols, size=r, replace=False).tolist()))
+    upper = rng.integers(0, p, size=(r, cols), dtype=np.int64)
+    upper[np.arange(cols) < np.array(profile)[:, None]] = 0
+    upper[np.arange(r), profile] = rng.integers(1, p, size=r)
+    given_rows = upper.copy()
+    given_rows[np.arange(cols) < np.array(profile)[:, None]] = rng.integers(0, p)
+    kernel = ranks._kernel_mod_p(given_rows.astype(dtype), profile, p)
+    assert kernel.shape == (r, free_count)
+    assert ((kernel >= 0) & (kernel < p)).all()
+    pivots, free = ranks._split_columns(profile, cols)
+    exact = upper.astype(object)
+    residual = exact[:, pivots].dot(kernel.astype(np.int64).astype(object)) + exact[:, free]
+    assert not (residual % p).any()
+
+
+def test_leading_block_must_be_the_matrix_leading_columns():
+    identity = sparse_from_dense(np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError):
+        rank_multimodular(
+            identity, RankConfig(exact=True), leading=ranks.SparseIntMatrix(2, 2, [], [], [])
+        )
+    dense = np.array([[0, 0, 1], [1, 2, 3], [4, 5, 6]])
+    block = dense[1:, :2]
+    matrix = sparse_from_dense(dense)
+    report = rank_multimodular(matrix, RankConfig(exact=True), sparse_from_dense(block))
+    assert report.leading.exact_rank == 2 and report.leading.certified
+    changed = block.copy()
+    changed[1, 1] = 7
+    with pytest.raises(ValueError):
+        rank_multimodular(matrix, leading=sparse_from_dense(changed))
+    above = dense.copy()
+    above[0, 1] = 9
+    with pytest.raises(ValueError):
+        rank_multimodular(sparse_from_dense(above), leading=sparse_from_dense(block))
