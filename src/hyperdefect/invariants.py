@@ -347,6 +347,8 @@ class LocalVanishingData:
     optional `gr2_vanishing`, the F^2-graded dimension of the unipotent
     part, feeds the Hodge-graded report.  For ordinary double points in
     odd fiber dimension all three equal the number of singular points.
+    Each is taken through operator.index and must be at least 0, else
+    ValueError is raised.
     """
 
     dim_vanishing: int
@@ -356,8 +358,15 @@ class LocalVanishingData:
     def __post_init__(self):
         for name in ("dim_vanishing", "dim_monodromy_kernel", "gr2_vanishing"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value is None and name == "gr2_vanishing":
+                continue
+            try:
+                count = index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0, got {count}")
+            object.__setattr__(self, name, count)
 
     @classmethod
     def ordinary_double_points(cls, count: int) -> "LocalVanishingData":

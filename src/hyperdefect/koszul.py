@@ -71,6 +71,19 @@ class SparseIntMatrix:
         if unsorted.size:
             i = unsorted[0] + 1
             raise ValueError(f"entries not strictly sorted at ({r[i]}, {c[i]})")
+        self._store(rows, cols, r, c, v)
+
+    @classmethod
+    def _of_checked(cls, rows: int, cols: int, r, c, v) -> SparseIntMatrix:
+        """Matrix of arrays taken as they are: int64 indices in range and
+        strictly sorted, nonzero Python-int values, built from the arrays
+        of checked matrices.  The arrays are made read-only."""
+        matrix = cls.__new__(cls)
+        matrix._store(rows, cols, r, c, v)
+        return matrix
+
+    def _store(self, rows: int, cols: int, r, c, v) -> None:
+        """Set every field, the arrays made read-only."""
         for array in (r, c, v):
             array.flags.writeable = False
         for name, value in zip(self.__slots__, (rows, cols, r, c, v)):
@@ -241,12 +254,12 @@ def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     assert derivative.cols == wedge_low.cols
     assert derivative.rows == wedge_high.rows
     # [B, D] in row order: D's columns follow B's, so a stable sort by row
-    # keeps each row's columns increasing
+    # keeps each row's columns increasing; the blocks were checked when built
     r = np.concatenate((wedge_high.r, derivative.r))
     c = np.concatenate((wedge_high.c, derivative.c + wedge_high.cols))
     v = np.concatenate((wedge_high.v, derivative.v))
     order = np.argsort(r, kind="stable")
-    full = SparseIntMatrix(
+    full = SparseIntMatrix._of_checked(
         wedge_low.rows + wedge_high.rows,
         wedge_high.cols + wedge_low.cols,
         np.concatenate((wedge_low.r, r[order] + wedge_low.rows)),

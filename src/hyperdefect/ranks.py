@@ -35,20 +35,20 @@ every leading column block at once.
   the next forms one.  That remainder is eliminated by a blocked
   right-looking elimination that pivots on the first nonzero row, so the
   result is deterministic.  Each panel of up to 64 columns is copied out
-  column-major and factored by halves, down to 8 columns, as in the CUP
-  decomposition (Jeannerod, Pernet and Storjohann, J. Symbolic Comput.
-  2013).  Each half's pivot rows, and then the panel's, are solved across
-  the columns right of them with one product by the inverse of their
-  unit lower triangle, a product of squarings (`_unit_lower_inverse`),
-  and the rows below take one product in place.
+  column-major and factored in one loop over its columns in Crout order
+  (Golub and Van Loan, Matrix Computations, 3.2), one product per column
+  and one per pivot row.  The panel's pivot rows are then solved across
+  the columns right of it with one product by the inverse of their unit
+  lower triangle, a product of squarings (`_unit_lower_inverse`), and
+  the rows below take one product in place.
   All products run in float64 BLAS on integer values: a product of inner
   dimension w with operands in [0, p) adds at most w*(p-1)**2 to a
   magnitude, and reduction x - floor(x/p)*p with a correctly rounded
   quotient is exact while |x| + p < 2**53.  Every operand is reduced
   before a product, and within a panel an entry takes at most one
-  product term per pivot column left of it, so it stays within one panel
-  width's bound.  Reduction of the trailing matrix is delayed: it
-  absorbs panel products unreduced for as long as the bound allows.  The
+  product, of inner dimension below the panel width, so it stays within
+  one panel width's bound.  Reduction of the trailing matrix is delayed:
+  it absorbs panel products unreduced for as long as the bound allows.  The
   width follows from p: float64 with w <= 64 while w*(p-1)**2 + p < 2**53,
   else int64 with w = 1, which covers every p < 2**31.  Any elimination
   that walks the columns in order finds the same profile, because the
@@ -111,7 +111,6 @@ EXACT_CELL_BUDGET = 1 << 20
 MODULAR_CELL_BUDGET = 1 << 25
 
 _PANEL = 64  # widest panel; narrower when p is too large for float64
-_LEAF = 8  # column ranges this narrow are factored one column at a time
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
 _SPARSE_CHUNK = 1 << 16  # products per step of a sparse product, bounds its scratch arrays
 # A Schur complement with more nonzeros than this fraction of its cells is
@@ -162,7 +161,8 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class RankConfig:
-    """Prime set and certification policy for rank computations."""
+    """Prime set and certification policy for rank computations; the
+    primes and `dense_threshold` are integers, stored as Python ints."""
 
     primes: tuple[int, ...] = DEFAULT_PRIMES
     exact: bool = False
@@ -173,7 +173,14 @@ class RankConfig:
             primes = tuple(map(index, self.primes))
         except TypeError:
             raise ValueError(f"primes must be integers: {self.primes!r}") from None
+        try:
+            threshold = index(self.dense_threshold)
+        except TypeError:
+            raise ValueError(
+                f"dense_threshold must be an integer: {self.dense_threshold!r}"
+            ) from None
         object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "dense_threshold", threshold)
         if not primes:
             raise ValueError("need at least one prime")
         if len(set(primes)) != len(primes):
@@ -183,7 +190,7 @@ class RankConfig:
                 raise ValueError(f"prime {p} outside [2, 2**31)")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        if self.dense_threshold < 0:
+        if threshold < 0:
             raise ValueError("dense_threshold must be >= 0")
 
 
@@ -381,70 +388,43 @@ def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     return inverse
 
 
-def _take(columns: np.ndarray, indices: list[int]) -> np.ndarray:
-    """columns[:, indices], as a view when the indices are consecutive."""
-    if indices[-1] - indices[0] == len(indices) - 1:
-        return columns[:, indices[0] : indices[-1] + 1]
-    return columns[:, indices]
+def _factor(panel: np.ndarray, trailing: np.ndarray, p: int) -> list[int]:
+    """Factor `panel` in Crout order; returns the pivot columns.
 
-
-def _factor(
-    panel: np.ndarray, trailing: np.ndarray, work: np.ndarray, p: int, lo: int, hi: int, top: int
-) -> list[int]:
-    """Factor columns [lo, hi) of `panel` below row `top`, recursively.
-
-    Returns the pivot columns.  The s-th pivot ends in row top + s, its
-    multipliers below it in its column, so the pivots' rows and columns
-    hold their unit lower triangle; row swaps move whole panel rows and
-    the same rows of `trailing`.  A range wider than _LEAF is split in
-    two: the left half is factored, the right half's rows beside its
-    pivots are solved with one product by the inverse of that half's
-    triangle, the rows below take one product of the multipliers with
-    them (formed in `work`, room for the panel's height times its right
-    half), and the right half is factored below the left half's pivots.
-    Every operand of a product is reduced first, so an entry absorbs at
-    most one product term per pivot column left of it in the panel.
+    The s-th pivot ends in row s, its multipliers below it; row swaps move
+    whole panel rows and the same rows of `trailing`.  Column j takes one
+    product of its rows' multipliers by the pivot rows above, and its
+    first nonzero row, the pivot, is solved across the rest of the panel
+    with one product, so each pivot row leaves as a finished row of U.
     """
-    height = panel.shape[0]
-    if hi - lo <= _LEAF:
-        pivots: list[int] = []
-        r = top
-        for j in range(lo, hi):
-            if r == height:
-                break
-            column = panel[r:, j]
-            _reduce(column, p)
-            nonzero = column.nonzero()[0]
-            if nonzero.size == 0:
-                continue
-            i = r + int(nonzero[0])
-            if i != r:
-                panel[[r, i]] = panel[[i, r]]
-                trailing[[r, i]] = trailing[[i, r]]
-            multipliers = panel[r + 1 :, j]
-            multipliers *= pow(int(panel[r, j]), p - 2, p)
-            _reduce(multipliers, p)
-            head = panel[r, j + 1 : hi]
-            _reduce(head, p)
-            # the product transposed is column-major, like the panel
-            panel[r + 1 :, j + 1 : hi] -= (head[:, None] * multipliers).T
-            pivots.append(j)
-            r += 1
-        return pivots
-    mid = (lo + hi) // 2
-    left = _factor(panel, trailing, work, p, lo, mid, top)
-    below = top + len(left)
-    if left:
-        # solved even when no rows remain below: these are rows of U
-        beside = panel[top:below, mid:hi]
-        _reduce(beside, p)
-        beside[...] = _unit_lower_inverse(_take(panel[top:below], left), p) @ beside
-        _reduce(beside, p)
-        rest = panel[below:, mid:hi]
-        product = work[: rest.size].reshape(rest.shape, order="F")
-        np.matmul(_take(panel[below:], left), beside, out=product)
-        rest -= product
-    return left + _factor(panel, trailing, work, p, mid, hi, below)
+    height, width = panel.shape
+    pivots: list[int] = []
+    for j in range(width):
+        r = len(pivots)
+        if r == height:
+            break
+        column = panel[r:, j]
+        if r:
+            # the rows' multipliers: a view while every column so far was a pivot
+            below = panel[r:, :r] if r == j else panel[r:, pivots]
+            column -= below @ panel[:r, j]
+        _reduce(column, p)
+        nonzero = np.flatnonzero(column)
+        if not nonzero.size:
+            continue
+        i = r + int(nonzero[0])
+        if i != r:
+            panel[[r, i]] = panel[[i, r]]
+            trailing[[r, i]] = trailing[[i, r]]
+        multipliers = panel[r + 1 :, j]
+        multipliers *= pow(int(panel[r, j]), p - 2, p)
+        _reduce(multipliers, p)
+        head = panel[r, j + 1 :]
+        if r:
+            head -= panel[r, pivots] @ panel[:r, j + 1 :]
+        _reduce(head, p)
+        pivots.append(j)
+    return pivots
 
 
 def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
@@ -454,14 +434,18 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
     by `_factor`; the pivot rows' trailing parts are solved with one
     product by the inverse of the panel's unit lower triangle, and the
     trailing matrix takes the panel product unreduced until `delay`
-    products have accumulated.  Every factored panel is written back, so
-    that row s of A, from column profile[s] on, is row s of an echelon
-    form U = L^-1 P A (entries in [0, p), pivots not normalised); what
-    lies left of each pivot is not part of U.
+    products have accumulated.  So a copied panel holds at most delay - 1
+    unreduced products, `_factor` adds at most one to each entry, of
+    reduced operands and inner dimension below `width`, and every value
+    stays within `_kernel`'s bound; as `_factor` solves each pivot row
+    across the panel, rows that run out inside it leave nothing unsolved.
+    Every factored panel is written back, so that row s of A, from
+    column profile[s] on, is row s of an echelon form U = L^-1 P A
+    (entries in [0, p), pivots not normalised); what lies left of each
+    pivot is not part of U.
     """
     nrows, ncols = A.shape
     buffer = np.empty(min(nrows, max(_CHUNK_ROWS, width)) * ncols, dtype=A.dtype)
-    work = np.empty(nrows * ((width + 1) // 2), dtype=A.dtype)
     profile: list[int] = []
     row = 0
     pending = 0
@@ -470,7 +454,7 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
             break
         hi = min(col + width, ncols)
         panel = np.array(A[row:, col:hi], order="F")
-        pivots = _factor(panel, A[row:, hi:], work, p, 0, hi - col, 0)
+        pivots = _factor(panel, A[row:, hi:], p)
         t = len(pivots)
         profile.extend(col + j for j in pivots)
         if t and hi < ncols:

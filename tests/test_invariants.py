@@ -334,6 +334,16 @@ def test_ih_report_flags_violated_bound(corpus):
 def test_local_data_validation():
     with pytest.raises(ValueError):
         LocalVanishingData(-1, 0)
+    refused = [(None, 1), (1, None)]  # gr2_vanishing alone may be None
+    for bad in (2.5, "3"):
+        refused += [(bad, 1), (1, bad), (1, 1, bad)]
+    for args in refused:
+        with pytest.raises(ValueError, match="must be an integer"):
+            LocalVanishingData(*args)
+    # any integer type is taken, and stored as a Python int
+    local = LocalVanishingData(np.int64(3), np.int32(2), np.int64(1))
+    counts = (local.dim_vanishing, local.dim_monodromy_kernel, local.gr2_vanishing)
+    assert counts == (3, 2, 1) and all(type(x) is int for x in counts)
     odp = LocalVanishingData.ordinary_double_points(10)
     assert odp.dim_vanishing == odp.dim_monodromy_kernel == 10
     assert odp.gr2_vanishing == 10

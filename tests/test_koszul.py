@@ -203,6 +203,12 @@ def assert_blocks_match_the_per_entry_oracle(form, multiplier):
         assert block.entries == oracle.entries, name
         assert all(type(v) is int for _, _, v in block.entries), name
     assert (blocks.full.rows, blocks.full.cols) == degrees.full_shape
+    # `full` skips the constructor's checks: the checked construction of
+    # its arrays accepts them and gives the same matrix
+    full = blocks.full
+    assert full == SparseIntMatrix(full.rows, full.cols, full.r, full.c, full.v)
+    assert (full.r.dtype, full.c.dtype, full.v.dtype) == (np.int64, np.int64, object)
+    assert not any(array.flags.writeable for array in (full.r, full.c, full.v))
 
 
 @pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES))

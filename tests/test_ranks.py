@@ -13,7 +13,6 @@ from hyperdefect import ranks
 from hyperdefect.koszul import assemble_phi
 from hyperdefect.polynomials import HomogeneousForm, parse_expression
 from hyperdefect.ranks import (
-    _LEAF,
     _PANEL,
     DEFAULT_PRIMES,
     PRIME_TABLE,
@@ -33,7 +32,8 @@ BLOCKED_PRIMES = (2, 3, 32749, 524287)  # float64 kernel at the full panel width
 EDGE_PRIME = 94906249  # largest prime the float64 kernel takes (panel width 1)
 BIG_PRIME = 2147483647  # int64 kernel, the largest prime RankConfig accepts
 WIDE_PRIME = 11863279  # largest prime the float64 kernel takes at the full panel width
-ODD_PRIME = 11863289  # the next prime: panels of 63 columns, halves of 31 and 32
+ODD_PRIME = 11863289  # the next prime: panels of 63 columns
+LEAF = 8  # a few columns: the matrices below reach just short of and past it
 
 
 small_matrices = st.integers(min_value=1, max_value=7).flatmap(
@@ -119,24 +119,34 @@ def _low_rank(rows, cols, rank, seed):
 
 
 def _empty_left_half(p):
-    # the first split of a panel, and the first leaf right of it, see only zeros
+    # the first half of a panel, and a few columns past it, hold only zeros
     matrix = _low_rank(60, 2 * _PANEL, 30, 10)
-    matrix[:, : _PANEL // 2 + _LEAF] = 0
+    matrix[:, : _PANEL // 2 + LEAF] = 0
+    return matrix
+
+
+def _dependent_mid_panels(p):
+    # one column in the middle of each of the first two panels depends on
+    # earlier ones, and pivots follow it with rows to spare
+    matrix = np.random.default_rng(11).integers(-3, 4, size=(2 * _PANEL + 20, 2 * _PANEL + 1))
+    matrix[:, 20] = matrix[:, 3] + matrix[:, 7]
+    matrix[:, _PANEL + 20] = matrix[:, 30] - matrix[:, _PANEL + 5]
     return matrix
 
 
 RECURSION_EDGES = {
     "cols-1": lambda p: _low_rank(30, 1, 1, 1),
-    "cols-leaf-1": lambda p: _low_rank(30, _LEAF - 1, 5, 2),
-    "cols-leaf+1": lambda p: _low_rank(30, _LEAF + 1, 6, 3),
+    "cols-leaf-1": lambda p: _low_rank(30, LEAF - 1, 5, 2),
+    "cols-leaf+1": lambda p: _low_rank(30, LEAF + 1, 6, 3),
     "cols-panel-1": lambda p: _low_rank(50, _PANEL - 1, 40, 4),
     "cols-panel": lambda p: _low_rank(50, _PANEL, 40, 5),
     "cols-panel+1": lambda p: _low_rank(50, _PANEL + 1, 40, 6),
     "cols-2panel+1": lambda p: _low_rank(70, 2 * _PANEL + 1, 50, 7),
     "empty-left-half": _empty_left_half,
-    # rows run out inside the left half of the first split, and inside the right half
+    # rows run out inside the first half of a panel, and inside the second half
     "rows-run-out-left": lambda p: _low_rank(20, 2 * _PANEL + 1, 20, 8),
     "rows-run-out-right": lambda p: _low_rank(40, _PANEL + 1, 40, 9),
+    "dependent-mid-panels": _dependent_mid_panels,
     "all-p-minus-1": lambda p: np.full((2 * _PANEL + 2, 2 * _PANEL + 1), p - 1, dtype=np.int64),
 }
 
@@ -643,9 +653,13 @@ def test_rank_config_validation():
     for primes in ((32633.0,), (3, 5.0), ("7",)):
         with pytest.raises(ValueError, match="primes must be integers"):
             RankConfig(primes=primes)
+    for threshold in (2.5, "100", None):
+        with pytest.raises(ValueError, match="dense_threshold must be an integer"):
+            RankConfig(dense_threshold=threshold)
     # any integer type is taken, and stored as a Python int
-    config = RankConfig(primes=(np.int64(32633), np.int32(3)))
+    config = RankConfig(primes=(np.int64(32633), np.int32(3)), dense_threshold=np.int64(7))
     assert config.primes == (32633, 3) and all(type(p) is int for p in config.primes)
+    assert config.dense_threshold == 7 and type(config.dense_threshold) is int
 
 
 def test_exact_budget():
