@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import index
 
 from .koszul import PhiBlocks, PhiDegrees, assemble_phi
+from .monomials import _integer
 from .polynomials import HomogeneousForm, VariableCountError
 from .ranks import (
     MODULAR_CELL_BUDGET,
@@ -44,15 +44,10 @@ HODGE_SERIES_BUDGET = 1 << 12
 
 
 def _check_fiber(n: int, d: int) -> tuple[int, int]:
-    """n and d taken through operator.index.  Refuses anything other than
-    integers of at least 1 (ValueError) and a fiber whose Hodge series
-    exceeds HODGE_SERIES_BUDGET (RankBudgetError), before any work."""
-    try:
-        n, d = index(n), index(d)
-    except TypeError:
-        raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}") from None
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    """n and d, each at least 1, taken through `_integer`.  Refuses a fiber
+    whose Hodge series exceeds HODGE_SERIES_BUDGET (RankBudgetError),
+    before any work."""
+    n, d = _integer(n, "n", 1), _integer(d, "d", 1)
     length = (n + 2) * (d - 1) + 1
     if max(n + 2, length) > HODGE_SERIES_BUDGET:
         raise RankBudgetError(
@@ -106,11 +101,8 @@ def smooth_hodge_prim(n: int, d: int, p: int) -> int:
     palindromic, so p and n-p give the same value (Hodge symmetry).
     """
     row = _hodge_row(n, d)
-    try:
-        p = index(p)
-    except TypeError:
-        raise ValueError(f"Hodge index must be an integer, got p={p!r}") from None
-    if not 0 <= p < len(row):
+    p = _integer(p, "Hodge index p", 0)
+    if p >= len(row):
         raise ValueError(f"Hodge index p={p} outside [0, {len(row) - 1}]")
     return row[p]
 
@@ -347,8 +339,7 @@ class LocalVanishingData:
     optional `gr2_vanishing`, the F^2-graded dimension of the unipotent
     part, feeds the Hodge-graded report.  For ordinary double points in
     odd fiber dimension all three equal the number of singular points.
-    Each is taken through operator.index and must be at least 0, else
-    ValueError is raised.
+    Each is taken through `_integer` and must be at least 0.
     """
 
     dim_vanishing: int
@@ -358,15 +349,8 @@ class LocalVanishingData:
     def __post_init__(self):
         for name in ("dim_vanishing", "dim_monodromy_kernel", "gr2_vanishing"):
             value = getattr(self, name)
-            if value is None and name == "gr2_vanishing":
-                continue
-            try:
-                count = index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if count < 0:
-                raise ValueError(f"{name} must be >= 0, got {count}")
-            object.__setattr__(self, name, count)
+            if value is not None or name != "gr2_vanishing":
+                object.__setattr__(self, name, _integer(value, name, 0))
 
     @classmethod
     def ordinary_double_points(cls, count: int) -> "LocalVanishingData":

@@ -19,11 +19,18 @@ from operator import index
 
 import numpy as np
 
-from .monomials import dim_graded, exponent_array, monomial_indices
+from .monomials import _integer, dim_graded, exponent_array, monomial_indices
 from .polynomials import HomogeneousForm
 
 # to_dense targets int64; block entries are tiny but guard anyway
 _DENSE_LIMIT = 2**62
+
+
+def _index_array(indices: np.ndarray, name: str) -> np.ndarray:
+    """`indices` as a new int64 array, those of any other dtype through `_integer`."""
+    if indices.dtype.kind not in "biu":
+        indices = [_integer(i, f"{name} index") for i in indices.tolist()]
+    return np.array(indices, dtype=np.int64)
 
 
 class SparseIntMatrix:
@@ -33,23 +40,22 @@ class SparseIntMatrix:
     (row, column) without repeats; `v` holds the nonzero values as Python
     ints, so coefficient size is unlimited.  Built from row, column and
     value sequences of one length; the shape, range, strict order and
-    values are checked, and each value is taken through operator.index,
-    so an integer of any type is stored as a Python int and anything else
-    is refused.
+    values are checked.  Shape, indices and values are integers of any
+    type: the shape through `_integer`, each value through operator.index
+    and stored as a Python int; anything else is refused.
     """
 
     __slots__ = ("rows", "cols", "r", "c", "v")
 
     def __init__(self, rows: int, cols: int, r, c, v):
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative shape {rows}x{cols}")
-        try:
-            r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"entry index outside {rows}x{cols}") from None
-        v = np.array(v, dtype=object)
+        rows, cols = _integer(rows, "rows", 0), _integer(cols, "cols", 0)
+        r, c, v = np.asarray(r), np.asarray(c), np.array(v, dtype=object)
         if not r.ndim == c.ndim == v.ndim == 1 or not len(r) == len(c) == len(v):
             raise ValueError("row, column and value arrays must be 1-d of one length")
+        try:
+            r, c = _index_array(r, "row"), _index_array(c, "column")
+        except OverflowError:
+            raise ValueError(f"entry index outside {rows}x{cols}") from None
         outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
         if outside.size:
             i = outside[0]
@@ -196,18 +202,8 @@ class PhiDegrees:
     def of(cls, m: int, d: int, multiplier: int) -> PhiDegrees:
         """Source coefficient degrees (multiplier-2)*d - (m-1) and
         (multiplier-1)*d - (m-1); targets are one wedge degree above each.
-        m, d and the multiplier are taken through operator.index; anything
-        other than integers, the multiplier at least 2, raises ValueError."""
-        try:
-            m, d = index(m), index(d)
-        except TypeError:
-            raise ValueError(f"m and d must be integers, got m={m!r}, d={d!r}") from None
-        try:
-            k = index(multiplier)
-        except TypeError:
-            k = None
-        if k is None or k < 2:
-            raise ValueError(f"multiplier must be an integer >= 2, got {multiplier!r}")
+        m, d and the multiplier (at least 2) are taken through `_integer`."""
+        m, d, k = _integer(m, "m"), _integer(d, "d"), _integer(multiplier, "multiplier", 2)
         low = (k - 2) * d - (m - 1)
         high = (k - 1) * d - (m - 1)
         return cls(m, d, k, low, high, low + d - 1, high + d - 1)

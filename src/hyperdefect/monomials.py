@@ -14,14 +14,27 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
+from operator import index
 
 import numpy as np
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` through operator.index, as a Python int.  Anything else, or
+    a value below `least`, raises a ValueError that names the argument."""
+    try:
+        number = index(value)
+    except TypeError:
+        number = None
+    if number is None or least is not None and number < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
+
+
 def dim_graded(m: int, e: int) -> int:
-    """Number of degree-e monomials in m variables; 0 for negative e."""
-    if m < 1:
-        raise ValueError(f"variable count must be >= 1, got {m}")
+    """Number of degree-e monomials in m >= 1 variables; 0 for negative e."""
+    m, e = _integer(m, "variable count", 1), _integer(e, "degree")
     if e < 0:
         return 0
     return comb(e + m - 1, m - 1)
@@ -30,10 +43,13 @@ def dim_graded(m: int, e: int) -> int:
 def monomial_indices(exponents: np.ndarray) -> np.ndarray:
     """Rank of every exponent vector along the last axis, within its degree's basis.
 
-    Exponents must be non-negative; the binomials come from exact
-    integer tables, so the result is exact wherever it fits in int64.
+    Exponents must be non-negative integers, of an integer dtype; the binomials
+    come from exact integer tables, so the result is exact wherever it fits in int64.
     """
-    exponents = np.asarray(exponents, dtype=np.int64)
+    exponents = np.asarray(exponents)
+    if exponents.dtype.kind not in "biu":
+        raise ValueError(f"exponents must be integers, got {exponents.dtype}")
+    exponents = exponents.astype(np.int64, copy=False)
     m = exponents.shape[-1]
     # remaining[..., r] = sum of exponents r+1 .. m-1
     remaining = np.cumsum(exponents[..., :0:-1], axis=-1)[..., ::-1]

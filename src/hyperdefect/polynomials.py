@@ -144,7 +144,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables: Iterable[str], value: int) -> "Polynomial":
         names = tuple(variables)
-        return cls(names, {(0,) * len(names): value} if value else {})
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "Polynomial":
@@ -181,7 +181,7 @@ class Polynomial:
             )
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.variables, other)
         self._require_same_ring(other)
         return self._with(_merge(dict(self._terms), other._terms.items()))
@@ -192,12 +192,12 @@ class Polynomial:
         return self._with({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.variables, other)
         return self + (-other)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.variables, other)
         self._require_same_ring(other)
         if len(self._terms) * len(other._terms) > MAX_PRODUCT_TERMS:
@@ -222,17 +222,20 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        try:
+            n = index(exponent)
+        except TypeError:
+            n = -1
+        if n < 0:
             raise PolynomialError(f"exponent must be a non-negative integer, got {exponent!r}")
         total = sum(abs(v) for v in self._terms.values())
-        bits = exponent * max(total - 1, 0).bit_length()
+        bits = n * max(total - 1, 0).bit_length()
         if bits > MAX_POWER_BITS:
             raise PolynomialError(
                 f"power too large: coefficients up to 2^{bits} exceed 2^{MAX_POWER_BITS}"
             )
         result = Polynomial.constant(self.variables, 1)
         base = self
-        n = exponent
         while n:
             if n & 1:
                 result = result * base
@@ -303,12 +306,16 @@ def check_homogeneous(poly: Polynomial) -> int:
 
 @dataclass(frozen=True)
 class HomogeneousForm:
-    """A polynomial certified homogeneous of the stated degree."""
+    """A polynomial certified homogeneous of the stated integer degree."""
 
     poly: Polynomial
     degree: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "degree", index(self.degree))
+        except TypeError:
+            raise PolynomialError(f"degree must be an integer, got {self.degree!r}") from None
         d = check_homogeneous(self.poly)
         if d != self.degree:
             raise NonHomogeneousError(str(self.poly), d, "<declared degree>", self.degree)

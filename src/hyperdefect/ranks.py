@@ -101,6 +101,7 @@ from operator import index
 import numpy as np
 
 from .koszul import SparseIntMatrix
+from .monomials import _integer
 
 # 15-bit primes used as the default modular rank checks
 PRIME_TABLE = (32633, 32647, 32653, 32687, 32693, 32707, 32713, 32717, 32719, 32749)
@@ -173,14 +174,10 @@ class RankConfig:
             primes = tuple(map(index, self.primes))
         except TypeError:
             raise ValueError(f"primes must be integers: {self.primes!r}") from None
-        try:
-            threshold = index(self.dense_threshold)
-        except TypeError:
-            raise ValueError(
-                f"dense_threshold must be an integer: {self.dense_threshold!r}"
-            ) from None
         object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "dense_threshold", threshold)
+        object.__setattr__(
+            self, "dense_threshold", _integer(self.dense_threshold, "dense_threshold", 0)
+        )
         if not primes:
             raise ValueError("need at least one prime")
         if len(set(primes)) != len(primes):
@@ -190,8 +187,6 @@ class RankConfig:
                 raise ValueError(f"prime {p} outside [2, 2**31)")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        if threshold < 0:
-            raise ValueError("dense_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -833,7 +828,7 @@ def _certify(
     either bound is a fault, raised as RankInvariantError.
     """
     found = list(eliminated)
-    hadamard = _hadamard_square(matrix)
+    hadamard = 0  # H, computed on the first failed lift
     extra = _lift_primes(skip)
     while True:
         best = min((profile for _, profile, _ in found), key=lambda pr: (-len(pr), pr))
@@ -842,6 +837,7 @@ def _certify(
         agree = [(p, kernel) for p, profile, kernel in found if profile == best]
         if _lift_verifies(matrix, best, agree):
             return best
+        hadamard = hadamard or _hadamard_square(matrix)
         modulus = prod(p for p, _ in agree)
         others = prod(p for p, profile, _ in found if profile != best)
         if modulus > 2 * hadamard or others**2 > hadamard:

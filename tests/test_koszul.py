@@ -263,6 +263,23 @@ def test_sparse_matrix_validation():
     assert all(type(x) is int for x in matrix.v)
     report = rank_multimodular(matrix, RankConfig(exact=True))
     assert report.certified and report.exact_rank == 1
+    # float indices are refused, not truncated to other entries
+    for r, c in (([0.5, 1.5], [0.2, 0.9]), ([1.0], [0])):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            SparseIntMatrix(2, 2, r, c, [1] * len(r))
+    for r in ([2**63], [2**70], np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="outside 2x2"):
+            SparseIntMatrix(2, 2, r, [0], [1])
+    with pytest.raises(ValueError, match="rows must be an integer >= 0"):
+        SparseIntMatrix(-1, 2, [], [], [])
+    # integer and bool arrays, and integers of any type, are taken
+    matrix = SparseIntMatrix(
+        np.int64(2), np.int32(2), np.array([0, 1], dtype=np.uint8), [True, np.int64(1)], [1, 1]
+    )
+    assert matrix.entries == ((0, 1, 1), (1, 1, 1)) and matrix.r.dtype == np.int64
+    report = rank_multimodular(matrix, RankConfig(exact=True))
+    assert (report.rows, report.cols, report.exact_rank) == (2, 2, 1)
+    assert type(report.rows) is int and type(report.cols) is int
 
 
 @pytest.mark.parametrize("bad", [5.0, 2.5, "5"])

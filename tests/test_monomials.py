@@ -82,6 +82,19 @@ def test_negative_degree_enumerates_nothing():
     assert dim_graded(4, -1) == 0
 
 
+def test_float_degrees_and_exponents_are_refused():
+    for m, e in ((5, 2.0), (2.0, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            exponent_array(m, e)
+    # a float exponent is refused, not truncated to another monomial's rank
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        monomial_indices(np.array([[1.5, 0.5, 1.0]]))
+    vectors = np.array([[1, 0, 2], [0, 3, 0]])
+    assert [monomial_index(v) for v in vectors.tolist()] == [5, 6]
+    for dtype in (np.uint8, np.int32):
+        assert monomial_indices(vectors.astype(dtype)).tolist() == [5, 6]
+
+
 def test_monomial_index_rejects_negative_entries():
     with pytest.raises(ValueError):
         monomial_index((1, -1, 0))

@@ -636,6 +636,24 @@ def test_constructor_validates():
     Polynomial(("_x1", "Y_"))
 
 
+def test_integral_floats_are_refused_not_read_as_integers():
+    p = parse_expression("x+y", ("x", "y"))
+    # 0.0 is not read as the zero constant
+    for value in (0.0, 1.0):
+        with pytest.raises(PolynomialError, match="not an integer"):
+            Polynomial.constant(p.variables, value)
+        for op in (add, sub, mul):
+            with pytest.raises(PolynomialError, match="not an integer"):
+                op(p, value)
+    assert Polynomial.constant(p.variables, 0).is_zero
+    with pytest.raises(PolynomialError, match="exponent must be a non-negative integer"):
+        p**2.0
+    with pytest.raises(PolynomialError, match="degree must be an integer"):
+        HomogeneousForm(p, 1.0)
+    # an exponent of any integer type is taken, True as 1
+    assert p ** np.int64(3) == p**3 and p**True == p
+
+
 def test_arithmetic_requires_matching_variables():
     with pytest.raises(PolynomialError):
         parse_expression("x+y", ("x", "y")) + parse_expression("x+y", ("x", "y", "z"))
