@@ -29,6 +29,7 @@ from .ranks import (
     RankBudgetError,
     RankConfig,
     RankInvariantError,
+    _LIFT_PRIME,
 )
 
 EXIT_OK = 0
@@ -193,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=f"use the first N primes of the table (default {len(DEFAULT_PRIMES)})",
     )
-    primes.add_argument("--prime-list", metavar="CSV", help="explicit comma-separated primes")
+    primes.add_argument(
+        "--prime-list",
+        metavar="CSV",
+        help=f"explicit comma-separated primes in [2, {_LIFT_PRIME}], where the one"
+        " float64 elimination is exact",
+    )
     p_defect.add_argument("--exact", action="store_true", help="force exact rank certification")
     p_defect.add_argument("--json", action="store_true", help="emit the JSON report")
     p_defect.add_argument(

@@ -196,6 +196,9 @@ class Polynomial:
             other = Polynomial.constant(self.variables, other)
         return self + (-other)
 
+    def __rsub__(self, other: int) -> "Polynomial":
+        return Polynomial.constant(self.variables, other) - self
+
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.variables, other)

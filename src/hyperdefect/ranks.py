@@ -41,16 +41,14 @@ every leading column block at once.
   the columns right of it with one product by the inverse of their unit
   lower triangle, a product of squarings (`_unit_lower_inverse`), and
   the rows below take one product in place.
-  All products run in float64 BLAS on integer values: a product of inner
-  dimension w with operands in [0, p) adds at most w*(p-1)**2 to a
-  magnitude, and reduction x - floor(x/p)*p with a correctly rounded
-  quotient is exact while |x| + p < 2**53.  Every operand is reduced
-  before a product, and within a panel an entry takes at most one
-  product, of inner dimension below the panel width, so it stays within
-  one panel width's bound.  Reduction of the trailing matrix is delayed:
-  it absorbs panel products unreduced for as long as the bound allows.  The
-  width follows from p: float64 with w <= 64 while w*(p-1)**2 + p < 2**53,
-  else int64 with w = 1, which covers every p < 2**31.  Any elimination
+  All products run in float64 BLAS on integer values, as in FFLAS-FFPACK
+  (Dumas, Giorgi and Pernet, ACM TOMS 2008): reduction x - floor(x/p)*p
+  with a correctly rounded quotient is exact while |x| + p < 2**53, and
+  a product of inner dimension 64 with operands in [0, p) adds at most
+  64*(p-1)**2, which every prime `RankConfig` accepts keeps below that.
+  Every operand is reduced before a product, within a panel an entry
+  takes at most one product, and the trailing matrix absorbs panel
+  products unreduced for as long as the bound allows.  Any elimination
   that walks the columns in order finds the same profile, because the
   profile is a property of the matrix.  Every panel is written back, so
   the same pass leaves the echelon form of the remainder in its dense
@@ -111,7 +109,7 @@ EXACT_CELL_BUDGET = 1 << 20
 # largest matrix the E2 count hands to the modular engine: 256 MB as float64
 MODULAR_CELL_BUDGET = 1 << 25
 
-_PANEL = 64  # widest panel; narrower when p is too large for float64
+_PANEL = 64  # columns per panel, the inner dimension of every dense product
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
 _SPARSE_CHUNK = 1 << 16  # products per step of a sparse product, bounds its scratch arrays
 # A Schur complement with more nonzeros than this fraction of its cells is
@@ -122,9 +120,9 @@ _SPARSE_CHUNK = 1 << 16  # products per step of a sparse product, bounds its scr
 # nonzero) and on the vGW quintics (6.9%, then 12.3%: 41 -> 31 ms), and
 # cost quintic-130 more than they save (21.9%: 113 -> 143 ms).
 _SPARSE_FILL = 0.1
-_FLOAT_EXACT = 2**53
 _INT_EXACT = 2**63
-# first prime added to a lift: the largest that `_kernel` runs at the full panel width
+# largest prime RankConfig accepts, and the first one added to a lift: the
+# largest p with _PANEL*(p-1)**2 + p < 2**53, so one panel product stays exact
 _LIFT_PRIME = 11863279
 
 
@@ -163,7 +161,8 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class RankConfig:
     """Prime set and certification policy for rank computations; the
-    primes and `dense_threshold` are integers, stored as Python ints."""
+    primes and `dense_threshold` are integers, stored as Python ints, the
+    primes at most _LIFT_PRIME, and `exact` a bool, stored as a Python bool."""
 
     primes: tuple[int, ...] = DEFAULT_PRIMES
     exact: bool = False
@@ -174,7 +173,10 @@ class RankConfig:
             primes = tuple(map(index, self.primes))
         except TypeError:
             raise ValueError(f"primes must be integers: {self.primes!r}") from None
+        if not isinstance(self.exact, (bool, np.bool_)):
+            raise ValueError(f"exact must be a bool, got {self.exact!r}")
         object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "exact", bool(self.exact))
         object.__setattr__(
             self, "dense_threshold", _integer(self.dense_threshold, "dense_threshold", 0)
         )
@@ -183,8 +185,8 @@ class RankConfig:
         if len(set(primes)) != len(primes):
             raise ValueError(f"primes must be distinct: {primes}")
         for p in primes:
-            if not 2 <= p < 2**31:
-                raise ValueError(f"prime {p} outside [2, 2**31)")
+            if not 2 <= p <= _LIFT_PRIME:
+                raise ValueError(f"prime {p} outside [2, {_LIFT_PRIME}]")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
@@ -233,35 +235,23 @@ class RankReport:
         }
 
 
-def _kernel(p: int) -> tuple[type, int, int]:
-    """(dtype, panel width, delay) of the elimination mod p.
-
-    A panel product of width w adds at most w*(p-1)**2 to a magnitude;
-    `delay` such products fit below the exactness limit of the dtype, so
-    no value the kernel forms exceeds delay*w*(p-1)**2 + p in magnitude.
-    """
-    square = (p - 1) ** 2
-    dtype, limit = np.float64, _FLOAT_EXACT
-    width = min(_PANEL, (limit - p - 1) // square)
-    if width < 1:
-        dtype, limit, width = np.int64, _INT_EXACT, 1
-    return dtype, width, (limit - p - 1) // (width * square)
+def _kernel(p: int) -> int:
+    """The delay of the elimination mod p: how many panel products, each
+    adding at most _PANEL*(p-1)**2 to a magnitude, an entry absorbs before
+    it is reduced, so that no value formed exceeds delay*_PANEL*(p-1)**2 + p < 2**53."""
+    return (2**53 - p - 1) // (_PANEL * (p - 1) ** 2)
 
 
 def _reduce(x: np.ndarray, p: int) -> None:
-    """Reduce the integral entries of `x` into [0, p), in place, as x - floor(x/p)*p.
+    """Reduce the integral float64 entries of `x` into [0, p), in place, as x - floor(x/p)*p.
 
-    Exact while |x| + p stays below the dtype's exactness limit.  In
-    float64 no correction is needed: x/p lies at least 1/p away from any
-    integer it does not equal, and correct rounding moves it by at most
-    |x/p| * 2**-53 < 1/p, so the floor of the rounded quotient is the
-    true floor; the product floor*p is an integer below 2**53 and exact.
+    Exact while |x| + p < 2**53, with no correction: x/p lies at least 1/p
+    away from any integer it does not equal, and correct rounding moves it
+    by at most |x/p| * 2**-53 < 1/p, so the floor of the rounded quotient
+    is the true floor; the product floor*p is an integer below 2**53 and exact.
     """
-    if x.dtype == np.float64:
-        q = x / p
-        np.floor(q, out=q)
-    else:
-        q = x // p
+    q = x / p
+    np.floor(q, out=q)
     q *= p
     x -= q
 
@@ -369,12 +359,12 @@ def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     and what lies above it are ignored.  With L = I + N on t rows, N**t = 0,
     so L^-1, the sum of (-N)**k over k < t, is the product of I + (-N)**2**i
     over 2**i < t: ceil(log2(t)) - 1 squarings.  Each product has reduced
-    operands and inner dimension t <= the panel width w, so every sum stays
-    within `_kernel`'s bound w*(p-1)**2 + p; at w = 1 none is formed.
+    operands and inner dimension t <= _PANEL, so every sum stays within
+    the bound _PANEL*(p-1)**2 + p < 2**53.
     """
     power = -np.tril(lower, -1)
     _reduce(power, p)
-    inverse = power + np.eye(len(lower), dtype=lower.dtype)
+    inverse = power + np.eye(len(lower))
     for _ in range(1, (len(lower) - 1).bit_length()):
         power = power @ power
         _reduce(power, p)
@@ -422,16 +412,16 @@ def _factor(panel: np.ndarray, trailing: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
-    """Column rank profile of A mod p; A (entries in [0, p)) is overwritten.
+def _eliminate(A: np.ndarray, p: int, delay: int) -> list[int]:
+    """Column rank profile of A mod p; A (float64, entries in [0, p)) is overwritten.
 
-    Each panel of `width` columns is copied out column-major and factored
+    Each panel of _PANEL columns is copied out column-major and factored
     by `_factor`; the pivot rows' trailing parts are solved with one
     product by the inverse of the panel's unit lower triangle, and the
     trailing matrix takes the panel product unreduced until `delay`
     products have accumulated.  So a copied panel holds at most delay - 1
     unreduced products, `_factor` adds at most one to each entry, of
-    reduced operands and inner dimension below `width`, and every value
+    reduced operands and inner dimension below _PANEL, and every value
     stays within `_kernel`'s bound; as `_factor` solves each pivot row
     across the panel, rows that run out inside it leave nothing unsolved.
     Every factored panel is written back, so that row s of A, from
@@ -440,14 +430,14 @@ def _eliminate(A: np.ndarray, p: int, width: int, delay: int) -> list[int]:
     pivot is not part of U.
     """
     nrows, ncols = A.shape
-    buffer = np.empty(min(nrows, max(_CHUNK_ROWS, width)) * ncols, dtype=A.dtype)
+    buffer = np.empty(min(nrows, _CHUNK_ROWS) * ncols)  # _CHUNK_ROWS >= _PANEL
     profile: list[int] = []
     row = 0
     pending = 0
-    for col in range(0, ncols, width):
+    for col in range(0, ncols, _PANEL):
         if row == nrows:
             break
-        hi = min(col + width, ncols)
+        hi = min(col + _PANEL, ncols)
         panel = np.array(A[row:, col:hi], order="F")
         pivots = _factor(panel, A[row:, hi:], p)
         t = len(pivots)
@@ -496,9 +486,7 @@ class _Split:
     right: tuple[np.ndarray, ...]
 
 
-def _split(
-    rows: int, cols: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, p: int, dtype: type
-) -> _Split:
+def _split(rows: int, cols: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, p: int) -> _Split:
     """The structural pivots of a rows x cols matrix mod p, and its entries around them.
 
     The entries hold values in [1, p), as `_residues` or `_entries` of a
@@ -506,7 +494,7 @@ def _split(
     the rows that lead in one column the one with the fewest entries, the
     first of those, is the pivot row, which keeps the fill of U11^-1 U12
     low.  A row without an entry is dropped, so the Schur complement
-    holds only rows that had one.  Values are in [0, p), as `dtype`.
+    holds only rows that had one.  Values are in [0, p), as float64.
     """
     v = v.astype(np.int64, copy=False)  # products of residues stay below 2**62
     first, lengths = _runs(r)
@@ -534,7 +522,7 @@ def _split(
     v = v * np.array(inverses + [1], dtype=np.int64)[head_of[r]] % p
     order = np.lexsort((row_at[r], part))
     cut = np.searchsorted(part[order], [1, 2])
-    i, j, v = row_at[r[order]], col_at[c[order]], v[order].astype(dtype)
+    i, j, v = row_at[r[order]], col_at[c[order]], v[order].astype(np.float64)
     blocks = [(i[a:b], j[a:b], v[a:b]) for a, b in ((0, cut[0]), (cut[0], cut[1]))]
     return _Split(c[chosen[by_level]], rest, np.append(bounds, n + len(tails)), *blocks)
 
@@ -563,8 +551,8 @@ def _entries(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return *np.divmod(flat, dense.shape[1]), dense.reshape(-1)[flat]
 
 
-def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, tuple]:
-    """X2 - X1 @ W mod p as a dense `dtype` array in [0, p), and W = U11^-1 U12.
+def _schur(split: _Split, p: int, step: int) -> tuple[np.ndarray, tuple]:
+    """X2 - X1 @ W mod p as a dense float64 array in [0, p), and W = U11^-1 U12.
 
     Row i of W is U12[i] minus the sum of U11[i, j] * W[j] over the
     entries right of its diagonal, all in rows of lower levels, so one
@@ -580,7 +568,7 @@ def _schur(split: _Split, p: int, dtype: type, step: int) -> tuple[np.ndarray, t
     w = tuple(x[: right_at[1]] for x in split.right)
     for k in range(1, len(bounds) - 1):
         lo, hi = bounds[k], bounds[k + 1]
-        block = np.zeros((hi - lo, width), dtype=dtype)
+        block = np.zeros((hi - lo, width))
         i, j, v = (x[right_at[k] : right_at[k + 1]] for x in split.right)
         block[i - lo, j] = v
         i, j, v = (x[left_at[k] : left_at[k + 1]] for x in split.left)
@@ -609,16 +597,16 @@ def _echelon(
     column rank.  It is the remainder's reduced kernel, extended back
     through each round in reverse by x[S] = -W x[rest].
     """
-    dtype, width, delay = _kernel(p)
-    step = width * delay
+    delay = _kernel(p)
+    step = _PANEL * delay
     rows, cols = matrix.rows, matrix.cols
     entries = _residues(matrix, p)
     columns = np.arange(cols)  # the matrix's column of each column of the round
     found, rounds = [], []
     while True:
-        split = _split(rows, cols, *entries, p, dtype)
+        split = _split(rows, cols, *entries, p)
         entries = None  # the split holds them, reordered
-        schur, w = _schur(split, p, dtype, step)
+        schur, w = _schur(split, p, step)
         found.append(columns[split.pivots])
         columns = columns[split.rest]
         if certify:
@@ -630,33 +618,33 @@ def _echelon(
             break
         entries = _entries(schur)
         del schur  # released before the next round allocates its complement
-    inner = _eliminate(schur, p, width, delay)
+    inner = _eliminate(schur, p, delay)
     found.append(columns[inner])
     profile = np.sort(np.concatenate(found))
     if not certify or len(profile) == matrix.cols:
         return tuple(profile.tolist()), None
     free = _split_columns(inner, cols)[1]
-    x = np.zeros((cols, len(free)), dtype=dtype)
+    x = np.zeros((cols, len(free)))
     x[inner] = _kernel_mod_p(schur[: len(inner)], inner, p)
     x[free, np.arange(len(free))] = 1
     del schur
     for pivots, rest, w in reversed(rounds):
-        x_s = np.zeros((len(pivots), len(free)), dtype=dtype)
+        x_s = np.zeros((len(pivots), len(free)))
         _subtract_sparse_product(x_s, *w, _entries(x), p, step)
         _reduce_rows(x_s, p)
-        x_all = np.empty((len(pivots) + len(rest), len(free)), dtype=dtype)
+        x_all = np.empty((len(pivots) + len(rest), len(free)))
         x_all[pivots], x_all[rest] = x_s, x
         x = x_all
     return tuple(profile.tolist()), x[profile]
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank of an integer matrix over the field with p elements, for any prime p < 2**31.
+    """Rank of an integer matrix over the field with p elements, for a prime p <= _LIFT_PRIME.
 
     The report path does not call it; it stays as a boundary that
     perfbench/tracing.py wraps by name.
     """
-    RankConfig(primes=(p,))  # raises ValueError unless p is a prime below 2**31
+    RankConfig(primes=(p,))  # raises ValueError unless p is a prime RankConfig accepts
     return len(_echelon(matrix, p)[0])
 
 
@@ -677,21 +665,20 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
     s, entry profile[s] of the kernel vector that is 1 at the i-th
     non-pivot column and 0 at the others.  Scaled to -U/diag(U), U holds
     -T on the pivot columns, T a unit upper triangle, and -F on the free
-    ones, so K = T^-1 (-F), solved one panel width of rows at a time from
-    the bottom up: a block takes the rows below it, width*delay product
-    terms per reduction, then one product by its own triangle's inverse.
+    ones, so K = T^-1 (-F), solved _PANEL rows at a time from the bottom
+    up: a block takes the rows below it, _PANEL*delay product terms per
+    reduction, then one product by its own triangle's inverse.
     """
     r, cols = echelon.shape
     pivots, free = _split_columns(profile, cols)
     scale = np.array([-pow(int(echelon[s, c]), p - 2, p) for s, c in enumerate(profile)])
-    echelon *= scale.astype(echelon.dtype)[:, None]  # -U/diag(U)
+    echelon *= scale[:, None]  # -U/diag(U)
     _reduce_rows(echelon, p)
     coupling, kernel = echelon[:, pivots], echelon[:, free]
     kernel[free < pivots[:, None]] = 0
-    _, width, delay = _kernel(p)
-    step = width * delay
-    for lo in reversed(range(0, r, width)):
-        hi = min(lo + width, r)
+    step = _PANEL * _kernel(p)
+    for lo in reversed(range(0, r, _PANEL)):
+        hi = min(lo + _PANEL, r)
         block = kernel[lo:hi]
         for start in range(hi, r, step):
             block += coupling[lo:hi, start : start + step] @ kernel[start : start + step]

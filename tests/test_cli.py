@@ -295,6 +295,11 @@ def test_defect_bad_prime_list_names_the_flag(capsys, flags, message):
     assert (code, out, err) == (2, "", message)
 
 
+def test_defect_prime_past_the_float64_bound_exits_2(capsys):
+    code, out, err = run(capsys, "defect", "--expr", SEGRE, "--prime-list", "2147483647")
+    assert (code, out, err) == (2, "", "error: prime 2147483647 outside [2, 11863279]\n")
+
+
 @pytest.mark.parametrize("count", ["2", "3"])
 def test_defect_primes_and_prime_list_exclude_each_other(capsys, count):
     # 3 is the default count: it must be refused like any other

@@ -2,11 +2,10 @@
 
 `golden/kernels.json` holds, for `full` and `wedge_low` of every fixture
 at k = 3, the sha256 of the column rank profile and the kernel that
-`ranks._echelon(block, p, True)` returns, at the default prime 32633, at
-the first lift prime 11863279 (panel width 64, delay 1) and at the next
-prime 11863289 (panel width 63, delay 1).  Each is a property of the
-matrix: the reduced-echelon kernel of a profile is
-unique, so any correct engine reproduces every digest.  A change that
+`ranks._echelon(block, p, True)` returns, at the default prime 32633 and
+at the first lift prime 11863279, the largest prime accepted (delay 1).
+Each is a property of the matrix: the reduced-echelon kernel of a profile
+is unique, so any correct engine reproduces every digest.  A change that
 alters one on purpose regenerates the file and says why:
 
     PYTHONPATH=src python tests/test_golden_kernels.py
@@ -23,8 +22,7 @@ from hyperdefect.koszul import assemble_phi
 from hyperdefect.ranks import _LIFT_PRIME, PRIME_TABLE, _echelon
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "kernels.json"
-ODD_PRIME = 11863289  # the prime after _LIFT_PRIME: panels of 63 columns
-PRIMES = (PRIME_TABLE[0], _LIFT_PRIME, ODD_PRIME)
+PRIMES = (PRIME_TABLE[0], _LIFT_PRIME)
 BLOCKS = ("full", "wedge_low")
 
 

@@ -654,6 +654,15 @@ def test_integral_floats_are_refused_not_read_as_integers():
     assert p ** np.int64(3) == p**3 and p**True == p
 
 
+def test_an_integer_on_the_left_is_a_constant():
+    p = parse_expression("x^2+3*y", ("x", "y"))
+    assert 2 - p == -(p - 2) == parse_expression("2-x^2-3*y", ("x", "y"))
+    assert np.int64(2) - p == 2 - p
+    assert 2 + p == p + 2 and 2 * p == p * 2
+    with pytest.raises(PolynomialError, match="not an integer"):
+        2.5 - p
+
+
 def test_arithmetic_requires_matching_variables():
     with pytest.raises(PolynomialError):
         parse_expression("x+y", ("x", "y")) + parse_expression("x+y", ("x", "y", "z"))

@@ -28,11 +28,8 @@ from hyperdefect.ranks import (
     rank_multimodular,
 )
 
-BLOCKED_PRIMES = (2, 3, 32749, 524287)  # float64 kernel at the full panel width
-EDGE_PRIME = 94906249  # largest prime the float64 kernel takes (panel width 1)
-BIG_PRIME = 2147483647  # int64 kernel, the largest prime RankConfig accepts
-WIDE_PRIME = 11863279  # largest prime the float64 kernel takes at the full panel width
-ODD_PRIME = 11863289  # the next prime: panels of 63 columns
+BLOCKED_PRIMES = (2, 3, 32749, 524287)
+WIDE_PRIME = 11863279  # the largest prime RankConfig accepts
 LEAF = 8  # a few columns: the matrices below reach just short of and past it
 
 
@@ -99,16 +96,16 @@ def test_methods_cross_panel_boundaries():
     left = rng.randint(-4, 5, size=(220, 60)).astype(np.int64)
     right = rng.randint(-4, 5, size=(60, 300)).astype(np.int64)
     product = sparse_from_dense(left @ right)  # rank <= 60
-    for p in BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME):
+    for p in BLOCKED_PRIMES:
         rank = rank_mod_p(product, p)
         assert rank == rowreduce_rank(product, p)
         assert rank <= 60
-    assert rank_mod_p(product, BIG_PRIME) == rank_mod_p(product, 32749)
+    assert rank_mod_p(product, WIDE_PRIME) == rank_mod_p(product, 32749)
     # rank 150 puts pivots in three panels: the pivot rows of the second hold
     # the first panel's unreduced product when they are solved
     deep = rng.randint(-4, 5, size=(200, 150)) @ rng.randint(-4, 5, size=(150, 260))
     deep = sparse_from_dense(deep)
-    for p in BLOCKED_PRIMES + (WIDE_PRIME, EDGE_PRIME, BIG_PRIME):
+    for p in BLOCKED_PRIMES + (WIDE_PRIME,):
         assert rank_mod_p(deep, p) == rowreduce_rank(deep, p)
 
 
@@ -175,13 +172,13 @@ def _assert_profile_and_kernel(matrix, p):
     assert not ((residues @ high % p * (1 << 16) + residues @ low) % p).any()
 
 
-@pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME))
+@pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME,))
 @pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
 def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     _assert_profile_and_kernel(RECURSION_EDGES[case](p), p)
 
 
-STAGE_PRIMES = (2, 3, 32633, WIDE_PRIME, BIG_PRIME)
+STAGE_PRIMES = (2, 3, 32633, WIDE_PRIME)
 
 
 @st.composite
@@ -215,7 +212,7 @@ def _first_split(matrix, p):
     """The first round of structural pivots of a dense array mod p."""
     sparse = sparse_from_dense(matrix)
     entries = ranks._residues(sparse, p)
-    return ranks._split(sparse.rows, sparse.cols, *entries, p, _kernel(p)[0])
+    return ranks._split(sparse.rows, sparse.cols, *entries, p)
 
 
 stage_cases = st.sampled_from(STAGE_PRIMES).flatmap(
@@ -239,13 +236,13 @@ def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     assert split.bounds[-1] == np.count_nonzero((matrix % p != 0).any(axis=1))
 
 
-@pytest.mark.parametrize("p", [WIDE_PRIME, BIG_PRIME])
+@pytest.mark.parametrize("p", [WIDE_PRIME])
 def test_sparse_sums_regroup_within_the_kernel_bound(p):
     # a pivot row and a tail row that both lead in column 0 and fill every
     # column with p - 1, over a staircase of pivot rows: both take more
-    # products per row than one exact sum holds at these primes
-    _, width, delay = _kernel(p)
-    n = width * delay + 6
+    # products per row than one exact sum holds at this prime
+    step = _PANEL * _kernel(p)
+    n = step + 6
     matrix = np.zeros((n + 1, n + 1), dtype=object)
     matrix[0] = matrix[n] = p - 1
     for k in range(1, n):
@@ -253,8 +250,8 @@ def test_sparse_sums_regroup_within_the_kernel_bound(p):
     split = _first_split(matrix, p)
     on_pivots = np.bincount(split.left[0], minlength=split.bounds[-1])
     # pivot row 0 reaches every other pivot row, so it is the last of them
-    assert on_pivots[len(split.pivots) - 1] > width * delay  # off its diagonal
-    assert on_pivots[-1] > width * delay  # the one tail row
+    assert on_pivots[len(split.pivots) - 1] > step  # off its diagonal
+    assert on_pivots[-1] > step  # the one tail row
     _assert_profile_and_kernel(matrix, p)
 
 
@@ -434,15 +431,24 @@ def test_method_validation():
         rank_mod_p(identity, 4)
     with pytest.raises(ValueError):
         rank_mod_p(identity, 2**31 + 11)
-    # every prime RankConfig accepts goes through the one engine
-    assert _kernel(WIDE_PRIME)[1] == _PANEL and _kernel(ODD_PRIME)[1] == _PANEL - 1
-    assert _kernel(EDGE_PRIME)[0] is np.float64
-    assert _kernel(EDGE_PRIME + 48)[0] is np.int64
-    for p in (2, EDGE_PRIME, EDGE_PRIME + 48, BIG_PRIME):
+    for p in (2, WIDE_PRIME):
         assert rank_mod_p(identity, p) == 2
 
 
-@given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME)))
+def test_largest_prime_keeps_one_panel_product_exact():
+    # 11863279 is the largest prime p with 64*(p-1)**2 + p < 2**53: the next
+    # prime, 11863289, fails the bound, and it and every larger prime are refused
+    assert ranks._LIFT_PRIME == WIDE_PRIME and _PANEL == 64
+    assert 64 * (WIDE_PRIME - 1) ** 2 + WIDE_PRIME < 2**53
+    assert [n for n in range(WIDE_PRIME + 1, 11863290) if ranks._is_prime(n)] == [11863289]
+    assert 64 * (11863289 - 1) ** 2 + 11863289 >= 2**53
+    assert _kernel(WIDE_PRIME) == 1
+    for p in (11863289, 94906249, 2**31 - 1):
+        with pytest.raises(ValueError, match=rf"prime {p} outside \[2, 11863279\]"):
+            RankConfig(primes=(p,))
+
+
+@given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (WIDE_PRIME,)))
 @settings(max_examples=120, deadline=None)
 def test_engines_agree_and_bound_the_rational_rank(rows, p):
     dense = np.array(rows, dtype=np.int64)
@@ -458,7 +464,7 @@ def _leading_counts(profile, cols):
     return [sum(1 for c in profile if c < k) for k in range(cols + 1)]
 
 
-@given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (EDGE_PRIME, BIG_PRIME)))
+@given(small_matrices, st.sampled_from(BLOCKED_PRIMES + (WIDE_PRIME,)))
 @settings(max_examples=80, deadline=None)
 def test_profile_prefix_counts_leading_block_ranks(rows, p):
     dense = np.array(rows, dtype=np.int64)
@@ -534,18 +540,16 @@ def test_leading_block_certification_follows_its_own_shape():
         rank_multimodular(blocks.wedge_high, leading=blocks.full)
 
 
-@pytest.mark.parametrize("p", [32749, EDGE_PRIME, BIG_PRIME])
+@pytest.mark.parametrize("p", [32749, WIDE_PRIME])
 def test_in_place_reduction_is_exact_at_its_edges(p):
-    dtype, width, delay = _kernel(p)
-    largest = delay * width * (p - 1) ** 2  # most negative value the kernel forms
-    limit = 2**53 if dtype is np.float64 else 2**63
-    assert largest + p < limit
+    largest = _kernel(p) * _PANEL * (p - 1) ** 2  # most negative value the kernel forms
+    assert largest + p < 2**53
     edges = [0, 1, p - 1, p, 2 * p, -p, -1, -(p - 1), (p - 1) ** 2, p * (p - 1)]
     edges += [-largest, -largest + 1, -largest + p - 1, -(largest // p) * p]
     edges += [-(largest // p) * p - 1, -(largest // p) * p + 1, -(largest // p - 1) * p]
     rng = np.random.default_rng(p)
     edges += [int(v) for v in rng.integers(-largest, p, size=2000)]
-    values = np.array(edges, dtype=dtype)
+    values = np.array(edges, dtype=np.float64)
     assert values.astype(object).tolist() == edges  # every input is represented exactly
     _reduce(values, p)
     assert [int(v) for v in values] == [v % p for v in edges]
@@ -650,6 +654,13 @@ def test_rank_config_validation():
         RankConfig(primes=(2**31 + 11,))
     with pytest.raises(ValueError):
         RankConfig(dense_threshold=-1)
+    # exact is a bool, and any other value is refused, not read for its truth
+    for exact in ("no", "", 1, 0, None, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="exact must be a bool"):
+            RankConfig(exact=exact)
+    for exact in (True, False, np.True_, np.False_):
+        config = RankConfig(exact=exact)
+        assert config.exact == exact and type(config.exact) is bool
     for primes in ((32633.0,), (3, 5.0), ("7",)):
         with pytest.raises(ValueError, match="primes must be integers"):
             RankConfig(primes=primes)
@@ -852,7 +863,7 @@ def test_huge_coefficient_lifts_with_more_primes(monkeypatch):
 
 # -- the unit-triangle inverse and the kernel it back-substitutes ---------------
 
-TRIANGLE_PRIMES = BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME)
+TRIANGLE_PRIMES = BLOCKED_PRIMES + (WIDE_PRIME,)
 
 
 @given(st.sampled_from(TRIANGLE_PRIMES), st.data())
@@ -860,14 +871,13 @@ TRIANGLE_PRIMES = BLOCKED_PRIMES + (WIDE_PRIME, ODD_PRIME, EDGE_PRIME, BIG_PRIME
 def test_unit_lower_inverse_inverts_every_panel_triangle(p, data):
     # t = 1 .. the panel width; the diagonal and above hold residues that must
     # be ignored; all-(p-1) entries give the largest sums
-    dtype, width, _ = _kernel(p)
-    t = data.draw(st.integers(min_value=1, max_value=width))
+    t = data.draw(st.integers(min_value=1, max_value=_PANEL))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if data.draw(st.booleans()):
         lower = np.full((t, t), p - 1, dtype=np.int64)
     else:
         lower = rng.integers(0, p, size=(t, t), dtype=np.int64)
-    inverse = ranks._unit_lower_inverse(lower.astype(dtype), p)
+    inverse = ranks._unit_lower_inverse(lower.astype(np.float64), p)
     assert ((inverse >= 0) & (inverse < p)).all()
     unit = (np.tril(lower, -1) + np.eye(t, dtype=np.int64)).astype(object)
     product = unit.dot(inverse.astype(np.int64).astype(object)) % p
@@ -879,7 +889,6 @@ def test_unit_lower_inverse_inverts_every_panel_triangle(p, data):
 def test_kernel_mod_p_annihilates_full_row_rank_echelons(r, p, data):
     # U holds a nonzero pivot in each row and residues right of it; what lies
     # left of a pivot is not part of U and must be ignored
-    dtype, _, _ = _kernel(p)
     free_count = data.draw(st.integers(min_value=0, max_value=6))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     cols = r + free_count
@@ -889,7 +898,7 @@ def test_kernel_mod_p_annihilates_full_row_rank_echelons(r, p, data):
     upper[np.arange(r), profile] = rng.integers(1, p, size=r)
     given_rows = upper.copy()
     given_rows[np.arange(cols) < np.array(profile)[:, None]] = rng.integers(0, p)
-    kernel = ranks._kernel_mod_p(given_rows.astype(dtype), profile, p)
+    kernel = ranks._kernel_mod_p(given_rows.astype(np.float64), profile, p)
     assert kernel.shape == (r, free_count)
     assert ((kernel >= 0) & (kernel < p)).all()
     pivots, free = ranks._split_columns(profile, cols)
