@@ -30,6 +30,9 @@ from hyperdefect.ranks import (
 
 BLOCKED_PRIMES = (2, 3, 32749, 524287)
 WIDE_PRIME = 11863279  # the largest prime RankConfig accepts
+# the largest primes at delays 2, 3 and 4: entries absorb that many panel
+# products, up to just under 2**53, before they are reduced
+DELAY_PRIMES = (8388593, 6849247, 5931641)
 LEAF = 8  # a few columns: the matrices below reach just short of and past it
 
 
@@ -172,13 +175,13 @@ def _assert_profile_and_kernel(matrix, p):
     assert not ((residues @ high % p * (1 << 16) + residues @ low) % p).any()
 
 
-@pytest.mark.parametrize("p", BLOCKED_PRIMES + (WIDE_PRIME,))
+@pytest.mark.parametrize("p", BLOCKED_PRIMES + DELAY_PRIMES + (WIDE_PRIME,))
 @pytest.mark.parametrize("case", sorted(RECURSION_EDGES))
 def test_recursive_panel_keeps_the_column_rank_profile(case, p):
     _assert_profile_and_kernel(RECURSION_EDGES[case](p), p)
 
 
-STAGE_PRIMES = (2, 3, 32633, WIDE_PRIME)
+STAGE_PRIMES = (2, 3, 32633, DELAY_PRIMES[0], WIDE_PRIME)
 
 
 @st.composite
@@ -236,11 +239,11 @@ def test_structural_pivots_keep_the_profile_and_the_echelon_rows(case):
     assert split.bounds[-1] == np.count_nonzero((matrix % p != 0).any(axis=1))
 
 
-@pytest.mark.parametrize("p", [WIDE_PRIME])
+@pytest.mark.parametrize("p", [DELAY_PRIMES[0], WIDE_PRIME])
 def test_sparse_sums_regroup_within_the_kernel_bound(p):
     # a pivot row and a tail row that both lead in column 0 and fill every
     # column with p - 1, over a staircase of pivot rows: both take more
-    # products per row than one exact sum holds at this prime
+    # products per row than one exact sum holds at these primes
     step = _PANEL * _kernel(p)
     n = step + 6
     matrix = np.zeros((n + 1, n + 1), dtype=object)
@@ -443,6 +446,11 @@ def test_largest_prime_keeps_one_panel_product_exact():
     assert [n for n in range(WIDE_PRIME + 1, 11863290) if ranks._is_prime(n)] == [11863289]
     assert 64 * (11863289 - 1) ** 2 + 11863289 >= 2**53
     assert _kernel(WIDE_PRIME) == 1
+    # each of DELAY_PRIMES is the largest prime at its delay: the next prime
+    # above it takes one panel product fewer
+    for delay, p in enumerate(DELAY_PRIMES, start=2):
+        after = next(n for n in range(p + 2, 2 * p, 2) if ranks._is_prime(n))
+        assert (_kernel(p), _kernel(after)) == (delay, delay - 1)
     for p in (11863289, 94906249, 2**31 - 1):
         with pytest.raises(ValueError, match=rf"prime {p} outside \[2, 11863279\]"):
             RankConfig(primes=(p,))
@@ -540,7 +548,7 @@ def test_leading_block_certification_follows_its_own_shape():
         rank_multimodular(blocks.wedge_high, leading=blocks.full)
 
 
-@pytest.mark.parametrize("p", [32749, WIDE_PRIME])
+@pytest.mark.parametrize("p", (32749,) + DELAY_PRIMES + (WIDE_PRIME,))
 def test_in_place_reduction_is_exact_at_its_edges(p):
     largest = _kernel(p) * _PANEL * (p - 1) ** 2  # most negative value the kernel forms
     assert largest + p < 2**53
