@@ -1,10 +1,10 @@
 """Command-line front end: defect, hodge and corpus subcommands.
 
 Exit codes: 0 success, 1 corpus mismatch, 2 input/validation error,
-3 a size budget exceeded (the exact-rank budget, the modular budget
-checked on `full`'s shape before any block is built, or the Hodge series
-budget checked on --n and --d before the series is built), 4 a computed
-rank broke an invariant.
+3 a size budget exceeded (the modular budget, or under --exact the
+exact-rank budget, both checked on `full`'s shape before any block is
+built, or the Hodge series budget checked on --n and --d before the
+series is built), 4 a computed rank broke an invariant.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .koszul import PhiBlocks, PhiDegrees, assemble_phi
 from .monomials import _integer
 from .polynomials import HomogeneousForm, VariableCountError
 from .ranks import (
+    EXACT_CELL_BUDGET,
     MODULAR_CELL_BUDGET,
     RankBudgetError,
     RankConfig,
@@ -218,7 +219,9 @@ def e2_piece(
     of degree at least 1.  `full` is eliminated once per prime; B's
     columns lead it, so the same elimination gives the ranks of B and of
     `full` together.  Raises RankBudgetError, before building anything, when
-    `full` would exceed MODULAR_CELL_BUDGET cells.  Rank-engine errors
+    `full` would exceed MODULAR_CELL_BUDGET cells, or, under `exact`,
+    EXACT_CELL_BUDGET cells; `full` contains A, so that one check covers
+    both blocks certified.  Rank-engine errors
     propagate, as does RankInvariantError when a per-prime rank breaks a
     bound; disagreement between primes is visible on the block reports.
     """
@@ -235,6 +238,8 @@ def e2_piece(
             f"full block {rows}x{cols} exceeds the modular budget of {MODULAR_CELL_BUDGET} cells"
         )
     cfg = config or RankConfig()
+    if cfg.exact and rows * cols > EXACT_CELL_BUDGET:
+        raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {EXACT_CELL_BUDGET} cells")
     blocks: PhiBlocks = assemble_phi(form, multiplier)
     wedge_low = rank_multimodular(blocks.wedge_low, cfg)
     full = rank_multimodular(blocks.full, cfg, leading=blocks.wedge_high)

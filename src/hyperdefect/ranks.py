@@ -9,10 +9,10 @@ every leading column block at once.
 * `_echelon` eliminates over the field with p elements, sparse first and
   dense last, as in Faugere and Lachartre (PASCO 2010) and SpaSM
   (Bouillaguet and Delaplace, CASC 2016).  The coordinate entries are
-  reduced mod p once (one int64 pass, or one Python-int pass when some
-  entry does not fit).  A row's leading column is its first entry
-  nonzero mod p; one row per distinct leading column, the shortest, is a
-  structural pivot row.  With S the pivot columns and R their rows,
+  reduced mod p once, exactly (one int64 pass, or one Python-int pass
+  when some entry does not fit), into float64 residues.  A row's leading
+  column is its first entry nonzero mod p; one row per distinct leading
+  column, the shortest, is a structural pivot row.  With S the pivot columns and R their rows,
   U11 = M[R, S] is upper triangular with a nonzero diagonal.  With the
   rows numbered level by level in U11's dependency order, the other rows
   last, one sparse pass over those row ranges forms W = U11^-1 U12 and,
@@ -83,7 +83,10 @@ Every function takes a `SparseIntMatrix`.  Inside the sparse stage every
 sparse matrix (the residues, each round's entries around its pivots, W
 and the complement handed to the next round) is held one way, as
 (row, column, value) arrays in row order with columns increasing within
-a row; only `_subtract_sparse_product` indexes one by rows.
+a row, the values float64 in [1, p); only `_subtract_sparse_product`
+indexes one by rows.  Every prime is at most 11863279 < 2**24, so a
+product of two residues is below 2**48, and float64 holds residues,
+their products and their reductions exactly.
 
 A "bad" prime can only lower a rank, never raise it, so disagreement
 between primes is reported rather than fatal.
@@ -135,34 +138,19 @@ class RankInvariantError(RuntimeError):
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; bases 2,3,5,7 cover all n < 3_215_031_751
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and the odd q <= isqrt(n): at most 1722 divisors
+    for n <= _LIFT_PRIME, the largest n any caller tests."""
+    if n < 4:
+        return n >= 2
+    return n % 2 != 0 and all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 @dataclass(frozen=True)
 class RankConfig:
     """Prime set and certification policy for rank computations; the
     primes and `dense_threshold` are integers, stored as Python ints, the
-    primes at most _LIFT_PRIME, and `exact` a bool, stored as a Python bool."""
+    primes at most _LIFT_PRIME, so that residues are float64 and exact,
+    and `exact` a bool, stored as a Python bool."""
 
     primes: tuple[int, ...] = DEFAULT_PRIMES
     exact: bool = False
@@ -257,13 +245,13 @@ def _reduce(x: np.ndarray, p: int) -> None:
 
 
 def _residues(matrix: SparseIntMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries that are nonzero mod p, values in [1, p), as int64 arrays."""
+    """The entries that are nonzero mod p, their values as float64 in [1, p)."""
     try:
         values = matrix.v.astype(np.int64) % p
     except OverflowError:
         values = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
     keep = np.flatnonzero(values)
-    return matrix.r[keep], matrix.c[keep], values[keep]
+    return matrix.r[keep], matrix.c[keep], values[keep].astype(np.float64)
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +390,7 @@ def _factor(panel: np.ndarray, trailing: np.ndarray, p: int) -> list[int]:
             panel[[r, i]] = panel[[i, r]]
             trailing[[r, i]] = trailing[[i, r]]
         multipliers = panel[r + 1 :, j]
-        multipliers *= pow(int(panel[r, j]), p - 2, p)
+        multipliers *= pow(int(panel[r, j]), -1, p)
         _reduce(multipliers, p)
         head = panel[r, j + 1 :]
         if r:
@@ -489,14 +477,13 @@ class _Split:
 def _split(rows: int, cols: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, p: int) -> _Split:
     """The structural pivots of a rows x cols matrix mod p, and its entries around them.
 
-    The entries hold values in [1, p), as `_residues` or `_entries` of a
-    complement gives them.  A row's leading column is its first entry; of
-    the rows that lead in one column the one with the fewest entries, the
-    first of those, is the pivot row, which keeps the fill of U11^-1 U12
-    low.  A row without an entry is dropped, so the Schur complement
-    holds only rows that had one.  Values are in [0, p), as float64.
+    The entries hold float64 values in [1, p), as `_residues` or
+    `_entries` of a complement gives them, and so do the split's.  A
+    row's leading column is its first entry; of the rows that lead in one
+    column the one with the fewest entries, the first of those, is the
+    pivot row, which keeps the fill of U11^-1 U12 low.  A row without an
+    entry is dropped, so the Schur complement holds only rows that had one.
     """
-    v = v.astype(np.int64, copy=False)  # products of residues stay below 2**62
     first, lengths = _runs(r)
     order = np.lexsort((lengths, c[first]))
     chosen = first[order[_runs(c[first[order]])[0]]]
@@ -518,11 +505,12 @@ def _split(rows: int, cols: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, p:
     col_at = np.empty(cols, dtype=np.int64)
     col_at[c[chosen[by_level]]], col_at[rest] = np.arange(n), np.arange(len(rest))
     # scale each pivot row to lead with 1, the other rows (-1) by the appended 1
-    inverses = [pow(x, -1, p) for x in v[chosen].tolist()]
-    v = v * np.array(inverses + [1], dtype=np.int64)[head_of[r]] % p
+    inverses = [pow(int(x), -1, p) for x in v[chosen].tolist()]
+    v = v * np.array(inverses + [1], dtype=np.float64)[head_of[r]]
+    _reduce(v, p)
     order = np.lexsort((row_at[r], part))
     cut = np.searchsorted(part[order], [1, 2])
-    i, j, v = row_at[r[order]], col_at[c[order]], v[order].astype(np.float64)
+    i, j, v = row_at[r[order]], col_at[c[order]], v[order]
     blocks = [(i[a:b], j[a:b], v[a:b]) for a, b in ((0, cut[0]), (cut[0], cut[1]))]
     return _Split(c[chosen[by_level]], rest, np.append(bounds, n + len(tails)), *blocks)
 
@@ -671,7 +659,7 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
     """
     r, cols = echelon.shape
     pivots, free = _split_columns(profile, cols)
-    scale = np.array([-pow(int(echelon[s, c]), p - 2, p) for s, c in enumerate(profile)])
+    scale = np.array([-pow(int(echelon[s, c]), -1, p) for s, c in enumerate(profile)])
     echelon *= scale[:, None]  # -U/diag(U)
     _reduce_rows(echelon, p)
     coupling, kernel = echelon[:, pivots], echelon[:, free]

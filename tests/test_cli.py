@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import hyperdefect
-from hyperdefect import polynomials, ranks
+from hyperdefect import invariants, polynomials, ranks
 from hyperdefect.cli import main
-from hyperdefect.fixtures import FIXTURES
+from hyperdefect.fixtures import FIXTURES, get_fixture
 from hyperdefect.polynomials import parse_expression, emit_term_list
 
 SEGRE = "(x+y+z+u+v)^3-(x^3+y^3+z^3+u^3+v^3)"
@@ -196,6 +196,19 @@ def test_defect_exact_budget_exits_3(capsys):
     code, _, err = run(capsys, "defect", "--expr", expr, "--exact")
     assert code == 3
     assert "exceeds exact budget" in err
+
+
+def test_defect_exact_budget_is_checked_before_any_elimination(capsys, monkeypatch):
+    # full is 1075x1127, past the exact budget; A (25x126) fits it, and is
+    # neither built nor eliminated
+    calls = []
+    monkeypatch.setattr(ranks, "_echelon", lambda *args: calls.append(args))
+    monkeypatch.setattr(invariants, "assemble_phi", lambda *args: calls.append(args))
+    expr = get_fixture("quintic-vgw-118a").expression
+    code, _, err = run(capsys, "defect", "--expr", expr, "--exact")
+    assert code == 3
+    assert "1075x1127 exceeds exact budget of 1048576 cells" in err
+    assert calls == []
 
 
 def test_defect_over_the_size_budget_exits_3_at_once(capsys):

@@ -59,6 +59,32 @@ def test_prime_table_is_prime_and_fifteen_bit():
     assert DEFAULT_PRIMES == PRIME_TABLE[:3]
 
 
+def test_trial_division_agrees_with_a_sieve_and_at_the_top_of_its_range():
+    sieve = np.ones(1 << 16, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, 1 << 8):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    assert [n for n in range(1 << 16) if ranks._is_prime(n)] == np.flatnonzero(sieve).tolist()
+    # 3433**2 has its only factor at exactly isqrt(n), the last divisor tried
+    assert ranks._is_prime(WIDE_PRIME) and ranks._is_prime(11863289)
+    for n in (3433**2, 3433 * 3449):
+        assert not ranks._is_prime(n)
+
+
+def test_residues_are_float64_in_one_to_p():
+    # 2**70 + 1 takes the Python-int pass; without it, the int64 pass
+    values = [2**70 + 1, -(2**70), 7, -1, WIDE_PRIME, 2 * WIDE_PRIME + 5, 2**62]
+    for entries in (values, values[2:]):
+        sparse = from_entries(1, len(entries), [(0, c, x) for c, x in enumerate(entries)])
+        for p in (2, WIDE_PRIME):
+            _, c, v = ranks._residues(sparse, p)
+            assert v.dtype == np.float64
+            assert v.tolist() == [entries[j] % p for j in c.tolist()]
+            assert c.tolist() == [j for j, x in enumerate(entries) if x % p]
+            assert ((1 <= v) & (v < p)).all()
+
+
 def test_identity_and_zero():
     identity = sparse_from_dense(np.eye(3, dtype=np.int64))
     for p in (2, 3, 32749):
