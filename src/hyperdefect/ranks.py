@@ -84,9 +84,15 @@ sparse matrix (the residues, each round's entries around its pivots, W
 and the complement handed to the next round) is held one way, as
 (row, column, value) arrays in row order with columns increasing within
 a row, the values float64 in [1, p); only `_subtract_sparse_product`
-indexes one by rows.  Every prime is at most 11863279 < 2**24, so a
-product of two residues is below 2**48, and float64 holds residues,
-their products and their reductions exactly.
+indexes one by rows.  `_schur` forms each level range of W and each
+round's complement in a dense scratch array and leaves it unreduced;
+only its nonzero cells are reduced: `_entries` gathers them in one scan,
+reduces their values and drops those that vanish mod p.  The density
+test counts the cells nonzero mod p: a complement whose cells nonzero
+before reduction are within _SPARSE_FILL is sparse, and only a denser
+one is reduced whole and counted again.  Every prime is at most
+11863279 < 2**24, so a product of two residues is below 2**48, and
+float64 holds residues, their products and their reductions exactly.
 
 A "bad" prime can only lower a rank, never raise it, so disagreement
 between primes is reported rather than fatal.
@@ -528,26 +534,38 @@ def _levels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return level
 
 
-def _entries(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of `dense`.
+def _entries(
+    dense: np.ndarray, p: int, nonzero: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of `dense` nonzero mod p, their values reduced into [1, p).
 
-    One scan of the flattened array: np.nonzero of a 2-d array takes
-    several times as long (21 against 4 ms on a 1627x1787 complement,
-    2-vCPU VM).
+    `dense` holds integral float64 values within `_reduce`'s bound, reduced
+    or not, and `nonzero`, when given, is its mask dense != 0.  Only the
+    cells nonzero before reduction are gathered and reduced, and those
+    that vanish mod p are dropped, so the cost follows the nonzeros, not
+    the cells.  One scan of the flattened mask: np.nonzero of a 2-d array
+    takes several times as long (21 against 4 ms on a 1627x1787
+    complement, 2-vCPU VM).
     """
-    flat = np.flatnonzero(dense != 0)
-    return *np.divmod(flat, dense.shape[1]), dense.reshape(-1)[flat]
+    flat = np.flatnonzero(dense != 0 if nonzero is None else nonzero)
+    values = dense.reshape(-1)[flat]
+    _reduce(values, p)
+    keep = np.flatnonzero(values)
+    return *np.divmod(flat[keep], dense.shape[1]), values[keep]
 
 
 def _schur(split: _Split, p: int, step: int) -> tuple[np.ndarray, tuple]:
-    """X2 - X1 @ W mod p as a dense float64 array in [0, p), and W = U11^-1 U12.
+    """X2 - X1 @ W as a dense float64 array, unreduced, and W = U11^-1 U12.
 
     Row i of W is U12[i] minus the sum of U11[i, j] * W[j] over the
     entries right of its diagonal, all in rows of lower levels, so one
     pass over the row ranges of `split.bounds` forms W level by level and,
     as its last range, the Schur complement.  Rows of level 0 are U12's
-    own; each later range is formed dense and reduced, and its nonzeros,
-    shifted to the range's rows, are appended to W.
+    own; each later range is formed dense, and `_entries` reduces only its
+    nonzero cells and appends those nonzero mod p, shifted to the range's
+    rows, to W.  No block is reduced whole: the complement's values are
+    integers within `_subtract_sparse_product`'s bound, step*(p-1)**2 + p,
+    which `_reduce` takes exactly.
     """
     width = len(split.rest)
     bounds = split.bounds.tolist()
@@ -561,9 +579,8 @@ def _schur(split: _Split, p: int, step: int) -> tuple[np.ndarray, tuple]:
         block[i - lo, j] = v
         i, j, v = (x[left_at[k] : left_at[k + 1]] for x in split.left)
         _subtract_sparse_product(block, i - lo, j, v, w, p, step)
-        _reduce_rows(block, p)
         if k < len(bounds) - 2:
-            i, j, v = _entries(block)
+            i, j, v = _entries(block, p)
             w = tuple(map(np.concatenate, zip(w, (i + lo, j, v))))
     return block, w
 
@@ -575,10 +592,16 @@ def _echelon(
 
     The structural pivots are eliminated sparsely in rounds (see `_split`
     and `_schur`).  While a round finds a pivot and leaves a Schur
-    complement with at most _SPARSE_FILL of its cells nonzero, the
+    complement with at most _SPARSE_FILL of its cells nonzero mod p, the
     complement's entries are the next round's matrix; the first
     complement that is denser, or that a round leaves without a pivot,
-    is eliminated dense by `_eliminate`.  The profile is every round's
+    is eliminated dense by `_eliminate`.  `_schur` leaves the complement
+    unreduced, so its cells nonzero before reduction, which include every
+    cell nonzero mod p, are counted first; within _SPARSE_FILL, `_entries`
+    reduces only those.  A denser complement is reduced whole and counted
+    again, and one left without a pivot, which holds no row, is reduced
+    whole, so every round is the one a count mod p decides and
+    `_eliminate` always receives residues.  The profile is every round's
     pivots together with that remainder's profile, each mapped back to
     the matrix's columns through the rounds' `rest`.  The kernel, laid
     out as `_kernel_mod_p`'s, is None when not certifying or of full
@@ -602,10 +625,15 @@ def _echelon(
         del split, w  # of the sparse stage, only W outlives it, and only to certify
         rows, cols = schur.shape
         # counting a mask takes half the time of counting the float64 cells
-        if not len(found[-1]) or np.count_nonzero(schur != 0) > _SPARSE_FILL * schur.size:
-            break
-        entries = _entries(schur)
-        del schur  # released before the next round allocates its complement
+        nonzero = schur != 0
+        if not len(found[-1]) or np.count_nonzero(nonzero) > _SPARSE_FILL * schur.size:
+            _reduce_rows(schur, p)
+            nonzero = schur != 0
+            if not len(found[-1]) or np.count_nonzero(nonzero) > _SPARSE_FILL * schur.size:
+                break
+        entries = _entries(schur, p, nonzero)
+        del schur, nonzero  # released before the next round allocates its complement
+    del nonzero
     inner = _eliminate(schur, p, delay)
     found.append(columns[inner])
     profile = np.sort(np.concatenate(found))
@@ -618,7 +646,7 @@ def _echelon(
     del schur
     for pivots, rest, w in reversed(rounds):
         x_s = np.zeros((len(pivots), len(free)))
-        _subtract_sparse_product(x_s, *w, _entries(x), p, step)
+        _subtract_sparse_product(x_s, *w, _entries(x, p), p, step)
         _reduce_rows(x_s, p)
         x_all = np.empty((len(pivots) + len(rest), len(free)))
         x_all[pivots], x_all[rest] = x_s, x

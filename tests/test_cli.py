@@ -503,6 +503,20 @@ def test_prime_stability_script_refuses_a_bad_window_or_selection():
         assert "Traceback" not in result.stderr and not result.stdout, argv
 
 
+def test_ab_inprocess_script_compares_a_checkout_with_itself():
+    root = str(PYPROJECT.parent)
+    result = _run_child(
+        [sys.executable, str(SCRIPTS / "ab_inprocess.py"), root, root,
+         "--workload", "sextic-285-p1", "--passes", "1"]
+    )
+    assert result.returncode == 0, result.stderr
+    rows = _rows(result.stdout)
+    assert rows[0] == ["input", "base_s", "change_s", "ratio"], result.stdout
+    assert rows[1][0] == "sextic-285-nodes" and len(rows) == 3, result.stdout
+    assert result.stdout.splitlines()[-1].startswith("per-pass ratio change/base: median ")
+    assert "over 1 passes, 1 inputs each, byte-identical JSON" in result.stdout
+
+
 def test_raw_report_shows_disagreeing_primes(capsys):
     # mod 3 the Fermat cubic surface's blocks lose rank: 0, 0, 10 against 4, 56, 60
     code, out, _ = run(

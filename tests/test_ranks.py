@@ -284,6 +284,23 @@ def test_sparse_sums_regroup_within_the_kernel_bound(p):
     _assert_profile_and_kernel(matrix, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 32633, WIDE_PRIME])
+def test_entries_reduce_only_the_cells_nonzero_mod_p(p):
+    # an unreduced block as `_schur` leaves it: integers down to the most
+    # negative value a sparse product forms, some of them multiples of p
+    largest = _PANEL * _kernel(p) * (p - 1) ** 2
+    cells = [0, -p, 2 * p, p + 1, p - 1, 0, -1, -(p + 1), 1, -largest, -largest + 1]
+    cells += [-(largest // p) * p, -(largest // p) * p + 1, largest - p, 0, p * (p - 1)]
+    block = np.array(cells, dtype=np.float64).reshape(4, 4)
+    assert block.astype(object).ravel().tolist() == cells  # every cell is exact
+    expected = [(k // 4, k % 4, x % p) for k, x in enumerate(cells) if x % p]
+    for nonzero in (None, block != 0):
+        i, j, v = ranks._entries(block, p, nonzero)
+        assert v.dtype == np.float64
+        assert list(zip(i.tolist(), j.tolist(), v.tolist())) == expected  # row-major
+        assert ((1 <= v) & (v < p)).all()
+
+
 def _spy_rounds(monkeypatch):
     """Record the pivot count of every round of structural pivots, and the
     shape of every array the dense engine eliminates."""
@@ -350,6 +367,13 @@ def test_rounds_stop_without_a_pivot_and_past_an_empty_complement(p, monkeypatch
     # its row is dropped and the next round, on no rows, finds no pivot
     _assert_profile_and_kernel(np.array([[1, 1], [1, 1]], dtype=object), p)
     assert rounds == [1, 0] * 2 and dense == [(0, 1)] * 2
+    # every cell of the 1x4 complement is 1 - (p-1)**2: nonzero before it
+    # is reduced, 0 mod p, so it is counted again and the next round sees
+    # no rows, as a count of the reduced cells decides
+    rows = np.array([[1] + [p - 1] * 4, [p - 1] + [1] * 4], dtype=object)
+    rounds.clear(), dense.clear()
+    _assert_profile_and_kernel(rows, p)
+    assert rounds == [1, 0] * 2 and dense == [(0, 4)] * 2
     # e0 + e1, e0 + e2, e0 + e3 beside 100 zero columns, so that every
     # complement stays sparse: one pivot a round, the third leaves no rows
     chain = np.zeros((3, 104), dtype=object)
@@ -408,6 +432,29 @@ def test_corpus_rounds_stop_at_a_dense_or_empty_complement(
     rounds, dense = _spy_rounds(monkeypatch)
     assert _certified_rank(full, DEFAULT_PRIMES[0]) == rank
     assert (rounds, dense) == (expected_rounds, expected_dense)
+
+
+@pytest.mark.parametrize(
+    "name, cells",
+    [
+        # every complement is sparse, and the last holds no row
+        ("sextic-285-nodes", 0),
+        # only the 772x824 dense remainder
+        ("quintic-vanstraten-130", 772 * 824),
+    ],
+)
+def test_only_the_dense_remainder_is_reduced_whole(name, cells, monkeypatch):
+    full = assemble_phi(get_fixture(name).build(), 3).full
+    reduced = []
+    real = ranks._reduce_rows
+
+    def spy(x, p):
+        reduced.append(x.size)
+        return real(x, p)
+
+    monkeypatch.setattr(ranks, "_reduce_rows", spy)
+    ranks._echelon(full, DEFAULT_PRIMES[0])
+    assert sum(reduced) == cells
 
 
 def test_certified_kernel_back_solves_only_the_schur_complement(monkeypatch):
