@@ -15,7 +15,10 @@ byte-identical JSON, else the script exits 1.
 
 It prints, per input, the median seconds of each side and their ratio,
 then the median over passes of the per-pass ratio change/base, with its
-quartiles.  Timings taken in one process share warm-up, caches and the
+quartiles.  On stderr, so that the timing table keeps its lines, it
+prints a second table: per input, each side's tracemalloc peak in MB and
+their ratio, measured in the untimed pass only, so that tracing slows no
+timed pass.  Timings taken in one process share warm-up, caches and the
 machine's load, which suits a check that nothing got slower; a claimed
 gain is measured with perfbench/run.py in fresh processes.
 """
@@ -28,6 +31,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +65,16 @@ def run(hd, text: str, config) -> tuple[float, str]:
     return time.perf_counter() - start, answer
 
 
+def traced(hd, text: str, config) -> tuple[float, str]:
+    """`run`, with the tracemalloc peak in MB in place of the seconds."""
+    tracemalloc.start()
+    try:
+        _, answer = run(hd, text, config)
+        return tracemalloc.get_traced_memory()[1] / 2**20, answer
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     for side in SIDES:
@@ -85,14 +99,18 @@ def main() -> int:
     ]
 
     seconds = [[[] for _ in cases] for _ in SIDES]
+    peaks = [[0.0] * len(cases) for _ in SIDES]
     ratios = []
     for n in range(-1, args.passes):  # pass -1 warms both sides and is not kept
         totals = [0.0] * len(SIDES)
         for k, case in enumerate(cases):
             answers = [""] * len(SIDES)
             for side in (0, 1) if (n + k) % 2 == 0 else (1, 0):
-                took, answers[side] = run(programs[side], case.text, configs[side][k])
-                if n >= 0:
+                call = programs[side], case.text, configs[side][k]
+                if n < 0:
+                    peaks[side][k], answers[side] = traced(*call)
+                else:
+                    took, answers[side] = run(*call)
                     seconds[side][k].append(took)
                     totals[side] += took
             if answers[0] != answers[1]:
@@ -113,6 +131,13 @@ def main() -> int:
         f" (quartiles {low:.3f}-{high:.3f}) over {len(ratios)} passes,"
         f" {len(cases)} inputs each, byte-identical JSON"
     )
+    print(f"{'input':<28} {'base_mb':>10} {'change_mb':>10} {'ratio':>7}", file=sys.stderr)
+    for k, case in enumerate(cases):
+        base, change = (peaks[side][k] for side in (0, 1))
+        print(
+            f"{case.case_id:<28} {base:>10.1f} {change:>10.1f} {change / base:>7.3f}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -85,12 +85,19 @@ and the complement handed to the next round) is held one way, as
 (row, column, value) arrays in row order with columns increasing within
 a row, the values float64 in [1, p); only `_subtract_sparse_product`
 indexes one by rows.  `_schur` forms each level range of W and each
-round's complement in a dense scratch array and leaves it unreduced;
-only its nonzero cells are reduced: `_entries` gathers them in one scan,
-reduces their values and drops those that vanish mod p.  The density
-test counts the cells nonzero mod p: a complement whose cells nonzero
-before reduction are within _SPARSE_FILL is sparse, and only a denser
-one is reduced whole and counted again.  Every prime is at most
+round's complement a block of at most _BLOCK_CELLS cells at a time: a
+dense scratch over a bounded row range, as in a sparse accumulator
+(Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 1992).  It
+leaves each block unreduced and keeps only its entries: `_cells`
+gathers the cells nonzero before reduction in one scan, reduces their
+values and drops those that vanish mod p.  So no array wider than a
+block is formed unless a complement goes to the dense engine.  Its
+density test counts the cells nonzero mod p, as a running count over
+its blocks: a block whose cells nonzero before reduction keep the count
+within _SPARSE_FILL of the complement's cells keeps its entries; only
+one that would pass it is reduced whole and counted again, and past it
+the complement is written into one dense array, its remaining rows
+formed in place.  Every prime is at most
 11863279 < 2**24, so a product of two residues is below 2**48, and
 float64 holds residues, their products and their reductions exactly.
 
@@ -121,6 +128,13 @@ MODULAR_CELL_BUDGET = 1 << 25
 _PANEL = 64  # columns per panel, the inner dimension of every dense product
 _CHUNK_ROWS = 256  # rows per trailing-update product, bounds the scratch buffer
 _SPARSE_CHUNK = 1 << 16  # products per step of a sparse product, bounds its scratch arrays
+# Cells per dense block in which `_schur` forms W and each Schur complement.
+# The smallest power of two that keeps every k = 3 complement of
+# quintic-130 (772x824 = 636,128 cells) and of the cubics in one block, so
+# that those take the one-block path.  Measured on sextic-285-p1
+# (perfbench/run.py, 2-vCPU VM, OpenBLAS), peak RSS at 2**18 to 2**21:
+# 41.1, 44.5, 48.9 and 57.3 MB.
+_BLOCK_CELLS = 1 << 20
 # A Schur complement with more nonzeros than this fraction of its cells is
 # eliminated dense, a sparser one by another round of structural pivots.
 # A round's sparse products grow with the complement's density, while the
@@ -269,27 +283,32 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
+def _by_rows(entries: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
+    """A matrix of n rows, given as entries in row order, indexed by rows:
+    (start, count, columns, values), row j at start[j]:start[j] + count[j]."""
+    count = np.bincount(entries[0], minlength=n)
+    return np.cumsum(count) - count, count, *entries[1:]
+
+
 def _subtract_sparse_product(
     target: np.ndarray,
     rows: np.ndarray,
     inner: np.ndarray,
     values: np.ndarray,
-    right: tuple[np.ndarray, ...],
+    by_rows: tuple[np.ndarray, ...],
     p: int,
     step: int,
 ) -> None:
     """target[rows[e]] -= values[e] * R[inner[e]] for every entry e, in place.
 
-    R, like the entries, is given as (row, column, value) arrays in row
-    order; the entries of one target row must be consecutive.  Entries
+    The entries are given as (row, column, value) arrays, those of one
+    target row consecutive, and R `by_rows` (see `_by_rows`).  Entries
     and R hold residues in [0, p), so a cell takes at most one product of
-    at most (p-1)**2 per entry of its row; `target` is reduced after each
-    `step` of them, so with entries in [0, p) it stays within the bound
-    step*(p-1)**2 + p.
+    at most (p-1)**2 per entry of its row.  A row's entries are taken in
+    groups of `step`, and only the rows that take another group are
+    reduced before it, so with entries in [0, p) `target` stays within
+    the bound step*(p-1)**2 + p.
     """
-    # R by rows: row j holds its values at start[j]:start[j] + count[j]
-    count = np.bincount(right[0], minlength=int(inner.max(initial=-1)) + 1)
-    by_rows = (np.cumsum(count) - count, count, *right[1:])
     if len(rows) <= step:
         _subtract_products(target, rows, inner, values, by_rows)
         return
@@ -298,7 +317,10 @@ def _subtract_sparse_product(
     slots //= step
     for g in range(int(slots.max()) + 1):
         if g:
-            _reduce_rows(target, p)
+            again = rows[heads[lengths > g * step]]
+            taken = target[again]
+            _reduce_rows(taken, p)
+            target[again] = taken
         group = np.flatnonzero(slots == g)
         _subtract_products(target, rows[group], inner[group], values[group], by_rows)
 
@@ -534,55 +556,124 @@ def _levels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return level
 
 
-def _entries(
+def _cells(
     dense: np.ndarray, p: int, nonzero: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells of `dense` nonzero mod p, their values reduced into [1, p).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the cells of `dense` nonzero mod p, and their
+    values reduced into [1, p).
 
     `dense` holds integral float64 values within `_reduce`'s bound, reduced
     or not, and `nonzero`, when given, is its mask dense != 0.  Only the
     cells nonzero before reduction are gathered and reduced, and those
     that vanish mod p are dropped, so the cost follows the nonzeros, not
     the cells.  One scan of the flattened mask: np.nonzero of a 2-d array
-    takes several times as long (21 against 4 ms on a 1627x1787
-    complement, 2-vCPU VM).
+    takes several times as long (2.3 against 0.5 ms on a 586x1787 block
+    of 2**20 cells, 1.2% nonzero, 2-vCPU VM).
     """
     flat = np.flatnonzero(dense != 0 if nonzero is None else nonzero)
     values = dense.reshape(-1)[flat]
     _reduce(values, p)
     keep = np.flatnonzero(values)
-    return *np.divmod(flat[keep], dense.shape[1]), values[keep]
+    return flat[keep], values[keep]
 
 
-def _schur(split: _Split, p: int, step: int) -> tuple[np.ndarray, tuple]:
-    """X2 - X1 @ W as a dense float64 array, unreduced, and W = U11^-1 U12.
+def _entries(
+    dense: np.ndarray, p: int, nonzero: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of `dense` nonzero mod p (see `_cells`) as entries, in row
+    order: row, column and value arrays."""
+    flat, values = _cells(dense, p, nonzero)
+    return *np.divmod(flat, dense.shape[1]), values
 
-    Row i of W is U12[i] minus the sum of U11[i, j] * W[j] over the
-    entries right of its diagonal, all in rows of lower levels, so one
-    pass over the row ranges of `split.bounds` forms W level by level and,
-    as its last range, the Schur complement.  Rows of level 0 are U12's
-    own; each later range is formed dense, and `_entries` reduces only its
-    nonzero cells and appends those nonzero mod p, shifted to the range's
-    rows, to W.  No block is reduced whole: the complement's values are
-    integers within `_subtract_sparse_product`'s bound, step*(p-1)**2 + p,
-    which `_reduce` takes exactly.
+
+def _form(target: np.ndarray, lo: int, split: _Split, by_rows: tuple, p: int, step: int) -> None:
+    """Rows lo to lo + len(target) - 1 of U12 - U11' W, unreduced, into the
+    zeros of `target`; U11' is U11 off its diagonal, and W is given
+    `by_rows`.  On the other rows this is X2 - X1 W, the Schur complement."""
+    hi = lo + len(target)
+    a, b = np.searchsorted(split.right[0], [lo, hi])
+    i, j, v = (x[a:b] for x in split.right)
+    target[i - lo, j] = v
+    a, b = np.searchsorted(split.left[0], [lo, hi])
+    i, j, v = (x[a:b] for x in split.left)
+    _subtract_sparse_product(target, i - lo, j, v, by_rows, p, step)
+
+
+def _schur(split: _Split, p: int, step: int) -> tuple:
+    """W = U11^-1 U12, and the Schur complement C = X2 - X1 W mod p.
+
+    Returns (entries, dense, W): C's entries nonzero mod p, rows numbered
+    within C, while C is sparse, and otherwise, as `dense`, C's residues
+    as an array.  Row i of W is U12[i] minus the sum of U11[i, j] * W[j]
+    over the entries right of its diagonal, all in rows of lower levels,
+    so one pass over the row ranges of `split.bounds` forms W level by
+    level and, as its last range, C.  Rows of level 0 are U12's own.
+    Every later range is formed in blocks of at most _BLOCK_CELLS cells
+    (at least one row) by `_form`, and only each block's entries (by
+    `_entries`, or for C `_cells`) are kept before the next is formed, so
+    no array wider than a block exists while C stays sparse.  The blocks'
+    values are integers within `_subtract_sparse_product`'s bound,
+    step*(p-1)**2 + p, which `_reduce` takes exactly.
+
+    C is dense once more than _SPARSE_FILL of its cells are nonzero mod
+    p, or when the round found no pivot, and then holds no row.  The
+    count is a running one: a block's cells nonzero before reduction,
+    which include every cell nonzero mod p, are counted first, and only
+    when they would take the count past the fill is the block reduced
+    whole and counted again.  Counts only grow, so C is dense exactly
+    when its count mod p passes the fill.  Then the entries so far are
+    written into one dense array, freed as they go, the last block is
+    copied in and the rows after it are formed in place and reduced; a
+    block that is all of C is the array itself.
     """
     width = len(split.rest)
     bounds = split.bounds.tolist()
-    right_at = np.searchsorted(split.right[0], bounds)
-    left_at = np.searchsorted(split.left[0], bounds)
-    w = tuple(x[: right_at[1]] for x in split.right)
-    for k in range(1, len(bounds) - 1):
-        lo, hi = bounds[k], bounds[k + 1]
-        block = np.zeros((hi - lo, width))
-        i, j, v = (x[right_at[k] : right_at[k + 1]] for x in split.right)
-        block[i - lo, j] = v
-        i, j, v = (x[left_at[k] : left_at[k + 1]] for x in split.left)
-        _subtract_sparse_product(block, i - lo, j, v, w, p, step)
-        if k < len(bounds) - 2:
+    height = max(1, _BLOCK_CELLS // max(width, 1))  # rows per block
+    fill = _SPARSE_FILL * (bounds[-1] - bounds[-2]) * width
+    w = tuple(x[: np.searchsorted(split.right[0], bounds[1])] for x in split.right)
+    for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
+        by_rows, parts = _by_rows(w, lo), [w]
+        for a in range(lo, hi, height):
+            block = np.zeros((min(a + height, hi) - a, width))
+            _form(block, a, split, by_rows, p, step)
             i, j, v = _entries(block, p)
-            w = tuple(map(np.concatenate, zip(w, (i + lo, j, v))))
-    return block, w
+            parts.append((i + a, j, v))
+            del block
+        w = tuple(map(np.concatenate, zip(*parts)))
+    lo, hi = bounds[-2:]
+    if not len(split.pivots):  # no entry, so no row of C
+        return None, np.zeros((hi - lo, width)), w
+    # C's cells nonzero mod p so far, as flat indices into C and values
+    by_rows, parts, count = _by_rows(w, lo), [(np.empty(0, np.intp), np.empty(0))], 0
+    for a in range(lo, hi, height):
+        block = np.zeros((min(a + height, hi) - a, width))
+        _form(block, a, split, by_rows, p, step)
+        # counting a mask takes half the time of counting the float64 cells
+        nonzero = block != 0
+        if count + np.count_nonzero(nonzero) > fill:
+            _reduce_rows(block, p)
+            nonzero = block != 0
+            if count + np.count_nonzero(nonzero) > fill:
+                if len(block) == hi - lo:
+                    return None, block, w
+                del nonzero
+                dense = np.zeros((hi - lo, width))
+                flat = dense.reshape(-1)
+                while parts:
+                    at, values = parts.pop()
+                    flat[at] = values
+                end = a + len(block)
+                dense[a - lo : end - lo] = block
+                del block
+                _form(dense[end - lo :], end, split, by_rows, p, step)
+                _reduce_rows(dense[end - lo :], p)
+                return None, dense, w
+        at, values = _cells(block, p, nonzero)
+        parts.append((at + (a - lo) * width, values))
+        count += len(values)
+        del block, nonzero
+    at, values = map(np.concatenate, zip(*parts))
+    return (*np.divmod(at, width), values), None, w
 
 
 def _echelon(
@@ -595,18 +686,13 @@ def _echelon(
     complement with at most _SPARSE_FILL of its cells nonzero mod p, the
     complement's entries are the next round's matrix; the first
     complement that is denser, or that a round leaves without a pivot,
-    is eliminated dense by `_eliminate`.  `_schur` leaves the complement
-    unreduced, so its cells nonzero before reduction, which include every
-    cell nonzero mod p, are counted first; within _SPARSE_FILL, `_entries`
-    reduces only those.  A denser complement is reduced whole and counted
-    again, and one left without a pivot, which holds no row, is reduced
-    whole, so every round is the one a count mod p decides and
-    `_eliminate` always receives residues.  The profile is every round's
-    pivots together with that remainder's profile, each mapped back to
-    the matrix's columns through the rounds' `rest`.  The kernel, laid
-    out as `_kernel_mod_p`'s, is None when not certifying or of full
-    column rank.  It is the remainder's reduced kernel, extended back
-    through each round in reverse by x[S] = -W x[rest].
+    is eliminated dense by `_eliminate`, which `_schur` hands its
+    residues.  The profile is every round's pivots together with that
+    remainder's profile, each mapped back to the matrix's columns through
+    the rounds' `rest`.  The kernel, laid out as `_kernel_mod_p`'s, is
+    None when not certifying or of full column rank.  It is the
+    remainder's reduced kernel, extended back through each round in
+    reverse by x[S] = -W x[rest].
     """
     delay = _kernel(p)
     step = _PANEL * delay
@@ -617,23 +703,15 @@ def _echelon(
     while True:
         split = _split(rows, cols, *entries, p)
         entries = None  # the split holds them, reordered
-        schur, w = _schur(split, p, step)
+        rows, cols = int(split.bounds[-1] - split.bounds[-2]), len(split.rest)
+        entries, schur, w = _schur(split, p, step)
         found.append(columns[split.pivots])
         columns = columns[split.rest]
         if certify:
             rounds.append((split.pivots, split.rest, w))
         del split, w  # of the sparse stage, only W outlives it, and only to certify
-        rows, cols = schur.shape
-        # counting a mask takes half the time of counting the float64 cells
-        nonzero = schur != 0
-        if not len(found[-1]) or np.count_nonzero(nonzero) > _SPARSE_FILL * schur.size:
-            _reduce_rows(schur, p)
-            nonzero = schur != 0
-            if not len(found[-1]) or np.count_nonzero(nonzero) > _SPARSE_FILL * schur.size:
-                break
-        entries = _entries(schur, p, nonzero)
-        del schur, nonzero  # released before the next round allocates its complement
-    del nonzero
+        if schur is not None:
+            break
     inner = _eliminate(schur, p, delay)
     found.append(columns[inner])
     profile = np.sort(np.concatenate(found))
@@ -646,7 +724,7 @@ def _echelon(
     del schur
     for pivots, rest, w in reversed(rounds):
         x_s = np.zeros((len(pivots), len(free)))
-        _subtract_sparse_product(x_s, *w, _entries(x, p), p, step)
+        _subtract_sparse_product(x_s, *w, _by_rows(_entries(x, p), len(x)), p, step)
         _reduce_rows(x_s, p)
         x_all = np.empty((len(pivots) + len(rest), len(free)))
         x_all[pivots], x_all[rest] = x_s, x

@@ -515,6 +515,13 @@ def test_ab_inprocess_script_compares_a_checkout_with_itself():
     assert rows[1][0] == "sextic-285-nodes" and len(rows) == 3, result.stdout
     assert result.stdout.splitlines()[-1].startswith("per-pass ratio change/base: median ")
     assert "over 1 passes, 1 inputs each, byte-identical JSON" in result.stdout
+    # the second table, on stderr: each side's tracemalloc peak in the warm-up pass
+    peaks = _rows(result.stderr)
+    assert peaks[0] == ["input", "base_mb", "change_mb", "ratio"], result.stderr
+    assert peaks[1][0] == "sextic-285-nodes" and len(peaks) == 2, result.stderr
+    base, change, ratio = map(float, peaks[1][1:])
+    assert base > 1 and change > 1 and ratio == pytest.approx(change / base, rel=0.01)
+    assert 0.8 < ratio < 1.25  # one checkout against itself
 
 
 def test_raw_report_shows_disagreeing_primes(capsys):

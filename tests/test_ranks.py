@@ -492,6 +492,52 @@ def test_uncertified_sextic_prime_stays_below_one_dense_copy(sextic_blocks):
     assert peak < 1.3 * first
 
 
+def _echelon_peak(matrix, p):
+    """The rank mod p of an uncertified elimination, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        profile, _ = ranks._echelon(matrix, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return len(profile), peak
+
+
+def test_sextic_complements_are_formed_in_bounded_blocks(sextic_blocks):
+    # the first complement, 1627x1787 and 1.2% nonzero, is never one dense
+    # array (23.3 MB): it is formed in blocks of at most _BLOCK_CELLS cells
+    rank, peak = _echelon_peak(sextic_blocks.full, DEFAULT_PRIMES[0])
+    assert rank == 2160
+    assert peak < 16 * 2**20
+
+
+def test_sextic_k4_peaks_far_below_its_first_complement():
+    # full at k = 4 is 17775x11235; its first complement, 12341x5801 and
+    # 0.9% nonzero, would take 573 MB as one float64 array
+    full = assemble_phi(get_fixture("sextic-285-nodes").build(), 4).full
+    rank, peak = _echelon_peak(full, DEFAULT_PRIMES[0])
+    assert rank == 10935
+    assert peak < 100 * 2**20
+
+
+def test_sparse_products_reduce_only_the_rows_that_take_another_group(
+    sextic_blocks, monkeypatch
+):
+    # at the largest prime a row takes 64 products per group: two rows of
+    # an 895x1068 range take a second group, and only they are reduced
+    # before it, not the whole range (955,860 cells)
+    reduced = []
+    real = ranks._reduce_rows
+
+    def spy(x, p):
+        reduced.append(x.shape)
+        return real(x, p)
+
+    monkeypatch.setattr(ranks, "_reduce_rows", spy)
+    assert len(ranks._echelon(sextic_blocks.full, WIDE_PRIME)[0]) == 2160
+    assert reduced == [(2, 1068)]
+
+
 def test_wide_identity_with_zero_columns():
     dense = np.zeros((150, 400), dtype=np.int64)
     dense[:, 1::3] = 0
