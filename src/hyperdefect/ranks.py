@@ -37,10 +37,12 @@ every leading column block at once.
   result is deterministic.  Each panel of up to 64 columns is copied out
   column-major and factored in one loop over its columns in Crout order
   (Golub and Van Loan, Matrix Computations, 3.2), one product per column
-  and one per pivot row.  The panel's pivot rows are then solved across
-  the columns right of it with one product by the inverse of their unit
-  lower triangle, a product of squarings (`_unit_lower_inverse`), and
-  the rows below take one product in place.
+  and one per pivot row, which read the multipliers from a contiguous
+  copy; the rows right of the panel are permuted once, after it.  The
+  panel's pivot rows are then solved across the columns right of it
+  with one product by the inverse of their unit lower triangle, a
+  product of squarings (`_unit_lower_inverse`), and the rows below take
+  one product in place.
   All products run in float64 BLAS on integer values, as in FFLAS-FFPACK
   (Dumas, Giorgi and Pernet, ACM TOMS 2008): reduction x - floor(x/p)*p
   with a correctly rounded quotient is exact while |x| + p < 2**53, and
@@ -83,11 +85,16 @@ Every function takes a `SparseIntMatrix`.  Inside the sparse stage every
 sparse matrix (the residues, each round's entries around its pivots, W
 and the complement handed to the next round) is held one way, as
 (row, column, value) arrays in row order with columns increasing within
-a row, the values float64 in [1, p); only `_subtract_sparse_product`
-indexes one by rows.  `_schur` forms each level range of W and each
+a row, the values float64 in [1, p); only the products by W index one
+by rows.  `_schur` forms each level range of W and each
 round's complement a block of at most _BLOCK_CELLS cells at a time: a
 dense scratch over a bounded row range, as in a sparse accumulator
-(Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 1992).  It
+(Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 1992).  A
+block's products U11' W or X1 W are scattered one product of residues
+at a time, or, where float64 products cost fewer than _DENSE_RATIO
+multiply-adds per scattered product, formed as the dense engine's are:
+the W rows the block reaches, _PANEL at a time, scattered into one
+dense array, times the block's entries on them.  `_schur`
 leaves each block unreduced and keeps only its entries: `_cells`
 gathers the cells nonzero before reduction in one scan, reduces their
 values and drops those that vanish mod p.  So no array wider than a
@@ -143,6 +150,15 @@ _BLOCK_CELLS = 1 << 20
 # nonzero) and on the vGW quintics (6.9%, then 12.3%: 41 -> 31 ms), and
 # cost quintic-130 more than they save (21.9%: 113 -> 143 ms).
 _SPARSE_FILL = 0.1
+# `_form` forms a block's products by W dense when they take fewer than
+# this many multiply-adds per scattered product (see `_dense_rows`).
+# Measured per block at p = 32633 (2-vCPU VM, OpenBLAS), dense time over
+# scattered time: on quintic-130 at k = 3, 0.51 and 0.56 at 80 and 58
+# (the 772x824 and 756x707 complements of `full` and B); at k = 4, 0.5 to
+# 0.7 at 3 to 58, 0.7 to 0.9 at 89 to 108 and 1.2 to 2.3 at 109 to 293,
+# on level ranges of 4 to 145 rows.  Its 1-row ranges, which scatter
+# each W row they reach for one row's products, read 1.1 to 1.6 at 2.
+_DENSE_RATIO = 100
 _INT_EXACT = 2**63
 # largest prime RankConfig accepts, and the first one added to a lift: the
 # largest p with _PANEL*(p-1)**2 + p < 2**53, so one panel product stays exact
@@ -354,7 +370,10 @@ def _subtract_products(
 
 
 def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray, buffer) -> None:
-    """target -= left @ right, in row chunks through one scratch buffer."""
+    """target -= left @ right, in row chunks through one scratch buffer: the
+    dense engine's trailing products and the sparse stage's dense ones
+    (`_subtract_dense_product`), whose left operands have at most _PANEL
+    rows."""
     width = target.shape[1]
     for start in range(0, target.shape[0], _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, target.shape[0])
@@ -364,8 +383,11 @@ def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray, b
 
 
 def _reduce_rows(x: np.ndarray, p: int) -> None:
-    for start in range(0, x.shape[0], _CHUNK_ROWS):
-        _reduce(x[start : start + _CHUNK_ROWS], p)
+    """`_reduce` _PANEL rows at a time, so that its scratch stays small:
+    the reduction of quintic-130's 772x824 complement sets quintic-pair's
+    peak RSS, and takes 0.4 MB of scratch in place of 1.7 at 256 rows."""
+    for start in range(0, x.shape[0], _PANEL):
+        _reduce(x[start : start + _PANEL], p)
 
 
 def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
@@ -389,16 +411,21 @@ def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     return inverse
 
 
-def _factor(panel: np.ndarray, trailing: np.ndarray, p: int) -> list[int]:
-    """Factor `panel` in Crout order; returns the pivot columns.
+def _factor(panel: np.ndarray, trailing: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Factor `panel` in Crout order; returns the pivot columns and their multipliers.
 
-    The s-th pivot ends in row s, its multipliers below it; row swaps move
-    whole panel rows and the same rows of `trailing`.  Column j takes one
-    product of its rows' multipliers by the pivot rows above, and its
-    first nonzero row, the pivot, is solved across the rest of the panel
-    with one product, so each pivot row leaves as a finished row of U.
+    The s-th pivot ends in row s, its multipliers below it, and column s of
+    the returned array holds a copy of them, so that every product reads
+    the multipliers as a view.  Row swaps move whole panel rows and the
+    same rows of the copy; `trailing` takes the panel's row permutation
+    once, at the end.  Column j takes one product of its rows' multipliers
+    by the pivot rows above, and its first nonzero row, the pivot, is
+    solved across the rest of the panel with one product, so each pivot
+    row leaves as a finished row of U.
     """
     height, width = panel.shape
+    lower = np.zeros((height, min(height, width)), order="F")
+    order = list(range(height))  # row s of the factored panel is row order[s] of the copied one
     pivots: list[int] = []
     for j in range(width):
         r = len(pivots)
@@ -406,26 +433,29 @@ def _factor(panel: np.ndarray, trailing: np.ndarray, p: int) -> list[int]:
             break
         column = panel[r:, j]
         if r:
-            # the rows' multipliers: a view while every column so far was a pivot
-            below = panel[r:, :r] if r == j else panel[r:, pivots]
-            column -= below @ panel[:r, j]
+            column -= lower[r:, :r] @ panel[:r, j]
         _reduce(column, p)
-        nonzero = np.flatnonzero(column)
+        nonzero = column.nonzero()[0]
         if not nonzero.size:
             continue
         i = r + int(nonzero[0])
-        if i != r:
-            panel[[r, i]] = panel[[i, r]]
-            trailing[[r, i]] = trailing[[i, r]]
+        if i != r:  # basic indexing: a fancy-indexed swap takes several times as long
+            for rows in (panel, lower[:, :r]):
+                swap = rows[r].copy()
+                rows[r], rows[i] = rows[i], swap
+            order[r], order[i] = order[i], order[r]
         multipliers = panel[r + 1 :, j]
         multipliers *= pow(int(panel[r, j]), -1, p)
         _reduce(multipliers, p)
+        lower[r + 1 :, r] = multipliers
         head = panel[r, j + 1 :]
         if r:
-            head -= panel[r, pivots] @ panel[:r, j + 1 :]
+            head -= lower[r, :r] @ panel[:r, j + 1 :]
         _reduce(head, p)
         pivots.append(j)
-    return pivots
+    moved = [s for s, k in enumerate(order) if s != k]
+    trailing[moved] = trailing[[order[s] for s in moved]]
+    return pivots, lower[:, : len(pivots)]
 
 
 def _eliminate(A: np.ndarray, p: int, delay: int) -> list[int]:
@@ -455,7 +485,7 @@ def _eliminate(A: np.ndarray, p: int, delay: int) -> list[int]:
             break
         hi = min(col + _PANEL, ncols)
         panel = np.array(A[row:, col:hi], order="F")
-        pivots = _factor(panel, A[row:, hi:], p)
+        pivots, lower = _factor(panel, A[row:, hi:], p)
         t = len(pivots)
         profile.extend(col + j for j in pivots)
         if t and hi < ncols:
@@ -463,12 +493,12 @@ def _eliminate(A: np.ndarray, p: int, delay: int) -> list[int]:
             upper = A[row : row + t, hi:]
             _reduce(upper, p)
             solved = buffer[: upper.size].reshape(upper.shape)
-            np.matmul(_unit_lower_inverse(panel[:t, pivots], p), upper, out=solved)
+            np.matmul(_unit_lower_inverse(lower[:t], p), upper, out=solved)
             _reduce(solved, p)
             upper[...] = solved
             if t < panel.shape[0]:
                 trailing = A[row + t :, hi:]
-                _subtract_product(trailing, panel[t:, pivots], upper, buffer)
+                _subtract_product(trailing, lower[t:], upper, buffer)
                 pending += 1
                 if pending == delay:
                     _reduce_rows(trailing, p)
@@ -586,17 +616,96 @@ def _entries(
     return *np.divmod(flat, dense.shape[1]), values
 
 
+def _dense_rows(inner: np.ndarray, count: np.ndarray, rows: int, width: int, step: int):
+    """The rows of R that entries on R's rows `inner` reach, in increasing
+    order, when `_subtract_dense_product` is the cheaper way to subtract
+    their products from `rows` rows of `width` columns, else None; R has
+    count[k] entries in row k.
+
+    The scattered products are counted, and the dense ones weighed as
+    rows x width multiply-adds per row of R reached, plus _PANEL per cell
+    for each reduction of the target that a further `step` of R's rows
+    takes (a cell's reduction costs about 45 of them).  A product that
+    fits in one chunk of the scattered path, _SPARSE_CHUNK, stays
+    scattered: its few calls cost less than the dense path's own."""
+    products = int(count[inner].sum())
+    if products <= _SPARSE_CHUNK:
+        return None
+    reached = np.flatnonzero(np.bincount(inner, minlength=len(count)))
+    depth = len(reached) + _PANEL * ((len(reached) - 1) // step)
+    return None if rows * width * depth >= _DENSE_RATIO * products else reached
+
+
+def _subtract_dense_product(
+    target: np.ndarray,
+    rows: np.ndarray,
+    inner: np.ndarray,
+    values: np.ndarray,
+    by_rows: tuple[np.ndarray, ...],
+    reached: np.ndarray,
+    p: int,
+    step: int,
+) -> None:
+    """`_subtract_sparse_product` as float64 matrix products, for entries
+    whose `inner` are all among `reached`, R's rows in increasing order.
+
+    R's reached rows are taken _PANEL at a time, scattered into one dense
+    array, and the entries on them _PANEL target rows at a time, scattered
+    into a dense left operand whose product `_subtract_product` subtracts,
+    so that no operand holds more than _PANEL rows, nor a copy of all of
+    R's reached rows.  Before each further `step` of R's rows the whole
+    target is reduced, so with entries in [0, p) it stays within the same
+    bound step*(p-1)**2 + p.
+    """
+    start, count, columns, right_values = by_rows
+    height, width = target.shape
+    position = np.zeros(len(count), dtype=np.intp)
+    position[reached] = np.arange(len(reached))
+    at = position[inner]
+    group = at // _PANEL  # the group of R's rows each entry reaches
+    order = np.argsort(group, kind="stable")  # by group, rows increasing within one
+    cuts = np.searchsorted(group[order], range(-(-len(reached) // _PANEL) + 1)).tolist()
+    buffer = np.empty(min(height, _PANEL) * width)
+    for g, a, b in zip(range(0, len(reached), _PANEL), cuts, cuts[1:]):
+        if g and not g % step:
+            _reduce_rows(target, p)
+        # the entries of the group's rows of R, row after row
+        members = reached[g : g + _PANEL]
+        sizes = count[members]
+        ends = sizes.cumsum()
+        taken = np.arange(ends[-1])
+        taken += (start[members] - ends + sizes).repeat(sizes)
+        right = np.zeros((len(members), width))
+        cells = (np.arange(len(members)) * width).repeat(sizes) + columns[taken]
+        right.reshape(-1)[cells] = right_values[taken]
+        e = order[a:b]
+        spans = np.searchsorted(rows[e], range(0, height + _PANEL, _PANEL)).tolist()
+        for lo, c, d in zip(range(0, height, _PANEL), spans, spans[1:]):
+            if c == d:
+                continue
+            chunk = target[lo : lo + _PANEL]
+            left = np.zeros((len(chunk), len(members)))
+            left[rows[e[c:d]] - lo, at[e[c:d]] - g] = values[e[c:d]]
+            _subtract_product(chunk, left, right, buffer)
+
+
 def _form(target: np.ndarray, lo: int, split: _Split, by_rows: tuple, p: int, step: int) -> None:
     """Rows lo to lo + len(target) - 1 of U12 - U11' W, unreduced, into the
     zeros of `target`; U11' is U11 off its diagonal, and W is given
-    `by_rows`.  On the other rows this is X2 - X1 W, the Schur complement."""
+    `by_rows`.  On the other rows this is X2 - X1 W, the Schur complement.
+    The product is formed dense when `_dense_rows` finds that cheaper,
+    else scattered."""
     hi = lo + len(target)
     a, b = np.searchsorted(split.right[0], [lo, hi])
     i, j, v = (x[a:b] for x in split.right)
     target[i - lo, j] = v
     a, b = np.searchsorted(split.left[0], [lo, hi])
     i, j, v = (x[a:b] for x in split.left)
-    _subtract_sparse_product(target, i - lo, j, v, by_rows, p, step)
+    reached = _dense_rows(j, by_rows[1], *target.shape, step)
+    if reached is None:
+        _subtract_sparse_product(target, i - lo, j, v, by_rows, p, step)
+    else:
+        _subtract_dense_product(target, i - lo, j, v, by_rows, reached, p, step)
 
 
 def _schur(split: _Split, p: int, step: int) -> tuple:
@@ -612,8 +721,8 @@ def _schur(split: _Split, p: int, step: int) -> tuple:
     (at least one row) by `_form`, and only each block's entries (by
     `_entries`, or for C `_cells`) are kept before the next is formed, so
     no array wider than a block exists while C stays sparse.  The blocks'
-    values are integers within `_subtract_sparse_product`'s bound,
-    step*(p-1)**2 + p, which `_reduce` takes exactly.
+    values are integers within the bound of either product, dense or
+    scattered, step*(p-1)**2 + p, which `_reduce` takes exactly.
 
     C is dense once more than _SPARSE_FILL of its cells are nonzero mod
     p, or when the round found no pivot, and then holds no row.  The

@@ -160,6 +160,32 @@ def _dependent_mid_panels(p):
     return matrix
 
 
+def _rotated_staircase(p):
+    # the dense engine sees a staircase on 2*_PANEL - 1 columns with two
+    # dependent columns inserted, one in the middle of each of the first
+    # two panels, and 20 rows to spare below.  Within each panel's pivots
+    # the staircase rows are rotated by one, so that row i leads in the
+    # column of pivot i + 1 and the panel's last row in that of its first:
+    # each pivot of the first two panels but their last lies below the
+    # rows pivoted before it, so 62 of the 63 swap rows
+    n = 2 * _PANEL - 1
+    rng = np.random.default_rng(12)
+    staircase = np.triu(rng.integers(-3, 4, size=(n, n)))
+    np.fill_diagonal(staircase, 1)
+    order = np.arange(n)
+    for lo in (0, _PANEL - 1):
+        order[lo : lo + _PANEL - 1] = np.roll(order[lo : lo + _PANEL - 1], -1)
+    rows = np.vstack([staircase[order], rng.integers(-3, 4, size=(20, n))])
+    rows = np.insert(rows, [20, _PANEL + 19], 0, axis=1)
+    rows[:, 20] = rows[:, 3] + rows[:, 7]
+    rows[:, _PANEL + 20] = rows[:, 30] - rows[:, _PANEL + 5]
+    # under a first row e0 and beside a column of ones: the one structural
+    # pivot is e0, and its Schur complement is the staircase as it stands
+    matrix = np.zeros((len(rows) + 1, n + 3), dtype=np.int64)
+    matrix[:, 0], matrix[0, 0], matrix[1:, 1:] = 1, 1, rows
+    return matrix
+
+
 RECURSION_EDGES = {
     "cols-1": lambda p: _low_rank(30, 1, 1, 1),
     "cols-leaf-1": lambda p: _low_rank(30, LEAF - 1, 5, 2),
@@ -173,6 +199,7 @@ RECURSION_EDGES = {
     "rows-run-out-left": lambda p: _low_rank(20, 2 * _PANEL + 1, 20, 8),
     "rows-run-out-right": lambda p: _low_rank(40, _PANEL + 1, 40, 9),
     "dependent-mid-panels": _dependent_mid_panels,
+    "rotated-staircase": _rotated_staircase,
     "all-p-minus-1": lambda p: np.full((2 * _PANEL + 2, 2 * _PANEL + 1), p - 1, dtype=np.int64),
 }
 
@@ -536,6 +563,100 @@ def test_sparse_products_reduce_only_the_rows_that_take_another_group(
     monkeypatch.setattr(ranks, "_reduce_rows", spy)
     assert len(ranks._echelon(sextic_blocks.full, WIDE_PRIME)[0]) == 2160
     assert reduced == [(2, 1068)]
+
+
+PRODUCT_PRIMES = (2, 3, 32633) + DELAY_PRIMES + (WIDE_PRIME,)
+
+
+def _products_agree(split, p):
+    """Every row range of `split` after level 0 takes the same products
+    of U11' (or X1) by W dense and scattered, from one start in [0, p):
+    the targets match after reduction, and no cell passes the bound
+    step*(p-1)**2 + p.  Returns the most W rows any range reaches."""
+    step = _PANEL * _kernel(p)
+    n = int(split.bounds[-2])
+    w = ranks._schur(split, p, step)[2]
+    by_rows = ranks._by_rows(w, n)
+    width, bound = len(split.rest), step * (p - 1) ** 2 + p
+    rng = np.random.default_rng(p)
+    most = 0
+    for lo, hi in zip(split.bounds[1:-1].tolist(), split.bounds[2:].tolist()):
+        a, b = np.searchsorted(split.left[0], [lo, hi])
+        i, j, v = (x[a:b] for x in split.left)
+        reached = np.flatnonzero(np.bincount(j, minlength=n))
+        start = rng.integers(0, p, size=(hi - lo, width)).astype(np.float64)
+        scattered, dense = start.copy(), start.copy()
+        ranks._subtract_sparse_product(scattered, i - lo, j, v, by_rows, p, step)
+        ranks._subtract_dense_product(dense, i - lo, j, v, by_rows, reached, p, step)
+        for target in (scattered, dense):
+            assert np.abs(target).max(initial=0) <= bound
+            _reduce(target, p)
+        assert np.array_equal(scattered, dense)
+        most = max(most, len(reached))
+    return most
+
+
+@pytest.mark.parametrize("p", PRODUCT_PRIMES)
+def test_dense_and_scattered_products_agree(p):
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        _products_agree(_first_split(_sparse_random(rng, p), p), p)
+    # 300 pivot rows 1, 0, ..., 0 | p-1, ..., p-1 and three rows of p - 1
+    # that lead in the first pivot's column: every tail row reaches all 300
+    # W rows, more than `step` at each of DELAY_PRIMES and at WIDE_PRIME,
+    # so those take the reductions between groups of W's rows
+    n = 300
+    matrix = np.full((n + 3, n + 4), p - 1, dtype=object)
+    matrix[:n, :n] = np.eye(n, dtype=object)
+    assert _products_agree(_first_split(matrix, p), p) == n
+
+
+@pytest.fixture(scope="module")
+def quintic_130_full():
+    return assemble_phi(get_fixture("quintic-vanstraten-130").build(), 3).full
+
+
+def _spy_dense_products(monkeypatch):
+    """Record the shape of every target whose products by W are formed dense."""
+    shapes = []
+    real = ranks._subtract_dense_product
+
+    def spy(target, *args):
+        shapes.append(target.shape)
+        return real(target, *args)
+
+    monkeypatch.setattr(ranks, "_subtract_dense_product", spy)
+    return shapes
+
+
+def test_dense_products_form_only_the_blocks_where_they_pay(
+    quintic_130_full, sextic_blocks, monkeypatch
+):
+    shapes = _spy_dense_products(monkeypatch)
+    # quintic-130's 772x824 complement takes 2.4M scattered products over
+    # all 303 W rows, 80 multiply-adds each dense; at the largest prime the
+    # four reductions between groups of 64 W rows raise that to 148.  Of
+    # W's level ranges only three, of 20 and 10 rows that reach 190 to 246
+    # W rows, take more than 2**16 products, and they take them dense
+    ranks._echelon(quintic_130_full, DEFAULT_PRIMES[0])
+    assert shapes == [(20, 824), (10, 824), (10, 824), (772, 824)]
+    shapes.clear()
+    ranks._echelon(quintic_130_full, WIDE_PRIME)
+    assert (772, 824) not in shapes
+    # sextic-285's W is about 1.5% nonzero: every range of every round of
+    # `full` and B, each Schur complement with them, stays scattered
+    shapes.clear()
+    ranks._echelon(sextic_blocks.full, DEFAULT_PRIMES[0])
+    ranks._echelon(sextic_blocks.wedge_high, DEFAULT_PRIMES[0])
+    assert shapes == []
+
+
+def test_quintic_130_dense_products_stay_small(quintic_130_full):
+    # W's reached rows are scattered _PANEL at a time, so beside the
+    # 772x824 complement (5.1 MB) no dense copy of W's 303 rows is held
+    rank, peak = _echelon_peak(quintic_130_full, DEFAULT_PRIMES[0])
+    assert rank == 896
+    assert peak < 15 * 2**20
 
 
 def test_wide_identity_with_zero_columns():
