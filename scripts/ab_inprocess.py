@@ -18,7 +18,10 @@ then the median over passes of the per-pass ratio change/base, with its
 quartiles.  On stderr, so that the timing table keeps its lines, it
 prints a second table: per input, each side's tracemalloc peak in MB and
 their ratio, measured in the untimed pass only, so that tracing slows no
-timed pass.  Timings taken in one process share warm-up, caches and the
+timed pass; then each side's p50 and p90 over all its timed samples, every
+input of every pass, as perfbench/run.py's `latency_p50_s` and
+`latency_p90_s` pool them, and their ratio, so that a claim about the tail
+can be checked in one process.  Timings taken in one process share warm-up, caches and the
 machine's load, which suits a check that nothing got slower; a claimed
 gain is measured with perfbench/run.py in fresh processes.
 """
@@ -38,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leaves no cache files in perfbench/ or either checkout
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from run import percentile  # noqa: E402
 from workloads import WORKLOADS, build, import_program  # noqa: E402
 
 SIDES = ("base", "change")
@@ -138,6 +142,10 @@ def main() -> int:
             f"{case.case_id:<28} {base:>10.1f} {change:>10.1f} {change / base:>7.3f}",
             file=sys.stderr,
         )
+    print(f"{'latency':<28} {'base_s':>10} {'change_s':>10} {'ratio':>7}", file=sys.stderr)
+    for name, q in (("p50", 0.5), ("p90", 0.9)):
+        base, change = (percentile(sum(seconds[side], []), q) for side in (0, 1))
+        print(f"{name:<28} {base:>10.4f} {change:>10.4f} {change / base:>7.3f}", file=sys.stderr)
     return 0
 
 

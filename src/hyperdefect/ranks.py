@@ -69,15 +69,24 @@ every leading column block at once.
   the matrix it eliminates from each prime's kernel: `_certify` proves
   the profile over the rationals with a lifted kernel (Dumas, Saunders
   and Villard, 2001).  The kernels of the primes that share the best
-  profile are combined by CRT and rational reconstruction (Wang, 1981)
-  with one common denominator, and every lifted vector is checked to be
-  zero past its free column and annihilated by the matrix in exact
-  integer arithmetic.  Each prefix count of a profile mod p bounds the
-  rank of those leading columns from below, the verified vectors bound
-  it from above, so the profile and every leading block's rank are
-  proven.  When the lift does not verify, primes descending from
-  11863279 are added until a Hadamard bound says it must have, and a
-  failure past that is raised as RankInvariantError.
+  profile are combined by CRT in mixed radix (Garner), and rational
+  reconstruction proposes one common denominator and the numerators,
+  two ways in turn: first by maximal quotients (Monagan, ISSAC 2004),
+  which finds the unbalanced fractions of many kernels, a small
+  denominator under a numerator past sqrt(M/2) for M the product of the
+  primes, then by Wang's bound sqrt(M/2) on both (Wang, 1981).  A
+  candidate is accepted only when every lifted vector is zero past its
+  free column and annihilated by the matrix in exact integer
+  arithmetic, so a wrong one costs time, never soundness.  Each prefix
+  count of a profile mod p bounds the rank of those leading columns
+  from below, the verified vectors bound it from above, so the profile
+  and every leading block's rank are proven.  When no candidate
+  verifies, primes descending from 11863279 are added until a Hadamard
+  bound says Wang's must have, and a failure past that is raised as
+  RankInvariantError; Wang's is kept, at every modulus, because it alone
+  is unique past that bound.  A matrix without entries has rank 0 at
+  every prime and over the rationals, and is neither eliminated nor
+  lifted.
 * `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
   boundaries that perfbench/tracing.py wraps by name.
 
@@ -892,13 +901,25 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
 
 
 def _crt(residues: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, int]:
-    """The Python ints in [0, product of the primes) with the given residues."""
-    value, modulus = np.zeros(residues[0][1].shape, dtype=object), 1
+    """The Python ints in [0, product of the primes) with the given residues.
+
+    Garner's mixed radix: the value is the sum of digit i times the product
+    m_i of the primes before p_i, with digit i in [0, p_i) the residue mod
+    p_i of what the lower digits leave, divided by m_i.  Each digit is
+    formed in int64: every prime is below 2**24, so a digit times a weight
+    mod p_i stays below 2**48.  Only the final sum takes Python ints.
+    """
+    digits = []
     for p, residue in residues:
-        gap = residue.astype(np.int64) - (value % p).astype(np.int64)
-        value = value + modulus * (gap * pow(modulus, -1, p) % p).astype(object)
-        modulus *= p
-    return value, modulus
+        lower, weight = np.zeros(residue.shape, dtype=np.int64), 1  # weight: m_j mod p
+        for (q, _), digit in zip(residues, digits):
+            lower = (lower + digit * weight) % p
+            weight = weight * q % p
+        digits.append((residue.astype(np.int64) - lower) * pow(weight, -1, p) % p)
+    value = digits[-1].astype(object)
+    for (p, _), digit in zip(residues[-2::-1], digits[-2::-1]):
+        value = value * p + digit
+    return value, prod(p for p, _ in residues)
 
 
 def _wang_denominator(y: int, modulus: int, bound: int) -> int | None:
@@ -934,6 +955,59 @@ def _rational_lift(value: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | 
     return None
 
 
+def _max_quotient(y: int, modulus: int) -> int:
+    """Denominator of the fraction n/q = y mod `modulus` that maximal-quotient
+    reconstruction picks (Monagan, ISSAC 2004): of the remainders r = t*y
+    mod `modulus` of the Euclidean algorithm on (modulus, y), the one
+    followed by its largest quotient q, as |r*t| is about modulus/q.
+    Unlike Wang's, it bounds neither side alone, so it finds unbalanced
+    fractions, such as a small denominator under a numerator past
+    sqrt(modulus/2)."""
+    r0, r1, t0, t1 = modulus, y, 0, 1
+    largest, den = 0, 1
+    while r1:
+        q = r0 // r1
+        if q > largest:
+            largest, den = q, abs(t1)
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return den
+
+
+def _quotient_lift(value: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
+    """Numerators and one common denominator of fractions congruent to `value`.
+
+    The denominator starts at 1 and takes the `_max_quotient` denominator
+    of each entry, in order, that it still leaves past sqrt(modulus/2)
+    (Wang's bound); the numerators are then value * den as symmetric
+    residues mod `modulus`, formed in one pass.  A candidate, never a
+    proof: only `_lift_verifies`' exact checks accept it.  None once the
+    denominator reaches the modulus, as on a modulus too small for the
+    kernel: left to grow, it made the certification of vgw-118a's `full`
+    under `exact` take 104 s instead of 2.1 (2-vCPU VM).
+    """
+    bound = isqrt((modulus - 1) // 2)
+    den = 1
+    for y in value.ravel().tolist():
+        scaled = y * den % modulus
+        if bound < scaled < modulus - bound:
+            den *= _max_quotient(scaled, modulus)
+            if den >= modulus:
+                return None
+    scaled = value * den % modulus
+    scaled[scaled > modulus // 2] -= modulus
+    return scaled, den
+
+
+def _lifts(value: np.ndarray, modulus: int):
+    """Candidate lifts of `value` mod `modulus`, as (numerators, denominator):
+    the maximal-quotient one, then Wang's when it exists.  Wang's stays
+    because it alone is unique past 2*H**2, which `_certify`'s stop needs."""
+    for lift in (_quotient_lift, _rational_lift):
+        lifted = lift(value, modulus)
+        if lifted is not None:
+            yield lifted
+
+
 def _annihilates(matrix: SparseIntMatrix, basis: np.ndarray) -> bool:
     """Whether matrix @ basis is zero, in exact integer arithmetic.
 
@@ -956,20 +1030,22 @@ def _lift_verifies(
 ) -> bool:
     """Whether the kernels mod p lift to exact kernel vectors of `matrix`.
 
-    The vector of free column f must be zero past f, so that it also
-    shows column f to depend on the pivot columns before it.
+    The candidates of `_lifts` are tried in turn, and one is accepted only
+    when every vector, one per free column f, is zero past f, so that it
+    also shows column f to depend on the pivot columns before it, and is
+    annihilated by `matrix` in exact integers.
     """
-    lifted = _rational_lift(*_crt(kernels))
-    if lifted is None:
-        return False
-    numerators, den = lifted
     pivots, free = _split_columns(profile, matrix.cols)
-    if numerators[pivots[:, None] > free].any():
-        return False
-    basis = np.zeros((matrix.cols, len(free)), dtype=object)
-    basis[pivots] = numerators
-    basis[free, np.arange(len(free))] = den
-    return _annihilates(matrix, basis)
+    past = pivots[:, None] > free
+    for numerators, den in _lifts(*_crt(kernels)):
+        if numerators[past].any():
+            continue
+        basis = np.zeros((matrix.cols, len(free)), dtype=object)
+        basis[pivots] = numerators
+        basis[free, np.arange(len(free))] = den
+        if _annihilates(matrix, basis):
+            return True
+    return False
 
 
 def _hadamard_square(matrix: SparseIntMatrix) -> int:
@@ -1013,9 +1089,10 @@ def _certify(
     While the lift fails, primes from `_lift_primes` are added.  All
     primes whose profile is not the rational one divide one nonzero
     minor, so their product is at most the Hadamard bound H; once the
-    primes sharing the rational profile multiply past 2*H**2 the
-    reconstruction is unique and the lift verifies.  A failure past
-    either bound is a fault, raised as RankInvariantError.
+    primes sharing the rational profile multiply past 2*H**2 Wang's
+    reconstruction, which `_lifts` tries at every modulus, is unique and
+    the lift verifies.  A failure past either bound is a fault, raised as
+    RankInvariantError.
     """
     found = list(eliminated)
     hadamard = 0  # H, computed on the first failed lift
@@ -1076,7 +1153,9 @@ def rank_multimodular(
     keeps no dense array.  `_certify` proves one profile from the
     kernels, and every block's exact rank is its prefix count.  A prime
     whose rank exceeds min(rows, cols) cannot be lifted, so the report
-    is then left uncertified, for the caller to refuse.
+    is then left uncertified, for the caller to refuse.  A matrix without
+    entries is neither eliminated nor lifted: its rank is 0 at every
+    prime and over the rationals, proven wherever it would be certified.
     """
     cfg = config or RankConfig()
     rows, cols = matrix.rows, matrix.cols
@@ -1095,10 +1174,13 @@ def rank_multimodular(
     certify = cfg.exact or (
         max(small.rows, small.cols) <= cfg.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
     )
-    eliminated = [(p, *_echelon(matrix, p, certify)) for p in cfg.primes]
+    if matrix.nnz:
+        eliminated = [(p, *_echelon(matrix, p, certify)) for p in cfg.primes]
+    else:  # rank 0 at every prime and over the rationals: nothing to eliminate
+        eliminated = [(p, (), None) for p in cfg.primes]
     proven = None
     if certify and all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated):
-        proven = _certify(matrix, eliminated, cfg.primes)
+        proven = _certify(matrix, eliminated, cfg.primes) if matrix.nnz else ()
     block = None
     if leading is not None:
         block = RankReport(

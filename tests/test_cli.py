@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -246,15 +247,18 @@ def test_defect_huge_coefficient_is_not_an_overflow(capsys):
 
 
 def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
-    real = ranks._echelon
+    # the Segre cubic's wedge_low, 0x5, has no entries and is never
+    # eliminated, so the fault goes into its report
+    real = invariants.rank_multimodular
 
-    def one_pivot_too_many(matrix, p, *args):
-        profile, kernel = real(matrix, p, *args)
-        if matrix.rows == 0:  # the Segre cubic's wedge_low, 0x5
-            profile += (len(profile),)
-        return profile, kernel
+    def one_rank_too_many(matrix, *args, **kwargs):
+        report = real(matrix, *args, **kwargs)
+        if matrix.rows == 0:
+            ranks_plus_one = tuple((p, r + 1) for p, r in report.per_prime)
+            report = dataclasses.replace(report, per_prime=ranks_plus_one)
+        return report
 
-    monkeypatch.setattr(ranks, "_echelon", one_pivot_too_many)
+    monkeypatch.setattr(invariants, "rank_multimodular", one_rank_too_many)
     code, _, err = run(capsys, "defect", "--expr", SEGRE)
     assert code == 4
     assert "wedge_low: rank 1 mod 32633 outside [0, 0]" in err
@@ -518,10 +522,18 @@ def test_ab_inprocess_script_compares_a_checkout_with_itself():
     # the second table, on stderr: each side's tracemalloc peak in the warm-up pass
     peaks = _rows(result.stderr)
     assert peaks[0] == ["input", "base_mb", "change_mb", "ratio"], result.stderr
-    assert peaks[1][0] == "sextic-285-nodes" and len(peaks) == 2, result.stderr
+    assert peaks[1][0] == "sextic-285-nodes" and len(peaks) == 5, result.stderr
     base, change, ratio = map(float, peaks[1][1:])
     assert base > 1 and change > 1 and ratio == pytest.approx(change / base, rel=0.01)
     assert 0.8 < ratio < 1.25  # one checkout against itself
+    # then each side's p50 and p90 over all its timed samples: here one
+    # sample a side, which is the input's median in the first table
+    assert peaks[2] == ["latency", "base_s", "change_s", "ratio"], result.stderr
+    assert [row[0] for row in peaks[3:]] == ["p50", "p90"], result.stderr
+    for row in peaks[3:]:
+        base, change, ratio = map(float, row[1:])
+        assert [base, change] == pytest.approx(list(map(float, rows[1][1:3])), abs=1e-4)
+        assert ratio == pytest.approx(change / base, rel=0.01)
 
 
 def test_raw_report_shows_disagreeing_primes(capsys):

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -486,8 +487,9 @@ def test_only_the_dense_remainder_is_reduced_whole(name, cells, monkeypatch):
 
 def test_certified_kernel_back_solves_only_the_schur_complement(monkeypatch):
     # Segre cubic: A is 0x5, full 75x75 of rank 60 with 25 structural
-    # pivots.  The pivots take their kernel entries from W, so only the
-    # echelon rows of full's 50x50 complement (rank 35) are back-solved
+    # pivots.  A has no entries and is not eliminated.  The pivots take their
+    # kernel entries from W, so only the echelon rows of full's 50x50
+    # complement (rank 35) are back-solved
     shapes = []
     real = ranks._kernel_mod_p
 
@@ -498,7 +500,7 @@ def test_certified_kernel_back_solves_only_the_schur_complement(monkeypatch):
     monkeypatch.setattr(ranks, "_kernel_mod_p", spy)
     report = defect(get_fixture("segre-cubic").build())
     assert report.defect == 5 and report.rank_reports["full"].certified
-    assert shapes == [(0, 5)] * len(DEFAULT_PRIMES) + [(35, 50)] * len(DEFAULT_PRIMES)
+    assert shapes == [(35, 50)] * len(DEFAULT_PRIMES)
 
 
 def test_uncertified_sextic_prime_stays_below_one_dense_copy(sextic_blocks):
@@ -1010,9 +1012,10 @@ def test_kernel_vector_past_its_free_column_proves_no_profile(monkeypatch):
     # mod 2 the profile of [[2, 1]] is (1,): right length, wrong column.  The
     # lift (1, -2) is an exact kernel vector, but not zero past its free column
     # 0, so it must not certify rank 0 for the leading column [2].
-    real = ranks._rational_lift
-    lifts = iter([(np.array([[-2]], dtype=object), 1)])
-    monkeypatch.setattr(ranks, "_rational_lift", lambda *args: next(lifts, None) or real(*args))
+    # The first modulus's candidates are that lift alone.
+    real = ranks._lifts
+    candidates = iter([[(np.array([[-2]], dtype=object), 1)]])
+    monkeypatch.setattr(ranks, "_lifts", lambda *args: next(candidates, None) or real(*args))
     report = rank_multimodular(
         sparse_from_dense([[2, 1]]),
         RankConfig(primes=(2,), exact=True),
@@ -1024,27 +1027,28 @@ def test_kernel_vector_past_its_free_column_proves_no_profile(monkeypatch):
 
 
 def _perturb_first_numerator(real, times):
+    """`real`, a generator of candidate lifts, with the first numerator of
+    every candidate perturbed in its first `times` calls, one per modulus."""
     calls = []
 
     def perturbed(value, modulus):
-        lifted = real(value, modulus)
         calls.append(modulus)
-        if lifted is None or len(calls) > times:
-            return lifted
-        numerators, den = lifted
-        numerators = numerators.copy()
-        numerators.flat[0] += 1
-        return numerators, den
+        for numerators, den in real(value, modulus):
+            if len(calls) <= times:
+                numerators = numerators.copy()
+                numerators.flat[0] += 1
+            yield numerators, den
 
     return perturbed, calls
 
 
 @pytest.mark.parametrize("times", [1, 3, None])
 def test_perturbed_reconstruction_is_never_accepted(monkeypatch, times):
+    # every reconstruction's candidate is perturbed, through the one seam
     matrix = assemble_phi(get_fixture("segre-cubic").build(), 3).full  # rank 60 of 75
     primes = _spy_primes(monkeypatch)
-    perturbed, calls = _perturb_first_numerator(ranks._rational_lift, times or 10**9)
-    monkeypatch.setattr(ranks, "_rational_lift", perturbed)
+    perturbed, calls = _perturb_first_numerator(ranks._lifts, times or 10**9)
+    monkeypatch.setattr(ranks, "_lifts", perturbed)
     try:
         rank = rank_exact(matrix)
     except RankInvariantError:
@@ -1107,6 +1111,121 @@ def test_huge_coefficient_lifts_with_more_primes(monkeypatch):
     extra = [p for p in primes if p not in DEFAULT_PRIMES]
     assert extra and extra[0] == WIDE_PRIME
     assert extra == sorted(extra, reverse=True)
+
+
+@pytest.mark.parametrize("count", range(1, 8))
+def test_crt_in_mixed_radix_matches_the_direct_formula(count):
+    # the direct formula: add the next prime's correction in Python ints
+    def direct(residues):
+        value, modulus = np.zeros(residues[0][1].shape, dtype=object), 1
+        for p, residue in residues:
+            gap = residue.astype(np.int64) - (value % p).astype(np.int64)
+            value = value + modulus * (gap * pow(modulus, -1, p) % p).astype(object)
+            modulus *= p
+        return value, modulus
+
+    rng = np.random.default_rng(count)
+    primes = (WIDE_PRIME,) + DELAY_PRIMES + PRIME_TABLE[:3]
+    for chosen in (primes[:count], primes[-count:], rng.permutation(primes)[:count].tolist()):
+        residues = [(p, rng.integers(0, p, size=(6, 4)).astype(np.float64)) for p in chosen]
+        residues[0][1][0] = chosen[0] - 1  # the largest residue at every prime
+        for _, residue in residues:
+            residue[0, 0] = 0
+        value, modulus = ranks._crt(residues)
+        expected, expected_modulus = direct(residues)
+        assert modulus == expected_modulus == int(np.prod(chosen, dtype=object))
+        assert value.dtype == object and all(type(x) is int for x in value.flat)
+        assert value.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("d, n", [(4099, 2**27 + 5), (40009, 2**26 + 3), (257, 2**33 + 9)])
+def test_unbalanced_kernel_fractions_lift_at_the_default_primes(monkeypatch, d, n):
+    # the kernel of [d, -n, 5] holds n/d and -5/d: a small denominator under
+    # a numerator past sqrt(M/2) for M the product of the default primes,
+    # where Wang's reconstruction misses n/d and maximal quotients find it
+    modulus = int(np.prod(DEFAULT_PRIMES, dtype=object))
+    bound = isqrt((modulus - 1) // 2)
+    assert d < bound < n and 2 * n * d < modulus
+    value = np.array([[n, -5]], dtype=object) * pow(d, -1, modulus) % modulus
+    wang = ranks._rational_lift(value, modulus)
+    assert wang is None or wang[0][0, 0] * d != n * wang[1]
+    numerators, den = ranks._quotient_lift(value, modulus)
+    assert numerators.tolist() == [[n * den // d, -5 * den // d]] and den % d == 0
+    primes = _spy_primes(monkeypatch)
+    report = rank_multimodular(sparse_from_dense([[d, -n, 5]]), RankConfig(exact=True))
+    assert report.exact_rank == 1 and report.certified
+    assert primes == list(DEFAULT_PRIMES)  # no lift prime
+
+
+def test_quotient_lift_gives_up_once_its_denominator_reaches_the_modulus():
+    # 1/d for three distinct d near 2**12 mod a 30-bit modulus: each is
+    # balanced and needs its own denominator, and their product passes it
+    modulus = DEFAULT_PRIMES[0] * DEFAULT_PRIMES[1]
+    dens = (4093, 4099, 4111)
+    value = np.array([[pow(d, -1, modulus) for d in dens]], dtype=object)
+    numerators, den = ranks._quotient_lift(value[:, :2], modulus)
+    assert den == 4093 * 4099 and numerators.tolist() == [[4099, 4093]]
+    assert ranks._quotient_lift(value, modulus) is None
+    assert list(ranks._lifts(value, modulus)) == []  # Wang's bound refuses it too
+
+
+# seed-1 cubic-sweep inputs (perfbench/workloads.py) that took one lift prime
+# when Wang's reconstruction was the only one
+SWEEP_CUBICS = {
+    "segre-cubic#5": "subst((x+y+z+u+v)^3-(x^3+y^3+z^3+u^3+v^3),"
+    "x,y-z-u,y,-y+2*z+u+2*v,z,x-y-z-u,u,x-z-2*u+v,v,y)",
+    "segre-cubic#15": "subst((x+y+z+u+v)^3-(x^3+y^3+z^3+u^3+v^3),"
+    "x,x-y-z-u+v,y,-x+z+3*u,z,-z,u,x+z-u+3*v,v,-x+2*y+2*z-v)",
+    "fermat-cubic#25": "subst(x^3+y^3+z^3+u^3+v^3,"
+    "x,x+2*y+z+2*u+4*v,y,x+y-z+v,z,-x+3*z+u,u,-x-y+2*z+2*u,v,y+z+v)",
+    "fermat-cubic#37": "subst(x^3+y^3+z^3+u^3+v^3,"
+    "x,x+2*y-2*u-v,y,x+y+2*z-u-v,z,-x-z-u-2*v,u,-x-2*z+u,v,x+y+z-u)",
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_CUBICS)
+def test_sweep_cubics_certify_from_the_default_primes(monkeypatch, name):
+    primes = _spy_primes(monkeypatch)
+    report = defect(HomogeneousForm.from_polynomial(parse_expression(SWEEP_CUBICS[name])))
+    assert report.defect == (5 if name.startswith("segre") else 0)
+    assert all(block.certified for block in report.rank_reports.values())
+    assert primes == list(DEFAULT_PRIMES)  # A has no entries: only full is eliminated
+
+
+def test_wang_certifies_when_every_quotient_candidate_is_wrong(monkeypatch):
+    matrix = assemble_phi(get_fixture("segre-cubic").build(), 3).full  # rank 60 of 75
+    real = ranks._quotient_lift
+
+    def wrong(value, modulus):
+        lifted = real(value, modulus)
+        if lifted is None:
+            return None
+        numerators, den = lifted
+        numerators = numerators.copy()
+        numerators.flat[0] += 1
+        return numerators, den
+
+    primes = _spy_primes(monkeypatch)
+    monkeypatch.setattr(ranks, "_quotient_lift", wrong)
+    assert rank_exact(matrix) == 60
+    assert primes == list(DEFAULT_PRIMES)  # as many primes as Wang's lift alone took
+
+
+def test_entry_less_blocks_are_reported_without_elimination(monkeypatch):
+    primes = _spy_primes(monkeypatch)
+    # the Segre cubic's A, 0x5, is small, so its rank 0 is proven
+    low = assemble_phi(get_fixture("segre-cubic").build(), 3).wedge_low
+    assert (low.rows, low.cols, low.nnz) == (0, 5, 0)
+    zeros = tuple((p, 0) for p in DEFAULT_PRIMES)
+    assert rank_multimodular(low) == RankReport(0, 5, zeros, 0)
+    # 200 columns exceed dense_threshold: certified only under exact
+    wide = from_entries(0, 200, ())
+    assert rank_multimodular(wide) == RankReport(0, 200, zeros)
+    assert rank_multimodular(wide, RankConfig(exact=True)) == RankReport(0, 200, zeros, 0)
+    leading = from_entries(0, 3, ())
+    report = rank_multimodular(from_entries(0, 5, ()), leading=leading)
+    assert report == RankReport(0, 5, zeros, 0, RankReport(0, 3, zeros, 0))
+    assert primes == []
 
 
 # -- the unit-triangle inverse and the kernel it back-substitutes ---------------
