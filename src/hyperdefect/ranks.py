@@ -68,25 +68,22 @@ every leading column block at once.
   asked, or when the smallest block it reports is small, it certifies
   the matrix it eliminates from each prime's kernel: `_certify` proves
   the profile over the rationals with a lifted kernel (Dumas, Saunders
-  and Villard, 2001).  The kernels of the primes that share the best
-  profile are combined by CRT in mixed radix (Garner), and rational
-  reconstruction proposes one common denominator and the numerators,
-  two ways in turn: first by maximal quotients (Monagan, ISSAC 2004),
-  which finds the unbalanced fractions of many kernels, a small
-  denominator under a numerator past sqrt(M/2) for M the product of the
-  primes, then by Wang's bound sqrt(M/2) on both (Wang, 1981).  A
-  candidate is accepted only when every lifted vector is zero past its
-  free column and annihilated by the matrix in exact integer
-  arithmetic, so a wrong one costs time, never soundness.  Each prefix
-  count of a profile mod p bounds the rank of those leading columns
-  from below, the verified vectors bound it from above, so the profile
-  and every leading block's rank are proven.  When no candidate
-  verifies, primes descending from 11863279 are added until a Hadamard
-  bound says Wang's must have, and a failure past that is raised as
-  RankInvariantError; Wang's is kept, at every modulus, because it alone
-  is unique past that bound.  A matrix without entries has rank 0 at
-  every prime and over the rationals, and is neither eliminated nor
-  lifted.
+  and Villard, 2001).  Each kernel is folded once into its profile's
+  lift by one CRT step in mixed radix (Garner), so a lift prime adds one
+  digit.  One loop, `_lift`, grows a common denominator by each entry
+  it leaves past sqrt(M/2), M the modulus, under two rules in turn:
+  maximal quotients (Monagan, ISSAC 2004), which find unbalanced
+  fractions, a small denominator under a numerator past sqrt(M/2), then
+  Wang's bound sqrt(M/2) on both (Wang, 1981).  A candidate is accepted
+  only when every lifted vector is zero past its free column and
+  annihilated by the matrix in exact integers, so a wrong one costs
+  time, never soundness.  Prefix counts of a profile mod p bound the
+  leading blocks' ranks from below, the verified vectors from above.
+  When no candidate verifies, primes descending from 11863279 are added
+  until a Hadamard bound says Wang's must have, and a failure past that
+  is raised as RankInvariantError; Wang's rule stays, at every modulus,
+  because its fraction alone is unique past that bound.  A matrix
+  without entries has rank 0, and is neither eliminated nor lifted.
 * `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
   boundaries that perfbench/tracing.py wraps by name.
 
@@ -900,30 +897,48 @@ def _kernel_mod_p(echelon: np.ndarray, profile: tuple[int, ...], p: int) -> np.n
     return kernel
 
 
-def _crt(residues: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, int]:
-    """The Python ints in [0, product of the primes) with the given residues.
+def _combine(value, modulus: int, p: int, residue: np.ndarray) -> tuple[np.ndarray, int]:
+    """One step of Garner's mixed radix: the values in [0, modulus*p)
+    congruent to `value` mod `modulus` and to `residue` mod p, and modulus*p.
 
-    Garner's mixed radix: the value is the sum of digit i times the product
-    m_i of the primes before p_i, with digit i in [0, p_i) the residue mod
-    p_i of what the lower digits leave, divided by m_i.  Each digit is
-    formed in int64: every prime is below 2**24, so a digit times a weight
-    mod p_i stays below 2**48.  Only the final sum takes Python ints.
+    The new digit is what `value` leaves mod p, divided by `modulus`, in
+    int64: every prime is below 2**24, so no product passes 2**48.  The
+    value stays int64 while modulus*p <= _INT_EXACT, Python ints past it.
     """
-    digits = []
-    for p, residue in residues:
-        lower, weight = np.zeros(residue.shape, dtype=np.int64), 1  # weight: m_j mod p
-        for (q, _), digit in zip(residues, digits):
-            lower = (lower + digit * weight) % p
-            weight = weight * q % p
-        digits.append((residue.astype(np.int64) - lower) * pow(weight, -1, p) % p)
-    value = digits[-1].astype(object)
-    for (p, _), digit in zip(residues[-2::-1], digits[-2::-1]):
-        value = value * p + digit
-    return value, prod(p for p, _ in residues)
+    lower = np.asarray(value % p, dtype=np.int64)
+    digit = (residue.astype(np.int64) - lower) * pow(modulus, -1, p) % p
+    if modulus * p > _INT_EXACT:
+        value, digit = value.astype(object), digit.astype(object)
+    return value + modulus * digit, modulus * p
 
 
-def _wang_denominator(y: int, modulus: int, bound: int) -> int | None:
-    """Denominator q <= bound of a fraction n/q = y mod `modulus` with |n| <= bound."""
+def _lift(value: np.ndarray, modulus: int, rule, cap: int) -> tuple[np.ndarray, int] | None:
+    """Numerators and one common denominator of fractions congruent to
+    `value`, Python ints mod `modulus`: a candidate, which only
+    `_lift_verifies`' exact checks accept.
+
+    The denominator starts at 1 and takes rule(y, modulus), a fraction's
+    denominator, for each entry, in order, that it still leaves past
+    sqrt(modulus/2) (Wang's bound); the numerators are value * den as
+    symmetric residues.  None when the rule finds none, or past `cap`.
+    """
+    bound = isqrt((modulus - 1) // 2)
+    den = 1
+    for y in value.ravel().tolist():
+        scaled = y * den % modulus
+        if bound < scaled < modulus - bound:
+            q = rule(scaled, modulus)
+            if q is None or den * q > cap:
+                return None
+            den *= q
+    scaled = value * den % modulus
+    scaled[scaled > modulus // 2] -= modulus
+    return scaled, den
+
+
+def _wang_denominator(y: int, modulus: int) -> int | None:
+    """Denominator q of a fraction n/q = y mod `modulus`, |n| and q within sqrt(modulus/2)."""
+    bound = isqrt((modulus - 1) // 2)
     r0, r1, t0, t1 = modulus, y, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -932,40 +947,20 @@ def _wang_denominator(y: int, modulus: int, bound: int) -> int | None:
 
 
 def _rational_lift(value: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
-    """Numerators and one common denominator of fractions congruent to `value`.
-
-    Wang's reconstruction with numerator and denominator bound
-    sqrt(modulus/2), where the answer is unique, applied to the first
-    entry that the denominator found so far does not make small; each
-    step at least doubles the denominator, so few entries need it.  None
-    when some entry has no such fraction.
-    """
-    bound = isqrt((modulus - 1) // 2)
-    den = 1
-    for _ in range(bound.bit_length() + 1):
-        scaled = value * den % modulus
-        scaled[scaled > modulus // 2] -= modulus
-        large = np.flatnonzero(abs(scaled) > bound)
-        if not large.size:
-            return scaled, den
-        q = _wang_denominator(int(scaled.flat[large[0]] % modulus), modulus, bound)
-        if q is None or den * q > bound:
-            return None
-        den *= q
-    return None
+    """Wang's reconstruction (1981): `_lift` with denominators within sqrt(modulus/2)."""
+    return _lift(value, modulus, _wang_denominator, isqrt((modulus - 1) // 2))
 
 
 def _max_quotient(y: int, modulus: int) -> int:
     """Denominator of the fraction n/q = y mod `modulus` that maximal-quotient
     reconstruction picks (Monagan, ISSAC 2004): of the remainders r = t*y
     mod `modulus` of the Euclidean algorithm on (modulus, y), the one
-    followed by its largest quotient q, as |r*t| is about modulus/q.
-    Unlike Wang's, it bounds neither side alone, so it finds unbalanced
-    fractions, such as a small denominator under a numerator past
-    sqrt(modulus/2)."""
+    followed by its largest quotient q, as |r*t| is about modulus/q; it
+    bounds neither side alone.  The quotients still to come multiply to
+    at most r0, so once the largest reaches r0 none can pass it."""
     r0, r1, t0, t1 = modulus, y, 0, 1
     largest, den = 0, 1
-    while r1:
+    while r1 and largest < r0:
         q = r0 // r1
         if q > largest:
             largest, den = q, abs(t1)
@@ -974,28 +969,9 @@ def _max_quotient(y: int, modulus: int) -> int:
 
 
 def _quotient_lift(value: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
-    """Numerators and one common denominator of fractions congruent to `value`.
-
-    The denominator starts at 1 and takes the `_max_quotient` denominator
-    of each entry, in order, that it still leaves past sqrt(modulus/2)
-    (Wang's bound); the numerators are then value * den as symmetric
-    residues mod `modulus`, formed in one pass.  A candidate, never a
-    proof: only `_lift_verifies`' exact checks accept it.  None once the
-    denominator reaches the modulus, as on a modulus too small for the
-    kernel: left to grow, it made the certification of vgw-118a's `full`
-    under `exact` take 104 s instead of 2.1 (2-vCPU VM).
-    """
-    bound = isqrt((modulus - 1) // 2)
-    den = 1
-    for y in value.ravel().tolist():
-        scaled = y * den % modulus
-        if bound < scaled < modulus - bound:
-            den *= _max_quotient(scaled, modulus)
-            if den >= modulus:
-                return None
-    scaled = value * den % modulus
-    scaled[scaled > modulus // 2] -= modulus
-    return scaled, den
+    """Maximal quotients in `_lift`, the denominator below `modulus`: left to grow,
+    it took vgw-118a's `full` under `exact` from 2.1 s to 104 s (2-vCPU VM)."""
+    return _lift(value, modulus, _max_quotient, modulus - 1)
 
 
 def _lifts(value: np.ndarray, modulus: int):
@@ -1026,9 +1002,9 @@ def _annihilates(matrix: SparseIntMatrix, basis: np.ndarray) -> bool:
 
 
 def _lift_verifies(
-    matrix: SparseIntMatrix, profile: tuple[int, ...], kernels: list[tuple[int, np.ndarray]]
+    matrix: SparseIntMatrix, profile: tuple[int, ...], value: np.ndarray, modulus: int
 ) -> bool:
-    """Whether the kernels mod p lift to exact kernel vectors of `matrix`.
+    """Whether folded kernels, `value` mod `modulus`, lift to kernel vectors of `matrix`.
 
     The candidates of `_lifts` are tried in turn, and one is accepted only
     when every vector, one per free column f, is zero past f, so that it
@@ -1037,7 +1013,7 @@ def _lift_verifies(
     """
     pivots, free = _split_columns(profile, matrix.cols)
     past = pivots[:, None] > free
-    for numerators, den in _lifts(*_crt(kernels)):
+    for numerators, den in _lifts(value.astype(object), modulus):
         if numerators[past].any():
             continue
         basis = np.zeros((matrix.cols, len(free)), dtype=object)
@@ -1076,43 +1052,49 @@ def _certify(
     """Column rank profile of `matrix` over the rationals, proven.
 
     `eliminated` holds (p, profile, kernel) of `matrix` at some primes,
-    as `_echelon` returns them when certifying.  The best profile
-    (longest, then lexicographically first) is lifted from the kernels of
-    the primes that share it: CRT, rational reconstruction, then an exact
-    check that every vector is a kernel vector zero past its free column.
-    Each prefix count of a profile mod p bounds the rank of that many
-    leading columns from below; the verified vectors, one per free column
-    with the identity there, bound it from above.  So the profile is the
-    one over the rationals, and its prefix counts are the ranks of all
-    leading column blocks.
+    as `_echelon` returns them when certifying.  Each kernel is folded
+    once, by `_combine`, into its profile's lift (value, modulus); a
+    profile of full column rank has no kernel, and is returned first.
+    The best profile (longest, then lexicographically first) is lifted:
+    rational reconstruction, then an exact check that every vector is a
+    kernel vector zero past its free column.  Prefix counts of a profile
+    mod p bound the ranks of leading column blocks from below; the
+    verified vectors, one per free column with the identity there, bound
+    them from above.  So the profile is the one over the rationals.
 
     While the lift fails, primes from `_lift_primes` are added.  All
     primes whose profile is not the rational one divide one nonzero
-    minor, so their product is at most the Hadamard bound H; once the
-    primes sharing the rational profile multiply past 2*H**2 Wang's
-    reconstruction, which `_lifts` tries at every modulus, is unique and
-    the lift verifies.  A failure past either bound is a fault, raised as
-    RankInvariantError.
+    minor, so their product is at most the Hadamard bound H.  Once the
+    primes sharing the rational profile multiply to M > 2*H**2, Wang's
+    rule verifies.  By Cramer's rule every kernel entry is N/D, D the
+    pivot minor, |N| and D at most H < sqrt(M/2), and `_lift` keeps its
+    denominator den a divisor of D, so within its cap: an entry's scaled
+    value N*den/D is either within sqrt(M/2), and then an integer by the
+    uniqueness of Wang's fraction, or Wang's unique fraction, whose
+    denominator divides D/den.  So the candidate is the kernel times
+    den/D, and it verifies.  A failure past either bound is a fault,
+    raised as RankInvariantError.
     """
-    found = list(eliminated)
+    lifts = {}  # profile -> (value, modulus), its primes' kernels folded
     hadamard = 0  # H, computed on the first failed lift
     extra = _lift_primes(skip)
     while True:
-        best = min((profile for _, profile, _ in found), key=lambda pr: (-len(pr), pr))
-        if len(best) == matrix.cols:
-            return best
-        agree = [(p, kernel) for p, profile, kernel in found if profile == best]
-        if _lift_verifies(matrix, best, agree):
+        for p, profile, kernel in eliminated:
+            if len(profile) == matrix.cols:
+                return profile
+            lifts[profile] = _combine(*lifts.get(profile, (0, 1)), p, kernel)
+        best = min(lifts, key=lambda pr: (-len(pr), pr))
+        value, modulus = lifts[best]
+        if _lift_verifies(matrix, best, value, modulus):
             return best
         hadamard = hadamard or _hadamard_square(matrix)
-        modulus = prod(p for p, _ in agree)
-        others = prod(p for p, profile, _ in found if profile != best)
+        others = prod(m for profile, (_, m) in lifts.items() if profile != best)
         if modulus > 2 * hadamard or others**2 > hadamard:
             raise RankInvariantError(
                 f"{matrix.rows}x{matrix.cols}: kernel lifted mod {modulus} does not verify"
             )
         p = next(extra)
-        found.append((p, *_echelon(matrix, p, True)))
+        eliminated = [(p, *_echelon(matrix, p, True))]
 
 
 def rank_exact(matrix: SparseIntMatrix) -> int:

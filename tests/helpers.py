@@ -294,3 +294,18 @@ def per_entry_full(form, multiplier: int) -> SparseIntMatrix:
     items.extend((r + low.rows, c, v) for r, c, v in high.entries)
     items.extend((r + low.rows, c + high.cols, v) for r, c, v in derivative.entries)
     return from_entries(low.rows + high.rows, high.cols + low.cols, sorted(items))
+
+
+def max_quotient_denominator(y: int, modulus: int) -> int:
+    """Maximal-quotient reconstruction's denominator for y mod `modulus`
+    (Monagan, ISSAC 2004), over the whole Euclidean algorithm on
+    (modulus, y): the |t| of the remainder t*y that the first largest
+    quotient follows."""
+    r0, r1, t0, t1 = modulus, y, 0, 1
+    largest, den = 0, 1
+    while r1:
+        q = r0 // r1
+        if q > largest:
+            largest, den = q, abs(t1)
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return den

@@ -1,13 +1,19 @@
 import tracemalloc
 from collections import Counter
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import from_entries, rational_rank, rowreduce_rank, sparse_from_dense
+from helpers import (
+    from_entries,
+    max_quotient_denominator,
+    rational_rank,
+    rowreduce_rank,
+    sparse_from_dense,
+)
 from hyperdefect.fixtures import get_fixture
 from hyperdefect.invariants import defect
 from hyperdefect import ranks
@@ -1115,14 +1121,14 @@ def test_huge_coefficient_lifts_with_more_primes(monkeypatch):
 
 @pytest.mark.parametrize("count", range(1, 8))
 def test_crt_in_mixed_radix_matches_the_direct_formula(count):
-    # the direct formula: add the next prime's correction in Python ints
+    # a fold of one Garner step per prime against the textbook formula:
+    # the sum of r_i * M_i * (M_i^-1 mod p_i) mod M, for M_i = M / p_i
     def direct(residues):
-        value, modulus = np.zeros(residues[0][1].shape, dtype=object), 1
+        modulus, total = prod(p for p, _ in residues), 0
         for p, residue in residues:
-            gap = residue.astype(np.int64) - (value % p).astype(np.int64)
-            value = value + modulus * (gap * pow(modulus, -1, p) % p).astype(object)
-            modulus *= p
-        return value, modulus
+            rest = modulus // p
+            total = total + residue.astype(np.int64).astype(object) * (rest * pow(rest, -1, p))
+        return total % modulus, modulus
 
     rng = np.random.default_rng(count)
     primes = (WIDE_PRIME,) + DELAY_PRIMES + PRIME_TABLE[:3]
@@ -1131,10 +1137,13 @@ def test_crt_in_mixed_radix_matches_the_direct_formula(count):
         residues[0][1][0] = chosen[0] - 1  # the largest residue at every prime
         for _, residue in residues:
             residue[0, 0] = 0
-        value, modulus = ranks._crt(residues)
+        value, modulus = 0, 1
+        for p, residue in residues:
+            value, modulus = ranks._combine(value, modulus, p, residue)
+            # int64 up to the switch, Python ints past it
+            assert value.dtype == (np.int64 if modulus <= 2**63 else object)
         expected, expected_modulus = direct(residues)
-        assert modulus == expected_modulus == int(np.prod(chosen, dtype=object))
-        assert value.dtype == object and all(type(x) is int for x in value.flat)
+        assert modulus == expected_modulus == prod(chosen)
         assert value.tolist() == expected.tolist()
 
 
@@ -1167,6 +1176,62 @@ def test_quotient_lift_gives_up_once_its_denominator_reaches_the_modulus():
     assert den == 4093 * 4099 and numerators.tolist() == [[4099, 4093]]
     assert ranks._quotient_lift(value, modulus) is None
     assert list(ranks._lifts(value, modulus)) == []  # Wang's bound refuses it too
+
+
+@given(
+    st.integers(8, 186).flatmap(
+        lambda bits: st.tuples(st.integers(2 ** (bits - 1), 2**bits), st.integers(1, 2**bits))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_max_quotient_stops_early_with_the_whole_loops_choice(pair):
+    modulus, y = pair
+    y = y % (modulus - 1) + 1
+    assert ranks._max_quotient(y, modulus) == max_quotient_denominator(y, modulus)
+
+
+def test_max_quotient_matches_the_whole_loop_on_every_small_modulus():
+    for modulus in range(2, 400):
+        for y in range(1, modulus):
+            assert ranks._max_quotient(y, modulus) == max_quotient_denominator(y, modulus)
+
+
+def test_wang_alone_certifies_low_rank_matrices_within_the_hadamard_stop(monkeypatch):
+    # every maximal-quotient candidate withheld: Wang's rule, which the stop
+    # rests on, must certify on its own before the primes pass 2*H**2
+    monkeypatch.setattr(ranks, "_quotient_lift", lambda value, modulus: None)
+    primes = _spy_primes(monkeypatch)
+    rng = np.random.default_rng(27)
+    lifted = 0
+    for _ in range(300):
+        rows, cols = rng.integers(3, 12, size=2)
+        rank = int(rng.integers(1, min(rows, cols)))
+        left = rng.integers(-(10**6), 10**6, size=(rows, rank))
+        matrix = sparse_from_dense(left @ rng.integers(-(10**6), 10**6, size=(rank, cols)))
+        primes.clear()
+        report = rank_multimodular(matrix, RankConfig(exact=True))
+        assert report.exact_rank == rational_rank(matrix) and report.certified
+        assert prod(primes[:-1]) <= 2 * ranks._hadamard_square(matrix)
+        lifted += len(primes) > len(DEFAULT_PRIMES)
+    assert lifted  # some took lift primes, past the int64 fold
+
+
+def test_each_elimination_is_folded_once(monkeypatch):
+    # vgw-118a's `full` takes lift primes under `exact`; each elimination
+    # adds one CRT step to its profile's lift, and none is combined again
+    blocks = assemble_phi(get_fixture("quintic-vgw-118a").build(), 3)
+    monkeypatch.setattr(ranks, "EXACT_CELL_BUDGET", blocks.full.rows * blocks.full.cols)
+    primes = _spy_primes(monkeypatch)
+    real, folded = ranks._combine, []
+
+    def spy(value, modulus, p, residue):
+        folded.append(p)
+        return real(value, modulus, p, residue)
+
+    monkeypatch.setattr(ranks, "_combine", spy)
+    report = rank_multimodular(blocks.full, RankConfig(exact=True), leading=blocks.wedge_high)
+    assert report.certified and report.leading.certified
+    assert len(primes) == 9 and folded == primes
 
 
 # seed-1 cubic-sweep inputs (perfbench/workloads.py) that took one lift prime
