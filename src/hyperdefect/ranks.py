@@ -64,7 +64,19 @@ every leading column block at once.
 * `rank_multimodular` runs the configured primes and reports the
   per-prime ranks with their consensus (the max, a guaranteed lower
   bound); given the leading column block of the matrix, it reports that
-  block's ranks from the same eliminations, as profile prefixes.  When
+  block's ranks from the same eliminations, as profile prefixes.  A
+  matrix it does not certify is eliminated with its columns in
+  increasing order of entry count, stably, within the leading block and
+  within the rest (`_column_order`; over all columns when no block is
+  given), as in COLAMD (Davis, Gilbert, Larimore and Ng, ACM TOMS 2004):
+  structural pivots then sit on sparse columns, so X1 and W are smaller
+  and the Schur complement fills less (quintic-130's k = 3 remainder,
+  772x824, from 21.9% to 13.6% nonzero).  Permuting columns within a
+  block changes neither the block's rank nor the matrix's, so the rank
+  is still the profile's length and the leading block's its count below
+  the block's width.  A certified matrix keeps its given order: its
+  certificate is the reduced-echelon kernel in that order, whose heights
+  decide how many lift primes are needed.  When
   asked, or when the smallest block it reports is small, it certifies
   the matrix it eliminates from each prime's kernel: `_certify` proves
   the profile over the rationals with a lifted kernel (Dumas, Saunders
@@ -97,8 +109,9 @@ round's complement a block of at most _BLOCK_CELLS cells at a time: a
 dense scratch over a bounded row range, as in a sparse accumulator
 (Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 1992).  A
 block's products U11' W or X1 W are scattered one product of residues
-at a time, or, where float64 products cost fewer than _DENSE_RATIO
-multiply-adds per scattered product, formed as the dense engine's are:
+at a time, or, where float64 products and the scatter of the W rows
+they reach cost fewer than _DENSE_RATIO multiply-adds per scattered
+product, formed as the dense engine's are:
 the W rows the block reaches, _PANEL at a time, scattered into one
 dense array, times the block's entries on them.  `_schur`
 leaves each block unreduced and keeps only its entries: `_cells`
@@ -162,8 +175,11 @@ _SPARSE_FILL = 0.1
 # scattered time: on quintic-130 at k = 3, 0.51 and 0.56 at 80 and 58
 # (the 772x824 and 756x707 complements of `full` and B); at k = 4, 0.5 to
 # 0.7 at 3 to 58, 0.7 to 0.9 at 89 to 108 and 1.2 to 2.3 at 109 to 293,
-# on level ranges of 4 to 145 rows.  Its 1-row ranges, which scatter
-# each W row they reach for one row's products, read 1.1 to 1.6 at 2.
+# on level ranges of 4 to 145 rows.  Ranges whose reached W rows each
+# serve few products read more: 1.1 to 1.6 on 1-row ranges, 1.2 to 1.8 on
+# 22 to 36 rows, and 5 to 9 on 7 and 15 rows of 2854 columns, where
+# threaded OpenBLAS is slow on thin products.  `_dense_rows` counts the
+# scatter of the reached W rows, so those ranges stay scattered.
 _DENSE_RATIO = 100
 _INT_EXACT = 2**63
 # largest prime RankConfig accepts, and the first one added to a lift: the
@@ -286,14 +302,48 @@ def _reduce(x: np.ndarray, p: int) -> None:
     x -= q
 
 
-def _residues(matrix: SparseIntMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries that are nonzero mod p, their values as float64 in [1, p)."""
+def _residues(
+    matrix: SparseIntMatrix, p: int, order: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries that are nonzero mod p, their values as float64 in [1, p).
+
+    Given `order`, (entries, position) as `_column_order` returns it, they
+    are those of the matrix with column c moved to position[c]: the
+    entries are read in that order and their columns renumbered, so no
+    permuted copy of the matrix is kept.
+    """
     try:
         values = matrix.v.astype(np.int64) % p
     except OverflowError:
         values = np.array([x % p for x in matrix.v.tolist()], dtype=np.int64)
-    keep = np.flatnonzero(values)
-    return matrix.r[keep], matrix.c[keep], values[keep].astype(np.float64)
+    if order is None:
+        keep = np.flatnonzero(values)
+        return matrix.r[keep], matrix.c[keep], values[keep].astype(np.float64)
+    entries, position = order
+    keep = entries[(values != 0)[entries]]
+    return matrix.r[keep], position[matrix.c[keep]], values[keep].astype(np.float64)
+
+
+def _column_order(matrix: SparseIntMatrix, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sparsest-first order of `matrix`'s columns, as `_residues` reads it.
+
+    Columns are ordered by increasing entry count, stably, within [0, cut)
+    and within [cut, cols), so no column crosses `cut`.  Returns the
+    entries' order, by row and then by new column, and position[c], the
+    new place of column c.  One sort of the keys row * cols + position:
+    np.lexsort on the two arrays took 4 times as long on a 75k-entry
+    `full` (2-vCPU VM).  The order is held through every prime's
+    elimination, so it is int32 wherever that holds every entry's index:
+    as int64 it took quintic-130's tracemalloc peak from 13.5 to 13.8 MB.
+    """
+    count = np.bincount(matrix.c, minlength=matrix.cols)
+    moved = np.concatenate(
+        [np.argsort(count[:cut], kind="stable"), cut + np.argsort(count[cut:], kind="stable")]
+    )
+    position = np.empty(matrix.cols, dtype=np.int64)
+    position[moved] = np.arange(matrix.cols)
+    entries = np.argsort(matrix.r * matrix.cols + position[matrix.c])
+    return entries.astype(np.int32) if matrix.nnz < 2**31 else entries, position
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -631,15 +681,20 @@ def _dense_rows(inner: np.ndarray, count: np.ndarray, rows: int, width: int, ste
     The scattered products are counted, and the dense ones weighed as
     rows x width multiply-adds per row of R reached, plus _PANEL per cell
     for each reduction of the target that a further `step` of R's rows
-    takes (a cell's reduction costs about 45 of them).  A product that
-    fits in one chunk of the scattered path, _SPARSE_CHUNK, stays
-    scattered: its few calls cost less than the dense path's own."""
+    takes (a cell's reduction costs about 45 of them), plus one scattered
+    product's worth for each entry of the reached rows, which the dense
+    path scatters into its right operand.  So a range whose reached rows
+    each serve one product stays scattered.  A product that fits in one
+    chunk of the scattered path, _SPARSE_CHUNK, stays scattered: its few
+    calls cost less than the dense path's own."""
     products = int(count[inner].sum())
     if products <= _SPARSE_CHUNK:
         return None
     reached = np.flatnonzero(np.bincount(inner, minlength=len(count)))
     depth = len(reached) + _PANEL * ((len(reached) - 1) // step)
-    return None if rows * width * depth >= _DENSE_RATIO * products else reached
+    scatter = int(count[reached].sum())
+    dense = rows * width * depth + _DENSE_RATIO * scatter
+    return None if dense >= _DENSE_RATIO * products else reached
 
 
 def _subtract_dense_product(
@@ -792,9 +847,15 @@ def _schur(split: _Split, p: int, step: int) -> tuple:
 
 
 def _echelon(
-    matrix: SparseIntMatrix, p: int, certify: bool = False
+    matrix: SparseIntMatrix,
+    p: int,
+    certify: bool = False,
+    order: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[tuple[int, ...], np.ndarray | None]:
     """Column rank profile mod p, and, when `certify`, the kernel mod p.
+
+    Given `order` (see `_column_order`), both are those of the matrix with
+    its columns so permuted, read through `_residues`.
 
     The structural pivots are eliminated sparsely in rounds (see `_split`
     and `_schur`).  While a round finds a pivot and leaves a Schur
@@ -812,7 +873,7 @@ def _echelon(
     delay = _kernel(p)
     step = _PANEL * delay
     rows, cols = matrix.rows, matrix.cols
-    entries = _residues(matrix, p)
+    entries = _residues(matrix, p, order)
     columns = np.arange(cols)  # the matrix's column of each column of the round
     found, rounds = [], []
     while True:
@@ -1127,6 +1188,14 @@ def rank_multimodular(
     number of pivots among those columns, and the report's `leading`
     field carries its ranks, counted from the same profiles.
 
+    Uncertified, every prime eliminates `matrix` with its columns ordered
+    sparsest first (`_column_order`), within [0, leading.cols) and within
+    [leading.cols, cols), or over all columns without `leading`.  The
+    order never moves a column across leading.cols, and permuting the
+    columns inside either range changes neither rank, so the ranks are
+    read off the permuted profile as they would be off the given one.
+    A certified matrix is eliminated, at every prime, as given.
+
     `matrix` is certified when the smallest block reported (`leading`
     when given, else `matrix`) has both dimensions at most
     `config.dense_threshold` and `matrix` fits EXACT_CELL_BUDGET cells,
@@ -1157,7 +1226,9 @@ def rank_multimodular(
         max(small.rows, small.cols) <= cfg.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
     )
     if matrix.nnz:
-        eliminated = [(p, *_echelon(matrix, p, certify)) for p in cfg.primes]
+        cut = 0 if leading is None else leading.cols
+        order = None if certify else _column_order(matrix, cut)
+        eliminated = [(p, *_echelon(matrix, p, certify, order)) for p in cfg.primes]
     else:  # rank 0 at every prime and over the rationals: nothing to eliminate
         eliminated = [(p, (), None) for p in cfg.primes]
     proven = None

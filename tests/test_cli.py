@@ -507,6 +507,23 @@ def test_prime_stability_script_refuses_a_bad_window_or_selection():
         assert "Traceback" not in result.stderr and not result.stdout, argv
 
 
+def test_piece_timing_script_runs():
+    script = str(SCRIPTS / "piece_timing.py")
+    result = _run_child([sys.executable, script, "segre-cubic", "--k", "3"])
+    assert result.returncode == 0, result.stderr
+    rows = _rows(result.stdout)
+    assert rows[1] == ["block", "shape", "ranks", "exact", "seconds", "max_rss_mb"], result.stdout
+    assert rows[2][:4] == ["full", "75x75", "60,60,60", "60"], result.stdout
+    assert rows[3] == ["wedge_high", "75x70", "60,60,60", "60", "full", "full"], result.stdout
+    assert rows[4][:4] == ["wedge_low", "0x5", "0,0,0", "0"], result.stdout
+    for row in (rows[2], rows[4]):
+        assert float(row[4]) >= 0 and float(row[5]) > 0, result.stdout
+    for argv in (["nowhere", "--k", "3"], ["segre-cubic", "--k", "1"], ["segre-cubic", "--k", "3", "--primes", "0"]):
+        result = _run_child([sys.executable, script, *argv])
+        assert result.returncode == 2, (argv, result.stderr)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, argv
+
+
 def test_ab_inprocess_script_compares_a_checkout_with_itself():
     root = str(PYPROJECT.parent)
     result = _run_child(

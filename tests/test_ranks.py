@@ -659,6 +659,27 @@ def test_dense_products_form_only_the_blocks_where_they_pay(
     assert shapes == []
 
 
+def test_dense_products_count_the_scatter_of_the_w_rows_they_reach():
+    step = _PANEL * _kernel(DEFAULT_PRIMES[0])
+    # one target row reaches 68 W rows of 1000 entries each, one product
+    # per entry of each: 68,000 products, more than one scattered chunk.
+    # The dense path would scatter all 68,000 entries of those rows to form
+    # them, so the range stays scattered (at k = 4 quintic-130's 1-row
+    # ranges read 1.1 to 1.6 times slower dense)
+    count = np.full(400, 1000)
+    one_each = np.arange(68) * 5
+    assert ranks._dense_rows(one_each, count, 1, 2854, step) is None
+    # with the scatter left out, the 1 x 2854 target's 68 rows cost far
+    # fewer multiply-adds than _DENSE_RATIO per product
+    assert 2854 * 68 < ranks._DENSE_RATIO * 68_000
+    # 772 rows that reach 303 W rows of 206 entries, 100 times each, as in
+    # quintic-130's complement at k = 3: each reached row serves 100
+    # products, and the block takes them dense
+    count = np.full(303, 206)
+    many_each = np.tile(np.arange(303), 100)
+    assert ranks._dense_rows(many_each, count, 772, 824, step).tolist() == list(range(303))
+
+
 def test_quintic_130_dense_products_stay_small(quintic_130_full):
     # W's reached rows are scattered _PANEL at a time, so beside the
     # 772x824 complement (5.1 MB) no dense copy of W's 303 rows is held
@@ -1291,6 +1312,112 @@ def test_entry_less_blocks_are_reported_without_elimination(monkeypatch):
     report = rank_multimodular(from_entries(0, 5, ()), leading=leading)
     assert report == RankReport(0, 5, zeros, 0, RankReport(0, 3, zeros, 0))
     assert primes == []
+
+
+# -- the sparsest-first column order of uncertified matrices --------------------
+
+
+@st.composite
+def led_matrices(draw):
+    """A sparse integer matrix, some of its entries multiples of a
+    configured prime, and a leading width: its first `width` columns hold
+    the leading block in their last rows and zeros above (None: no block)."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    value = st.sampled_from((1, -1, 2, 3, 5, 6, 10, 32633, -2 * 32647, 2**70 + 1))
+    cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), value)))
+    matrix = np.zeros((rows, cols), dtype=object)
+    for i, j, x in cells:
+        matrix[i, j] = x
+    width = draw(st.none() | st.integers(0, cols))
+    if width is None:
+        return matrix, None
+    shift = draw(st.integers(0, rows))
+    matrix[:shift, :width] = 0
+    return matrix, matrix[shift:, :width]
+
+
+@given(led_matrices(), st.sampled_from(((2, 3, 5), (32633,), (3, 32647, WIDE_PRIME))))
+@settings(max_examples=150, deadline=None)
+def test_ordered_columns_keep_every_block_rank(case, primes):
+    # uncertified (a threshold of 0), `rank_multimodular` eliminates the
+    # columns sparsest first within each block; every per-prime rank and
+    # leading rank is still the prefix count of the profile of the matrix
+    # as given
+    dense, block = case
+    matrix = sparse_from_dense(dense)
+    leading = None if block is None else sparse_from_dense(block)
+    report = rank_multimodular(matrix, RankConfig(primes, dense_threshold=0), leading)
+    profiles = [ranks._echelon(matrix, p)[0] for p in primes]
+    assert report.per_prime == tuple((p, len(pr)) for p, pr in zip(primes, profiles))
+    if leading is not None:
+        width = leading.cols
+        expected = tuple((p, sum(c < width for c in pr)) for p, pr in zip(primes, profiles))
+        assert report.leading.per_prime == expected
+
+
+def _spy_eliminations(monkeypatch):
+    """Record the matrix and column order of every `_echelon` call, and
+    the matrix of every `_certify` call."""
+    calls = []
+    real_echelon, real_certify = ranks._echelon, ranks._certify
+
+    def echelon(matrix, p, certify=False, order=None):
+        calls.append(("echelon", matrix, order))
+        return real_echelon(matrix, p, certify, order)
+
+    def certify(matrix, *args):
+        calls.append(("certify", matrix, None))
+        return real_certify(matrix, *args)
+
+    monkeypatch.setattr(ranks, "_echelon", echelon)
+    monkeypatch.setattr(ranks, "_certify", certify)
+    return calls
+
+
+def test_certified_matrices_are_eliminated_as_given(monkeypatch):
+    # the certificate is the reduced-echelon kernel in the given order, and
+    # its heights decide how many lift primes are taken: under `exact`, and
+    # for a block within dense_threshold, `_echelon` at the configured
+    # primes, `_certify` and its lift primes all see the matrix as given
+    calls = _spy_eliminations(monkeypatch)
+    blocks = assemble_phi(get_fixture("segre-cubic").build(), 3)
+    wide = sparse_from_dense(np.arange(1, 301).reshape(2, 150) % 7)
+    for matrix, leading, config in (
+        (blocks.full, blocks.wedge_high, RankConfig()),  # B is 75x70
+        (wide, None, RankConfig(exact=True)),
+    ):
+        calls.clear()
+        assert rank_multimodular(matrix, config, leading).certified
+        assert [name for name, _, _ in calls] == ["echelon"] * 3 + ["certify"]
+        assert all(seen is matrix and order is None for _, seen, order in calls)
+    # uncertified, each prime eliminates the one sparsest-first order
+    calls.clear()
+    rank_multimodular(wide)
+    assert [name for name, _, _ in calls] == ["echelon"] * 3
+    assert all(seen is wide for _, seen, _ in calls)
+    assert len({id(order) for _, _, order in calls}) == 1 and calls[0][2] is not None
+
+
+def test_sparsest_columns_first_thin_quintic_130s_dense_remainder(monkeypatch):
+    # the same 303 structural pivots leave the same 772x824 remainder, but
+    # with sparse pivot columns X1 and W are smaller: 13.6% of its cells
+    # are nonzero, against 21.9% in the given order
+    blocks = assemble_phi(get_fixture("quintic-vanstraten-130").build(), 3)
+    rounds, dense = _spy_rounds(monkeypatch)
+    filled = []
+    real = ranks._eliminate
+
+    def eliminate(array, *args):
+        filled.append(np.count_nonzero(array) / array.size)
+        return real(array, *args)
+
+    monkeypatch.setattr(ranks, "_eliminate", eliminate)
+    config = RankConfig(primes=(DEFAULT_PRIMES[0],))
+    report = rank_multimodular(blocks.full, config, leading=blocks.wedge_high)
+    assert report.per_prime == ((DEFAULT_PRIMES[0], 896),)
+    assert report.leading.per_prime == ((DEFAULT_PRIMES[0], 871),)
+    assert (rounds, dense) == ([303], [(772, 824)])
+    assert filled[0] <= 0.14
 
 
 # -- the unit-triangle inverse and the kernel it back-substitutes ---------------
