@@ -16,9 +16,10 @@ byte-identical JSON, else the script exits 1.
 It prints, per input, the median seconds of each side and their ratio,
 then the median over passes of the per-pass ratio change/base, with its
 quartiles.  On stderr, so that the timing table keeps its lines, it
-prints a second table: per input, each side's tracemalloc peak in MB and
-their ratio, measured in the untimed pass only, so that tracing slows no
-timed pass; then each side's p50 and p90 over all its timed samples, every
+prints a second table: per input, each side's tracemalloc peak in MB, to
+three decimals, and their ratio, measured in the untimed pass only, so
+that tracing slows no timed pass, and after one untraced run of that
+side, so that one-off first-call allocations land in neither peak; then each side's p50 and p90 over all its timed samples, every
 input of every pass, as perfbench/run.py's `latency_p50_s` and
 `latency_p90_s` pool them, and their ratio, so that a claim about the tail
 can be checked in one process.  Timings taken in one process share warm-up, caches and the
@@ -112,6 +113,7 @@ def main() -> int:
             for side in (0, 1) if (n + k) % 2 == 0 else (1, 0):
                 call = programs[side], case.text, configs[side][k]
                 if n < 0:
+                    run(*call)
                     peaks[side][k], answers[side] = traced(*call)
                 else:
                     took, answers[side] = run(*call)
@@ -139,7 +141,7 @@ def main() -> int:
     for k, case in enumerate(cases):
         base, change = (peaks[side][k] for side in (0, 1))
         print(
-            f"{case.case_id:<28} {base:>10.1f} {change:>10.1f} {change / base:>7.3f}",
+            f"{case.case_id:<28} {base:>10.3f} {change:>10.3f} {change / base:>7.3f}",
             file=sys.stderr,
         )
     print(f"{'latency':<28} {'base_s':>10} {'change_s':>10} {'ratio':>7}", file=sys.stderr)

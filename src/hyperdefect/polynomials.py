@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
+from math import gcd
 from operator import add, index, itemgetter, mul, sub
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
@@ -335,6 +336,83 @@ class HomogeneousForm:
     @property
     def variable_count(self) -> int:
         return len(self.poly.variables)
+
+
+def variable_classes(poly: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """The variables of equal signature, in classes of at least two.
+
+    The signature of variable i is the multiset of (exponent of i,
+    coefficient) over the terms.  A permutation of the variables that
+    fixes the polynomial maps each variable to one of equal signature,
+    so it permutes every class and fixes every variable outside them;
+    without a class, only the identity fixes it.
+    """
+    classes: dict[tuple, list[int]] = {}
+    for i in range(len(poly.variables)):
+        signature = tuple(sorted((key[i], c) for key, c in poly._terms.items()))
+        classes.setdefault(signature, []).append(i)
+    return tuple(tuple(group) for group in classes.values() if len(group) > 1)
+
+
+def variable_symmetries(poly: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """Permutations of the variables that fix the polynomial, each checked
+    exactly on its terms.
+
+    A permutation is the tuple (s(0), ..., s(m-1)): it moves variable i to
+    s(i), so it sends the term c*x^t to c*x^u with u[s(i)] = t[i], and it
+    fixes the polynomial when every such image is a term with the same
+    coefficient.  Only permutations within one of `variable_classes` are
+    tried.  In each class c_0 < ... < c_(n-1) these are the
+    transpositions (c_a c_b), skipped once the kept ones join c_a and
+    c_b, and, unless the kept transpositions join the whole class, the
+    rotations c_a -> c_((a+r) mod n), skipped once the kept rotations
+    generate them.  So at most m(m+1)/2 - 1 candidates are checked, in
+    O(m) per term each, and at most m - 1 transpositions are kept.  Their
+    group can be smaller than the whole symmetry group of the polynomial
+    (a product of two transpositions is never tried, say); every
+    permutation returned fixes it all the same.
+    """
+    terms = poly._terms
+    m = len(poly.variables)
+
+    def fixes(image: list[int]) -> bool:
+        source = [0] * m
+        for i, target in enumerate(image):
+            source[target] = i
+        return all(terms.get(tuple(key[i] for i in source)) == c for key, c in terms.items())
+
+    found = []
+    for group in variable_classes(poly):
+        n = len(group)
+        joined = list(range(n))  # union-find over the class, every root its least member
+
+        def root(a: int) -> int:
+            while joined[a] != a:
+                a = joined[a]
+            return a
+
+        for a, b in combinations(range(n), 2):
+            low, high = sorted((root(a), root(b)))
+            if low == high:
+                continue
+            image = list(range(m))
+            image[group[a]], image[group[b]] = group[b], group[a]
+            if fixes(image):
+                joined[high] = low
+                found.append(tuple(image))
+        if not any(root(a) for a in range(n)):
+            continue  # the kept transpositions generate every permutation of the class
+        step = n  # the kept rotations generate those by multiples of step
+        for r in range(1, n):
+            if r % step == 0:
+                continue
+            image = list(range(m))
+            for a in range(n):
+                image[group[a]] = group[(a + r) % n]
+            if fixes(image):
+                step = gcd(step, r)
+                found.append(tuple(image))
+    return tuple(found)
 
 
 # -- expression language ------------------------------------------------------

@@ -96,6 +96,23 @@ every leading column block at once.
   is raised as RankInvariantError; Wang's rule stays, at every modulus,
   because its fraction alone is unique past that bound.  A matrix
   without entries has rank 0, and is neither eliminated nor lifted.
+* Given `symmetries`, a matrix that `rank_multimodular` does not certify
+  is eliminated one component per symmetry orbit (`_orbit_union`).  The
+  components are those of the bipartite graph of rows and columns with
+  an edge per entry (Pothen and Fan, ACM TOMS 1990), labelled by
+  `_connected`.  Up to the order of its rows and columns the matrix is
+  block diagonal over them, so its column matroid is their direct sum:
+  its rank mod p, and that of its leading column block, is the sum of
+  theirs.  A variable permutation that fixes the form maps the matrix
+  onto itself, and, once `_check_automorphisms` has found every entry
+  mapped onto an equal one and leading columns onto leading columns, it
+  maps each component onto one with the same entries, permuted: the two
+  have the same rank mod every p, and the same leading rank.  So every
+  component of an orbit of the maps has the rank of its least one, and
+  one elimination of the union of those least components gives every
+  rank, each pivot column counted once per component of its orbit.
+  sextic-285's `full` at k = 3 (2550x2710) has 16 components in 3
+  orbits, and their union is 432x460.
 * `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
   boundaries that perfbench/tracing.py wraps by name.
 
@@ -1172,10 +1189,125 @@ def rank_exact(matrix: SparseIntMatrix) -> int:
     return exact
 
 
+def _connected(n: int, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The connected components of nodes 0 .. n-1 joined by sets, as each
+    node's label: the least node of its component.  Set i holds the
+    nodes members[starts[i]:starts[i + 1]], the last one those from
+    starts[-1] on; every set holds a node.
+
+    Every round hooks the root of each member onto the least root of its
+    set, the least where several meet, and then jumps every pointer to
+    its root, until each set holds one root (min-label hooking with
+    pointer jumping, as in Shiloach and Vishkin, J. Algorithms 1982).  A
+    node only ever points to a smaller one, so the pointers form trees,
+    each rooted at its least node.
+    """
+    parent = np.arange(n)
+    sizes = np.diff(starts, append=len(members))
+    while True:
+        roots = parent[members]
+        least = np.minimum.reduceat(roots, starts)
+        if np.array_equal(least, np.maximum.reduceat(roots, starts)):
+            return parent
+        np.minimum.at(parent, roots, np.repeat(least, sizes))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
+def _check_automorphisms(matrix: SparseIntMatrix, cut: int, maps) -> None:
+    """Raise ValueError unless each (rows, cols) of `maps` permutes the
+    rows and the columns of `matrix` so that every entry goes to an entry
+    of equal value, and columns below `cut` stay below it.
+
+    The image of each entry is keyed by its cell and its value, and the
+    sorted keys must be the entries' own.  When the values span too much
+    for one int64 key, the images are sorted by cell and the values
+    compared in that order, which takes about 2.5 times as long."""
+    cells = matrix.r * matrix.cols + matrix.c  # increasing: the entries are in row order
+    try:
+        values = matrix.v.astype(np.int64)
+        values -= values.min()
+        span = int(values.max()) + 1
+    except OverflowError:
+        values, span = matrix.v, _INT_EXACT
+    keyed = matrix.rows * matrix.cols * span < _INT_EXACT
+    keys = cells * span + values if keyed else None
+    for rows, cols in maps:
+        for moved, n, name in ((rows, matrix.rows, "rows"), (cols, matrix.cols, "columns")):
+            if moved.dtype.kind not in "iu" or not np.array_equal(np.sort(moved), np.arange(n)):
+                raise ValueError(f"a symmetry of {matrix!r} does not permute its {name}")
+        if (cols[:cut] >= cut).any():
+            raise ValueError(f"a symmetry of {matrix!r} moves a column out of its leading block")
+        image = rows[matrix.r] * matrix.cols + cols[matrix.c]
+        if keyed:
+            equal = np.array_equal(np.sort(image * span + values), keys)
+        else:
+            order = np.argsort(image)
+            equal = np.array_equal(image[order], cells) and np.array_equal(values[order], values)
+        if not equal:
+            raise ValueError(f"a symmetry of {matrix!r} does not map its entries onto equal ones")
+
+
+def _orbit_union(matrix: SparseIntMatrix, cut: int, symmetries):
+    """One component of `matrix` per symmetry orbit, or None where that
+    saves nothing.
+
+    The components are those of the bipartite graph of rows and columns
+    with an edge per entry (Pothen and Fan, ACM TOMS 1990); a row or a
+    column without an entry belongs to none.  Returns (union, weight,
+    cut): the submatrix on the rows and columns of the least component of
+    each orbit (the one with the least column), in their given order, the
+    size of its orbit at each of its columns, and how many of them lie
+    below `cut`.  None unless `symmetries` may fix the form, `matrix` has
+    at least 2 components, and some orbit of the maps holds 2 of them.
+    The maps are built, and checked by `_check_automorphisms`, only for a
+    matrix of at least 2 components.
+    """
+    if symmetries is None or not symmetries.possible():
+        return None
+    # a row's entries are one set of columns: labels of columns suffice
+    label = _connected(matrix.cols, matrix.c, np.flatnonzero(np.diff(matrix.r, prepend=-1)))
+    roots = np.zeros(matrix.cols, dtype=bool)
+    roots[label[matrix.c]] = True
+    roots = np.flatnonzero(roots)  # each component's least column
+    if len(roots) < 2:
+        return None
+    maps = [(np.asarray(r), np.asarray(c)) for r, c in symmetries.maps()]
+    if not maps:
+        return None
+    _check_automorphisms(matrix, cut, maps)
+    component = np.full(matrix.cols, -1)
+    component[roots] = np.arange(len(roots))
+    component = component[label]  # -1 on the columns without an entry
+    images = np.concatenate([component[cols[roots]] for _, cols in maps])
+    pairs = np.column_stack((np.tile(np.arange(len(roots)), len(maps)), images)).ravel()
+    orbit = _connected(len(roots), pairs, np.arange(0, len(pairs), 2))
+    size = np.bincount(orbit)
+    if size.max() < 2:
+        return None
+    kept = component >= 0
+    kept[kept] = orbit[component[kept]] == component[kept]  # the least component of its orbit
+    entry = kept[matrix.c]
+    rows = np.zeros(matrix.rows, dtype=bool)
+    rows[matrix.r[entry]] = True
+    union = SparseIntMatrix._of_checked(
+        int(rows.sum()),
+        int(kept.sum()),
+        (np.cumsum(rows) - 1)[matrix.r[entry]],
+        (np.cumsum(kept) - 1)[matrix.c[entry]],
+        matrix.v[entry],
+    )
+    return union, size[component[kept]], int(kept[:cut].sum())
+
+
 def rank_multimodular(
     matrix: SparseIntMatrix,
     config: RankConfig | None = None,
     leading: SparseIntMatrix | None = None,
+    symmetries=None,
 ) -> RankReport:
     """Rank report over the configured primes, optionally certified exactly.
 
@@ -1195,6 +1327,21 @@ def rank_multimodular(
     columns inside either range changes neither rank, so the ranks are
     read off the permuted profile as they would be off the given one.
     A certified matrix is eliminated, at every prime, as given.
+
+    `symmetries`, when given, offers candidate automorphisms of `matrix`,
+    as `koszul.BlockSymmetries` does: `symmetries.possible()` says
+    whether there may be any, and `symmetries.maps()` gives them as
+    (row map, column map) pairs of integer arrays, row i to rows[i] and
+    column c to cols[c].  An uncertified matrix whose symmetries are
+    possible is labelled into components, and one with at least 2 is
+    given its maps, which must each map every entry onto an equal one
+    and the leading columns among themselves, else ValueError is raised.
+    If some orbit of the maps holds 2 components, every prime eliminates
+    the union of one component per orbit, in the sparsest-first order
+    within [0, leading.cols) and the rest, and a rank is the sum over its
+    pivot columns of their orbits' sizes (see the module docstring).  The
+    report keeps the whole matrix's shape.  A certified matrix never
+    looks at `symmetries`.
 
     `matrix` is certified when the smallest block reported (`leading`
     when given, else `matrix`) has both dimensions at most
@@ -1225,27 +1372,41 @@ def rank_multimodular(
     certify = cfg.exact or (
         max(small.rows, small.cols) <= cfg.dense_threshold and rows * cols <= EXACT_CELL_BUDGET
     )
-    if matrix.nnz:
-        cut = 0 if leading is None else leading.cols
-        order = None if certify else _column_order(matrix, cut)
-        eliminated = [(p, *_echelon(matrix, p, certify, order)) for p in cfg.primes]
-    else:  # rank 0 at every prime and over the rationals: nothing to eliminate
+    cut = 0 if leading is None else leading.cols
+    weight = None  # the orbit size at each column, when one component per orbit is eliminated
+    if not matrix.nnz:  # rank 0 at every prime and over the rationals: nothing to eliminate
         eliminated = [(p, (), None) for p in cfg.primes]
+    elif certify:
+        eliminated = [(p, *_echelon(matrix, p, True)) for p in cfg.primes]
+    else:
+        target, union = matrix, _orbit_union(matrix, cut, symmetries)
+        if union is not None:
+            target, weight, cut = union
+        order = _column_order(target, cut)
+        eliminated = [(p, *_echelon(target, p, False, order)) for p in cfg.primes]
+        if weight is not None:
+            weight = weight[np.argsort(order[1])]  # at each column of the ordered union
     proven = None
     if certify and all(len(profile) <= min(rows, cols) for _, profile, _ in eliminated):
         proven = _certify(matrix, eliminated, cfg.primes) if matrix.nnz else ()
+
+    def count(pivots: tuple[int, ...]) -> int:
+        """The rank the pivot columns give: each counted once per component
+        of its orbit."""
+        return len(pivots) if weight is None else int(weight[list(pivots)].sum())
+
     block = None
     if leading is not None:
         block = RankReport(
             leading.rows,
             leading.cols,
-            tuple((p, bisect_left(profile, leading.cols)) for p, profile, _ in eliminated),
-            None if proven is None else bisect_left(proven, leading.cols),
+            tuple((p, count(profile[: bisect_left(profile, cut)])) for p, profile, _ in eliminated),
+            None if proven is None else bisect_left(proven, cut),
         )
     return RankReport(
         rows,
         cols,
-        tuple((p, len(profile)) for p, profile, _ in eliminated),
+        tuple((p, count(profile)) for p, profile, _ in eliminated),
         None if proven is None else len(proven),
         block,
     )
