@@ -126,12 +126,8 @@ round's complement a block of at most _BLOCK_CELLS cells at a time: a
 dense scratch over a bounded row range, as in a sparse accumulator
 (Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 1992).  A
 block's products U11' W or X1 W are scattered one product of residues
-at a time, or, where float64 products and the scatter of the W rows
-they reach cost fewer than _DENSE_RATIO multiply-adds per scattered
-product, formed as the dense engine's are:
-the W rows the block reaches, _PANEL at a time, scattered into one
-dense array, times the block's entries on them.  `_schur`
-leaves each block unreduced and keeps only its entries: `_cells`
+at a time, in chunks of _SPARSE_CHUNK.  `_schur` leaves each block
+unreduced and keeps only its entries: `_cells`
 gathers the cells nonzero before reduction in one scan, reduces their
 values and drops those that vanish mod p.  So no array wider than a
 block is formed unless a complement goes to the dense engine.  Its
@@ -186,18 +182,6 @@ _BLOCK_CELLS = 1 << 20
 # nonzero) and on the vGW quintics (6.9%, then 12.3%: 41 -> 31 ms), and
 # cost quintic-130 more than they save (21.9%: 113 -> 143 ms).
 _SPARSE_FILL = 0.1
-# `_form` forms a block's products by W dense when they take fewer than
-# this many multiply-adds per scattered product (see `_dense_rows`).
-# Measured per block at p = 32633 (2-vCPU VM, OpenBLAS), dense time over
-# scattered time: on quintic-130 at k = 3, 0.51 and 0.56 at 80 and 58
-# (the 772x824 and 756x707 complements of `full` and B); at k = 4, 0.5 to
-# 0.7 at 3 to 58, 0.7 to 0.9 at 89 to 108 and 1.2 to 2.3 at 109 to 293,
-# on level ranges of 4 to 145 rows.  Ranges whose reached W rows each
-# serve few products read more: 1.1 to 1.6 on 1-row ranges, 1.2 to 1.8 on
-# 22 to 36 rows, and 5 to 9 on 7 and 15 rows of 2854 columns, where
-# threaded OpenBLAS is slow on thin products.  `_dense_rows` counts the
-# scatter of the reached W rows, so those ranges stay scattered.
-_DENSE_RATIO = 100
 _INT_EXACT = 2**63
 # largest prime RankConfig accepts, and the first one added to a lift: the
 # largest p with _PANEL*(p-1)**2 + p < 2**53, so one panel product stays exact
@@ -444,9 +428,7 @@ def _subtract_products(
 
 def _subtract_product(target: np.ndarray, left: np.ndarray, right: np.ndarray, buffer) -> None:
     """target -= left @ right, in row chunks through one scratch buffer: the
-    dense engine's trailing products and the sparse stage's dense ones
-    (`_subtract_dense_product`), whose left operands have at most _PANEL
-    rows."""
+    dense engine's trailing products."""
     width = target.shape[1]
     for start in range(0, target.shape[0], _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, target.shape[0])
@@ -689,101 +671,18 @@ def _entries(
     return *np.divmod(flat, dense.shape[1]), values
 
 
-def _dense_rows(inner: np.ndarray, count: np.ndarray, rows: int, width: int, step: int):
-    """The rows of R that entries on R's rows `inner` reach, in increasing
-    order, when `_subtract_dense_product` is the cheaper way to subtract
-    their products from `rows` rows of `width` columns, else None; R has
-    count[k] entries in row k.
-
-    The scattered products are counted, and the dense ones weighed as
-    rows x width multiply-adds per row of R reached, plus _PANEL per cell
-    for each reduction of the target that a further `step` of R's rows
-    takes (a cell's reduction costs about 45 of them), plus one scattered
-    product's worth for each entry of the reached rows, which the dense
-    path scatters into its right operand.  So a range whose reached rows
-    each serve one product stays scattered.  A product that fits in one
-    chunk of the scattered path, _SPARSE_CHUNK, stays scattered: its few
-    calls cost less than the dense path's own."""
-    products = int(count[inner].sum())
-    if products <= _SPARSE_CHUNK:
-        return None
-    reached = np.flatnonzero(np.bincount(inner, minlength=len(count)))
-    depth = len(reached) + _PANEL * ((len(reached) - 1) // step)
-    scatter = int(count[reached].sum())
-    dense = rows * width * depth + _DENSE_RATIO * scatter
-    return None if dense >= _DENSE_RATIO * products else reached
-
-
-def _subtract_dense_product(
-    target: np.ndarray,
-    rows: np.ndarray,
-    inner: np.ndarray,
-    values: np.ndarray,
-    by_rows: tuple[np.ndarray, ...],
-    reached: np.ndarray,
-    p: int,
-    step: int,
-) -> None:
-    """`_subtract_sparse_product` as float64 matrix products, for entries
-    whose `inner` are all among `reached`, R's rows in increasing order.
-
-    R's reached rows are taken _PANEL at a time, scattered into one dense
-    array, and the entries on them _PANEL target rows at a time, scattered
-    into a dense left operand whose product `_subtract_product` subtracts,
-    so that no operand holds more than _PANEL rows, nor a copy of all of
-    R's reached rows.  Before each further `step` of R's rows the whole
-    target is reduced, so with entries in [0, p) it stays within the same
-    bound step*(p-1)**2 + p.
-    """
-    start, count, columns, right_values = by_rows
-    height, width = target.shape
-    position = np.zeros(len(count), dtype=np.intp)
-    position[reached] = np.arange(len(reached))
-    at = position[inner]
-    group = at // _PANEL  # the group of R's rows each entry reaches
-    order = np.argsort(group, kind="stable")  # by group, rows increasing within one
-    cuts = np.searchsorted(group[order], range(-(-len(reached) // _PANEL) + 1)).tolist()
-    buffer = np.empty(min(height, _PANEL) * width)
-    for g, a, b in zip(range(0, len(reached), _PANEL), cuts, cuts[1:]):
-        if g and not g % step:
-            _reduce_rows(target, p)
-        # the entries of the group's rows of R, row after row
-        members = reached[g : g + _PANEL]
-        sizes = count[members]
-        ends = sizes.cumsum()
-        taken = np.arange(ends[-1])
-        taken += (start[members] - ends + sizes).repeat(sizes)
-        right = np.zeros((len(members), width))
-        cells = (np.arange(len(members)) * width).repeat(sizes) + columns[taken]
-        right.reshape(-1)[cells] = right_values[taken]
-        e = order[a:b]
-        spans = np.searchsorted(rows[e], range(0, height + _PANEL, _PANEL)).tolist()
-        for lo, c, d in zip(range(0, height, _PANEL), spans, spans[1:]):
-            if c == d:
-                continue
-            chunk = target[lo : lo + _PANEL]
-            left = np.zeros((len(chunk), len(members)))
-            left[rows[e[c:d]] - lo, at[e[c:d]] - g] = values[e[c:d]]
-            _subtract_product(chunk, left, right, buffer)
-
-
 def _form(target: np.ndarray, lo: int, split: _Split, by_rows: tuple, p: int, step: int) -> None:
     """Rows lo to lo + len(target) - 1 of U12 - U11' W, unreduced, into the
     zeros of `target`; U11' is U11 off its diagonal, and W is given
     `by_rows`.  On the other rows this is X2 - X1 W, the Schur complement.
-    The product is formed dense when `_dense_rows` finds that cheaper,
-    else scattered."""
+    The products are scattered by `_subtract_sparse_product`."""
     hi = lo + len(target)
     a, b = np.searchsorted(split.right[0], [lo, hi])
     i, j, v = (x[a:b] for x in split.right)
     target[i - lo, j] = v
     a, b = np.searchsorted(split.left[0], [lo, hi])
     i, j, v = (x[a:b] for x in split.left)
-    reached = _dense_rows(j, by_rows[1], *target.shape, step)
-    if reached is None:
-        _subtract_sparse_product(target, i - lo, j, v, by_rows, p, step)
-    else:
-        _subtract_dense_product(target, i - lo, j, v, by_rows, reached, p, step)
+    _subtract_sparse_product(target, i - lo, j, v, by_rows, p, step)
 
 
 def _schur(split: _Split, p: int, step: int) -> tuple:
@@ -799,8 +698,8 @@ def _schur(split: _Split, p: int, step: int) -> tuple:
     (at least one row) by `_form`, and only each block's entries (by
     `_entries`, or for C `_cells`) are kept before the next is formed, so
     no array wider than a block exists while C stays sparse.  The blocks'
-    values are integers within the bound of either product, dense or
-    scattered, step*(p-1)**2 + p, which `_reduce` takes exactly.
+    values are integers within the scattered product's bound
+    step*(p-1)**2 + p, which `_reduce` takes exactly.
 
     C is dense once more than _SPARSE_FILL of its cells are nonzero mod
     p, or when the round found no pivot, and then holds no row.  The

@@ -576,39 +576,44 @@ def test_sparse_products_reduce_only_the_rows_that_take_another_group(
 PRODUCT_PRIMES = (2, 3, 32633) + DELAY_PRIMES + (WIDE_PRIME,)
 
 
-def _products_agree(split, p):
-    """Every row range of `split` after level 0 takes the same products
-    of U11' (or X1) by W dense and scattered, from one start in [0, p):
-    the targets match after reduction, and no cell passes the bound
-    step*(p-1)**2 + p.  Returns the most W rows any range reaches."""
+def _products_match_exact(split, p):
+    """Every row range of `split` after level 0 takes the scattered
+    products of U11' (or X1) by W from one start in [0, p), and they
+    match the same products formed exactly in int64 after reduction;
+    no cell passes the bound step*(p-1)**2 + p.  Returns the most W rows
+    any range reaches."""
     step = _PANEL * _kernel(p)
     n = int(split.bounds[-2])
     w = ranks._schur(split, p, step)[2]
     by_rows = ranks._by_rows(w, n)
     width, bound = len(split.rest), step * (p - 1) ** 2 + p
+    # a target row reaches at most n W rows, so every exact sum is within
+    # n*(p-1)**2 + p: below 2**57 for the n <= 300 used here
+    assert n * (p - 1) ** 2 + p < 2**63
+    exact_w = np.zeros((n, width), dtype=np.int64)
+    exact_w[w[0], w[1]] = w[2].astype(np.int64)
     rng = np.random.default_rng(p)
     most = 0
     for lo, hi in zip(split.bounds[1:-1].tolist(), split.bounds[2:].tolist()):
         a, b = np.searchsorted(split.left[0], [lo, hi])
         i, j, v = (x[a:b] for x in split.left)
-        reached = np.flatnonzero(np.bincount(j, minlength=n))
-        start = rng.integers(0, p, size=(hi - lo, width)).astype(np.float64)
-        scattered, dense = start.copy(), start.copy()
+        start = rng.integers(0, p, size=(hi - lo, width))
+        scattered = start.astype(np.float64)
         ranks._subtract_sparse_product(scattered, i - lo, j, v, by_rows, p, step)
-        ranks._subtract_dense_product(dense, i - lo, j, v, by_rows, reached, p, step)
-        for target in (scattered, dense):
-            assert np.abs(target).max(initial=0) <= bound
-            _reduce(target, p)
-        assert np.array_equal(scattered, dense)
-        most = max(most, len(reached))
+        assert np.abs(scattered).max(initial=0) <= bound
+        _reduce(scattered, p)
+        left = np.zeros((hi - lo, n), dtype=np.int64)
+        left[i - lo, j] = v.astype(np.int64)
+        assert np.array_equal(scattered.astype(np.int64), (start - left @ exact_w) % p)
+        most = max(most, len(np.unique(j)))
     return most
 
 
 @pytest.mark.parametrize("p", PRODUCT_PRIMES)
-def test_dense_and_scattered_products_agree(p):
+def test_scattered_products_match_the_exact_product(p):
     rng = np.random.default_rng(p)
     for _ in range(20):
-        _products_agree(_first_split(_sparse_random(rng, p), p), p)
+        _products_match_exact(_first_split(_sparse_random(rng, p), p), p)
     # 300 pivot rows 1, 0, ..., 0 | p-1, ..., p-1 and three rows of p - 1
     # that lead in the first pivot's column: every tail row reaches all 300
     # W rows, more than `step` at each of DELAY_PRIMES and at WIDE_PRIME,
@@ -616,7 +621,7 @@ def test_dense_and_scattered_products_agree(p):
     n = 300
     matrix = np.full((n + 3, n + 4), p - 1, dtype=object)
     matrix[:n, :n] = np.eye(n, dtype=object)
-    assert _products_agree(_first_split(matrix, p), p) == n
+    assert _products_match_exact(_first_split(matrix, p), p) == n
 
 
 @pytest.fixture(scope="module")
@@ -624,64 +629,39 @@ def quintic_130_full():
     return assemble_phi(get_fixture("quintic-vanstraten-130").build(), 3).full
 
 
-def _spy_dense_products(monkeypatch):
-    """Record the shape of every target whose products by W are formed dense."""
-    shapes = []
-    real = ranks._subtract_dense_product
-
-    def spy(target, *args):
-        shapes.append(target.shape)
-        return real(target, *args)
-
-    monkeypatch.setattr(ranks, "_subtract_dense_product", spy)
-    return shapes
+def test_quintic_130_keeps_its_profile_at_the_widest_prime(quintic_130_full):
+    profile = ranks._echelon(quintic_130_full, DEFAULT_PRIMES[0])[0]
+    assert len(profile) == 896
+    assert ranks._echelon(quintic_130_full, WIDE_PRIME)[0] == profile
 
 
-def test_dense_products_form_only_the_blocks_where_they_pay(
-    quintic_130_full, sextic_blocks, monkeypatch
+def test_quintic_130_reduces_only_the_rows_that_take_another_group_at_the_widest_prime(
+    quintic_130_full, monkeypatch
 ):
-    shapes = _spy_dense_products(monkeypatch)
-    # quintic-130's 772x824 complement takes 2.4M scattered products over
-    # all 303 W rows, 80 multiply-adds each dense; at the largest prime the
-    # four reductions between groups of 64 W rows raise that to 148.  Of
-    # W's level ranges only three, of 20 and 10 rows that reach 190 to 246
-    # W rows, take more than 2**16 products, and they take them dense
+    # at WIDE_PRIME (step 64) rows of six of W's level ranges and 100 rows
+    # of the 772x824 complement reach 68 to 70 W rows, so they take a
+    # second group of products, and only they are reduced before it; at
+    # 32633 (step 8,458,624) no row does, and the complement is first
+    # reduced whole, before its elimination
+    reduced = []
+    real = ranks._reduce_rows
+
+    def spy(x, p):
+        reduced.append(x.shape)
+        return real(x, p)
+
+    monkeypatch.setattr(ranks, "_reduce_rows", spy)
+    complement = (772, 824)
     ranks._echelon(quintic_130_full, DEFAULT_PRIMES[0])
-    assert shapes == [(20, 824), (10, 824), (10, 824), (772, 824)]
-    shapes.clear()
+    assert reduced[: reduced.index(complement)] == []
+    reduced.clear()
     ranks._echelon(quintic_130_full, WIDE_PRIME)
-    assert (772, 824) not in shapes
-    # sextic-285's W is about 1.5% nonzero: every range of every round of
-    # `full` and B, each Schur complement with them, stays scattered
-    shapes.clear()
-    ranks._echelon(sextic_blocks.full, DEFAULT_PRIMES[0])
-    ranks._echelon(sextic_blocks.wedge_high, DEFAULT_PRIMES[0])
-    assert shapes == []
-
-
-def test_dense_products_count_the_scatter_of_the_w_rows_they_reach():
-    step = _PANEL * _kernel(DEFAULT_PRIMES[0])
-    # one target row reaches 68 W rows of 1000 entries each, one product
-    # per entry of each: 68,000 products, more than one scattered chunk.
-    # The dense path would scatter all 68,000 entries of those rows to form
-    # them, so the range stays scattered (at k = 4 quintic-130's 1-row
-    # ranges read 1.1 to 1.6 times slower dense)
-    count = np.full(400, 1000)
-    one_each = np.arange(68) * 5
-    assert ranks._dense_rows(one_each, count, 1, 2854, step) is None
-    # with the scatter left out, the 1 x 2854 target's 68 rows cost far
-    # fewer multiply-adds than _DENSE_RATIO per product
-    assert 2854 * 68 < ranks._DENSE_RATIO * 68_000
-    # 772 rows that reach 303 W rows of 206 entries, 100 times each, as in
-    # quintic-130's complement at k = 3: each reached row serves 100
-    # products, and the block takes them dense
-    count = np.full(303, 206)
-    many_each = np.tile(np.arange(303), 100)
-    assert ranks._dense_rows(many_each, count, 772, 824, step).tolist() == list(range(303))
+    groups = [(6, 824), (9, 824), (4, 824), (4, 824), (1, 824), (1, 824), (100, 824)]
+    assert reduced[: reduced.index(complement)] == groups
 
 
 def test_quintic_130_dense_products_stay_small(quintic_130_full):
-    # W's reached rows are scattered _PANEL at a time, so beside the
+    # W's products are scattered in chunks of _SPARSE_CHUNK, so beside the
     # 772x824 complement (5.1 MB) no dense copy of W's 303 rows is held
     rank, peak = _echelon_peak(quintic_130_full, DEFAULT_PRIMES[0])
     assert rank == 896
