@@ -4,19 +4,18 @@
     python3 scripts/piece_timing.py quintic-vanstraten-130 --k 4 --primes 1
 
 Assembles the fixture's blocks at multiplier k and runs
-`rank_multimodular` on `full`, with B (`wedge_high`) as its leading block,
-then on A (`wedge_low`), over the first --primes primes of PRIME_TABLE
-with the default certification policy, each with the form's
-`BlockSymmetries` as `e2_piece` passes them, so that an uncertified block
-is eliminated one component per symmetry orbit as `defect` eliminates
-it.  It calls the rank layer directly, below `e2_piece`, so `full`'s
-shape is not held to
-MODULAR_CELL_BUDGET: a large k can take long and much memory.  For each
-block it prints its shape, its rank at each prime, the exact rank when
-one was proven (else "-"), the seconds of its call and the process's max
-RSS after it; B's row names `full`'s call, which gave its ranks.  An
-unknown fixture, a k below 2 or a --primes outside [1, 10] exits 2 with
-one error line.
+`rank_multimodular` on `full`, with B (`wedge_high`) as its leading block
+and the form's `full_symmetries` as `e2_piece` passes them, so that an
+uncertified `full` is eliminated one component per symmetry orbit as
+`defect` eliminates it, then on A (`wedge_low`) whole, over the first
+--primes primes of PRIME_TABLE with the default certification policy.
+It calls the rank layer directly, below `e2_piece`, so `full`'s shape is
+not held to MODULAR_CELL_BUDGET: a large k can take long and much
+memory.  For each block it prints its shape, its rank at each prime, the
+exact rank when one was proven (else "-"), the seconds of its call and
+the process's max RSS after it; B's row names `full`'s call, which gave
+its ranks.  An unknown fixture, a k below 2 or a --primes outside
+[1, 10] exits 2 with one error line.
 """
 
 from __future__ import annotations
@@ -25,10 +24,11 @@ import argparse
 import resource
 import sys
 import time
+from functools import partial
 
 from hyperdefect import PRIME_TABLE, RankConfig, get_fixture
 from hyperdefect.cli import EXIT_USAGE
-from hyperdefect.koszul import BlockSymmetries, assemble_phi
+from hyperdefect.koszul import assemble_phi, full_symmetries
 from hyperdefect.ranks import rank_multimodular
 
 
@@ -67,13 +67,12 @@ def main() -> int:
     print(f"{args.fixture} k={args.k} assembled in {time.perf_counter() - start:.3f} s")
     print(f"{'block':<11} {'shape':>11} {'ranks':>20} {'exact':>6} {'seconds':>8} {'max_rss_mb':>10}")
     start = time.perf_counter()
-    symmetries = BlockSymmetries(form, blocks.degrees, "full")
+    symmetries = partial(full_symmetries, form, blocks.degrees)
     full = rank_multimodular(blocks.full, config, blocks.wedge_high, symmetries)
     print(row("full", full, f"{time.perf_counter() - start:.3f}", f"{max_rss_mb():.1f}"))
     print(row("wedge_high", full.leading, "full", "full"))
     start = time.perf_counter()
-    symmetries = BlockSymmetries(form, blocks.degrees, "wedge_low")
-    low = rank_multimodular(blocks.wedge_low, config, symmetries=symmetries)
+    low = rank_multimodular(blocks.wedge_low, config)
     print(row("wedge_low", low, f"{time.perf_counter() - start:.3f}", f"{max_rss_mb():.1f}"))
     return 0
 

@@ -22,9 +22,10 @@ spectral number of any of them.  All arithmetic is exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
-from .koszul import BlockSymmetries, PhiBlocks, PhiDegrees, assemble_phi
+from .koszul import PhiBlocks, PhiDegrees, assemble_phi, full_symmetries
 from .monomials import _integer
 from .polynomials import HomogeneousForm, VariableCountError
 from .ranks import (
@@ -218,7 +219,9 @@ def e2_piece(
     Requires at least 3 variables, an integer multiplier >= 2 and a form
     of degree at least 1.  `full` is eliminated once per prime; B's
     columns lead it, so the same elimination gives the ranks of B and of
-    `full` together.  Raises RankBudgetError, before building anything, when
+    `full` together, one component per orbit of the variable permutations
+    that fix the form (`full_symmetries`) when uncertified; A is eliminated
+    whole.  Raises RankBudgetError, before building anything, when
     `full` would exceed MODULAR_CELL_BUDGET cells, or, under `exact`,
     EXACT_CELL_BUDGET cells; `full` contains A, so that one check covers
     both blocks certified.  Rank-engine errors
@@ -241,11 +244,9 @@ def e2_piece(
     if cfg.exact and rows * cols > EXACT_CELL_BUDGET:
         raise RankBudgetError(f"{rows}x{cols} exceeds exact budget of {EXACT_CELL_BUDGET} cells")
     blocks: PhiBlocks = assemble_phi(form, multiplier)
-    wedge_low = rank_multimodular(
-        blocks.wedge_low, cfg, symmetries=BlockSymmetries(form, degrees, "wedge_low")
-    )
+    wedge_low = rank_multimodular(blocks.wedge_low, cfg)
     full = rank_multimodular(
-        blocks.full, cfg, blocks.wedge_high, BlockSymmetries(form, degrees, "full")
+        blocks.full, cfg, blocks.wedge_high, partial(full_symmetries, form, degrees)
     )
     wedge_high = full.leading
     _check_ranks(wedge_low, wedge_high, full)

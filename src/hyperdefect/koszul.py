@@ -20,7 +20,7 @@ from operator import index
 import numpy as np
 
 from .monomials import _integer, dim_graded, exponent_array, monomial_indices
-from .polynomials import HomogeneousForm, variable_classes, variable_symmetries
+from .polynomials import HomogeneousForm, variable_symmetries
 
 # to_dense targets int64; block entries are tiny but guard anyway
 _DENSE_LIMIT = 2**62
@@ -265,55 +265,30 @@ def assemble_phi(form: HomogeneousForm, multiplier: int) -> PhiBlocks:
     return PhiBlocks(wedge_low, wedge_high, derivative, full, degrees)
 
 
-@dataclass(frozen=True)
-class BlockSymmetries:
-    """The variable permutations that fix a form, as maps of `wedge_low`
-    or `full` (`block`) of `assemble_phi`: the `symmetries` that
-    `rank_multimodular` takes.  Nothing is computed until asked.
+def full_symmetries(form: HomogeneousForm, degrees: PhiDegrees) -> list[tuple[np.ndarray, ...]]:
+    """(row map, column map) of `full` of `assemble_phi` at `degrees` for
+    each of the form's `variable_symmetries`: row i goes to row rows[i],
+    column c to cols[c].  `e2_piece` passes it, bound to its arguments,
+    as the `symmetries` that `rank_multimodular` takes.
 
-    A permutation s with f(x_s(0), ..., x_s(m-1)) = f (see
-    `variable_symmetries`) sends row (j, a) of a wedge block to (s(j), s.a)
-    and column b to s.b, where (s.a)[s(i)] = a[i].  The entry t_j*c that
-    a term c*x^t puts at ((j, a), a + t - unit_j) goes to the entry of
-    the term c*x^(s.t), (s.t)[s(j)]*c = t_j*c, and D's entry a_j at
-    ((j, a), a - unit_j) to (s.a)[s(j)] = a_j.  No sign appears, because
-    the contraction signs are dropped (see the module docstring).
+    A permutation s with f(x_s(0), ..., x_s(m-1)) = f sends row (j, a) of
+    a wedge block to (s(j), s.a) and column b to s.b, where
+    (s.a)[s(i)] = a[i].  The entry t_j*c that a term c*x^t puts at
+    ((j, a), a + t - unit_j) goes to the entry of the term c*x^(s.t),
+    (s.t)[s(j)]*c = t_j*c, and D's entry a_j at ((j, a), a - unit_j) to
+    (s.a)[s(j)] = a_j.  No sign appears, because the contraction signs
+    are dropped (see the module docstring).
     """
-
-    form: HomogeneousForm
-    degrees: PhiDegrees
-    block: str  # "wedge_low" or "full"
-
-    def possible(self) -> bool:
-        """Whether a permutation other than the identity may fix the form:
-        its `variable_classes`, one pass over the terms per variable."""
-        return bool(variable_classes(self.form.poly))
-
-    def maps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(row map, column map) of the block for each of
-        `variable_symmetries`: row i goes to row rows[i], column c to cols[c]."""
-        deg = self.degrees
-        bases = {}
-
-        def moved(e: int, inverse: np.ndarray) -> np.ndarray:
-            """The rank of s.a for each degree-e monomial a, in rank order."""
-            if e not in bases:
-                bases[e] = exponent_array(deg.m, e)
-            return monomial_indices(bases[e][:, inverse])
-
-        def wedge(e: int, sigma: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-            size = dim_graded(deg.m, e)
-            return (sigma[:, None] * size + moved(e, inverse)).ravel()
-
-        maps = []
-        for image in variable_symmetries(self.form.poly):
-            sigma = np.array(image)
-            inverse = np.argsort(sigma)
-            rows = wedge(deg.source_low, sigma, inverse)
-            cols = moved(deg.target_low, inverse)
-            if self.block == "full":
-                rows = np.concatenate((rows, len(rows) + wedge(deg.source_high, sigma, inverse)))
-                high = moved(deg.target_high, inverse)
-                cols = np.concatenate((high, len(high) + cols))
-            maps.append((rows, cols))
-        return maps
+    images = variable_symmetries(form.poly)
+    if not images:
+        return []
+    sources = [exponent_array(degrees.m, e) for e in (degrees.source_low, degrees.source_high)]
+    targets = [exponent_array(degrees.m, e) for e in (degrees.target_high, degrees.target_low)]
+    maps = []
+    for image in images:
+        sigma = np.array(image)
+        inverse = np.argsort(sigma)  # s.a is a[:, inverse]
+        rows = [(sigma[:, None] * len(a) + monomial_indices(a[:, inverse])).ravel() for a in sources]
+        cols = [monomial_indices(b[:, inverse]) for b in targets]
+        maps.append(tuple(np.concatenate((x, len(x) + y)) for x, y in (rows, cols)))
+    return maps

@@ -97,21 +97,21 @@ every leading column block at once.
   because its fraction alone is unique past that bound.  A matrix
   without entries has rank 0, and is neither eliminated nor lifted.
 * Given `symmetries`, a matrix that `rank_multimodular` does not certify
-  is eliminated one component per symmetry orbit (`_orbit_union`).  The
-  components are those of the bipartite graph of rows and columns with
-  an edge per entry (Pothen and Fan, ACM TOMS 1990), labelled by
-  `_connected`.  Up to the order of its rows and columns the matrix is
-  block diagonal over them, so its column matroid is their direct sum:
-  its rank mod p, and that of its leading column block, is the sum of
-  theirs.  A variable permutation that fixes the form maps the matrix
-  onto itself, and, once `_check_automorphisms` has found every entry
-  mapped onto an equal one and leading columns onto leading columns, it
-  maps each component onto one with the same entries, permuted: the two
-  have the same rank mod every p, and the same leading rank.  So every
-  component of an orbit of the maps has the rank of its least one, and
-  one elimination of the union of those least components gives every
-  rank, each pivot column counted once per component of its orbit.
-  sextic-285's `full` at k = 3 (2550x2710) has 16 components in 3
+  and that has at least 2 components is eliminated one component per
+  symmetry orbit (`_orbit_union`).  The components are those of the
+  bipartite graph of rows and columns with an edge per entry (Pothen and
+  Fan, ACM TOMS 1990), labelled by `_connected`.  Up to the order of its
+  rows and columns the matrix is block diagonal over them, so its column
+  matroid is their direct sum: its rank mod p, and that of its leading
+  column block, is the sum of theirs.  A variable permutation that fixes
+  the form maps the matrix onto itself, and, once `_check_automorphisms`
+  has found every entry mapped onto an equal one and leading columns onto
+  leading columns, it maps each component onto one with the same entries,
+  permuted: the two have the same rank mod every p, and the same leading
+  rank.  So every component of an orbit of the maps has the rank of its
+  least one, and one elimination of the union of those least components
+  gives every rank, each pivot column counted once per component of its
+  orbit.  sextic-285's `full` at k = 3 (2550x2710) has 16 components in 3
   orbits, and their union is 432x460.
 * `rank_mod_p` and `rank_exact` are thin wrappers of the two, kept as
   boundaries that perfbench/tracing.py wraps by name.
@@ -1128,11 +1128,13 @@ def _check_automorphisms(matrix: SparseIntMatrix, cut: int, maps) -> None:
     cells = matrix.r * matrix.cols + matrix.c  # increasing: the entries are in row order
     try:
         values = matrix.v.astype(np.int64)
-        values -= values.min()
-        span = int(values.max()) + 1
     except OverflowError:
-        values, span = matrix.v, _INT_EXACT
+        values = matrix.v
+    low = int(values.min())
+    span = int(values.max()) - low + 1  # exact: in int64 it may wrap
     keyed = matrix.rows * matrix.cols * span < _INT_EXACT
+    if keyed:
+        values = values - low  # each below span
     keys = cells * span + values if keyed else None
     for rows, cols in maps:
         for moved, n, name in ((rows, matrix.rows, "rows"), (cols, matrix.cols, "columns")):
@@ -1160,12 +1162,12 @@ def _orbit_union(matrix: SparseIntMatrix, cut: int, symmetries):
     cut): the submatrix on the rows and columns of the least component of
     each orbit (the one with the least column), in their given order, the
     size of its orbit at each of its columns, and how many of them lie
-    below `cut`.  None unless `symmetries` may fix the form, `matrix` has
-    at least 2 components, and some orbit of the maps holds 2 of them.
-    The maps are built, and checked by `_check_automorphisms`, only for a
-    matrix of at least 2 components.
+    below `cut`.  None unless `symmetries` is given, `matrix` has at least
+    2 components, and some orbit of the maps holds 2 of them.  Only for a
+    matrix of at least 2 components is `symmetries` called, once, and its
+    maps checked by `_check_automorphisms`.
     """
-    if symmetries is None or not symmetries.possible():
+    if symmetries is None:
         return None
     # a row's entries are one set of columns: labels of columns suffice
     label = _connected(matrix.cols, matrix.c, np.flatnonzero(np.diff(matrix.r, prepend=-1)))
@@ -1174,7 +1176,7 @@ def _orbit_union(matrix: SparseIntMatrix, cut: int, symmetries):
     roots = np.flatnonzero(roots)  # each component's least column
     if len(roots) < 2:
         return None
-    maps = [(np.asarray(r), np.asarray(c)) for r, c in symmetries.maps()]
+    maps = [(np.asarray(r), np.asarray(c)) for r, c in symmetries()]
     if not maps:
         return None
     _check_automorphisms(matrix, cut, maps)
@@ -1227,14 +1229,13 @@ def rank_multimodular(
     read off the permuted profile as they would be off the given one.
     A certified matrix is eliminated, at every prime, as given.
 
-    `symmetries`, when given, offers candidate automorphisms of `matrix`,
-    as `koszul.BlockSymmetries` does: `symmetries.possible()` says
-    whether there may be any, and `symmetries.maps()` gives them as
-    (row map, column map) pairs of integer arrays, row i to rows[i] and
-    column c to cols[c].  An uncertified matrix whose symmetries are
-    possible is labelled into components, and one with at least 2 is
-    given its maps, which must each map every entry onto an equal one
-    and the leading columns among themselves, else ValueError is raised.
+    `symmetries`, when given, is a callable of no arguments that returns
+    candidate automorphisms of `matrix`, as `koszul.full_symmetries` bound
+    to a form and its degrees does: (row map, column map) pairs of integer
+    arrays, row i to rows[i] and column c to cols[c].  An uncertified
+    matrix is labelled into components, and only one with at least 2
+    calls it, once; each map must take every entry onto an equal one and
+    the leading columns among themselves, else ValueError is raised.
     If some orbit of the maps holds 2 components, every prime eliminates
     the union of one component per orbit, in the sparsest-first order
     within [0, leading.cols) and the rest, and a rank is the sum over its

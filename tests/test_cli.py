@@ -246,6 +246,15 @@ def test_defect_huge_coefficient_is_not_an_overflow(capsys):
     assert all(block["certified"] for block in payload["ranks"].values())
 
 
+def test_defect_symmetric_form_whose_values_span_past_int64(capsys):
+    # fixed by all of S_5; `full`'s entries run from -(2^63 - 1) to 5, a
+    # span past int64, so its symmetries are checked without one int64 key
+    expression = "x^5+y^5+z^5+u^5+v^5-9223372036854775807*x*y*z*u*v"
+    code, out, err = run(capsys, "defect", "--expr", expression, "--primes", "1")
+    assert code == 0, err
+    assert "defect:  0" in out
+
+
 def test_rank_invariant_violation_exits_4(capsys, monkeypatch):
     # the Segre cubic's wedge_low, 0x5, has no entries and is never
     # eliminated, so the fault goes into its report

@@ -5,16 +5,17 @@ that fix a form, the maps they induce on its blocks, and the ranks that
 import importlib.util
 import itertools
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import sparse_from_dense
-from hyperdefect import koszul, ranks
+from hyperdefect import invariants, ranks
 from hyperdefect.fixtures import get_fixture
 from hyperdefect.invariants import defect, e2_piece
-from hyperdefect.koszul import BlockSymmetries, assemble_phi
+from hyperdefect.koszul import assemble_phi, full_symmetries
 from hyperdefect.polynomials import (
     HomogeneousForm,
     Polynomial,
@@ -110,7 +111,8 @@ SHAPES = [(3, 2, 4), (3, 3, 3), (3, 4, 3), (3, 5, 2), (4, 2, 3), (4, 3, 3), (4, 
 def test_orbit_ranks_equal_whole_ranks_on_symmetrized_forms(monkeypatch):
     # forms symmetrized under all of S_m or under the cyclic shifts, so that
     # orbits of components differ in size: with the maps, every per-prime
-    # and leading rank equals the whole block's, at primes that lose rank too
+    # and leading rank of `full` equals the whole block's, at primes that
+    # lose rank too
     unions = []
     real = ranks._orbit_union
 
@@ -127,34 +129,24 @@ def test_orbit_ranks_equal_whole_ranks_on_symmetrized_forms(monkeypatch):
     for m, d, k in SHAPES:
         full_group = list(itertools.permutations(range(m)))
         cyclic = [tuple((i + r) % m for i in range(m)) for r in range(m)]
-        for group in (full_group, cyclic) * 4:
+        for group in (full_group, cyclic) * 5:
             form = _symmetrized(rng, m, d, group)
             blocks = assemble_phi(form, k)
-            for name, leading in (("wedge_low", None), ("full", blocks.wedge_high)):
-                matrix = getattr(blocks, name)
-                symmetries = BlockSymmetries(form, blocks.degrees, name)
-                before = len(unions)
-                found = rank_multimodular(matrix, config, leading, symmetries)
-                whole = rank_multimodular(matrix, config, leading)
-                assert found == whole, (m, d, k, name, form.poly)
-                if unions[before:] == [True]:
-                    union = real(matrix, 0 if leading is None else leading.cols, symmetries)
-                    sizes.update(np.unique(union[1]).tolist())
+            symmetries = partial(full_symmetries, form, blocks.degrees)
+            before = len(unions)
+            found = rank_multimodular(blocks.full, config, blocks.wedge_high, symmetries)
+            whole = rank_multimodular(blocks.full, config, blocks.wedge_high)
+            assert found == whole, (m, d, k, form.poly)
+            if unions[before:] == [True]:
+                union = real(blocks.full, blocks.wedge_high.cols, symmetries)
+                sizes.update(np.unique(union[1]).tolist())
     assert sum(unions) >= 15, (sum(unions), len(unions))
     assert {1, 2} <= sizes and max(sizes) >= 3, sizes
 
 
-class _Given:
+def _given(*maps):
     """Symmetries given as maps, as a caller might pass them."""
-
-    def __init__(self, maps):
-        self._maps = maps
-
-    def possible(self):
-        return True
-
-    def maps(self):
-        return self._maps
+    return lambda: list(maps)
 
 
 def _swap(n):
@@ -169,16 +161,32 @@ def test_maps_that_are_not_automorphisms_are_refused():
     config = RankConfig(dense_threshold=0)
     equal = sparse_from_dense(np.block([[two, zero], [zero, two]]))
     # exchanging two equal components halves the elimination, and the rank stays 4
-    assert rank_multimodular(equal, config, symmetries=_Given([(_swap(2), _swap(2))])).rank == 4
+    assert rank_multimodular(equal, config, symmetries=_given((_swap(2), _swap(2)))).rank == 4
     unequal = sparse_from_dense(np.block([[two, zero], [zero, other]]))
     with pytest.raises(ValueError, match="does not map its entries onto equal ones"):
-        rank_multimodular(unequal, config, symmetries=_Given([(_swap(2), _swap(2))]))
+        rank_multimodular(unequal, config, symmetries=_given((_swap(2), _swap(2))))
     with pytest.raises(ValueError, match="does not permute its rows"):
-        rank_multimodular(equal, config, symmetries=_Given([(np.zeros(4, int), _swap(2))]))
+        rank_multimodular(equal, config, symmetries=_given((np.zeros(4, int), _swap(2))))
     # the first two columns lead: the exchange moves them past the block
     leading = sparse_from_dense(np.block([[two], [zero]]))
     with pytest.raises(ValueError, match="moves a column out of its leading block"):
-        rank_multimodular(equal, config, leading, _Given([(_swap(2), _swap(2))]))
+        rank_multimodular(equal, config, leading, _given((_swap(2), _swap(2))))
+
+
+def test_automorphisms_are_checked_when_values_span_past_int64():
+    # every value fits int64, but max - min is 2^63 + 4, which int64 wraps
+    # to a span of 1: the span is taken exactly, so no key is built from it
+    block = np.array([[5, 1 - 2**63], [1, 2]])
+    other = np.array([[5, 1 - 2**63], [1, 3]])
+    zero = np.zeros((2, 2), dtype=np.int64)
+    swap = (_swap(2), _swap(2))
+    equal = sparse_from_dense(np.block([[block, zero], [zero, block]]))
+    ranks._check_automorphisms(equal, 0, [swap])
+    config = RankConfig(dense_threshold=0)
+    assert rank_multimodular(equal, config, symmetries=_given(swap)).rank == 4
+    unequal = sparse_from_dense(np.block([[block, zero], [zero, other]]))
+    with pytest.raises(ValueError, match="does not map its entries onto equal ones"):
+        ranks._check_automorphisms(unequal, 0, [swap])
 
 
 def test_sextic_285_eliminates_one_component_per_orbit(monkeypatch):
@@ -194,15 +202,15 @@ def test_sextic_285_eliminates_one_component_per_orbit(monkeypatch):
 
     monkeypatch.setattr(ranks, "_echelon", spy)
     report = e2_piece(get_fixture("sextic-285-nodes").build(), 3, RankConfig(primes=(32633,)))
-    assert shapes == [(12, 49), (432, 460)]
+    assert shapes == [(75, 330), (432, 460)]  # A whole, `full` one component per orbit
     assert report.full.per_prime == ((32633, 2160),)
     assert report.wedge_high.per_prime == ((32633, 2085),)
     assert report.wedge_low.per_prime == ((32633, 75),)
 
 
 def _spy_symmetry_work(monkeypatch):
-    """Count the signature checks, labellings and map builds."""
-    calls = {"classes": 0, "labels": 0, "maps": 0}
+    """Count the labellings and the calls for maps of `full`."""
+    calls = {"labels": 0, "maps": 0}
 
     def counted(owner, name, key):
         real = getattr(owner, name)
@@ -213,9 +221,8 @@ def _spy_symmetry_work(monkeypatch):
 
         monkeypatch.setattr(owner, name, spy)
 
-    counted(koszul, "variable_classes", "classes")
     counted(ranks, "_connected", "labels")
-    counted(koszul, "variable_symmetries", "maps")
+    counted(invariants, "full_symmetries", "maps")
     return calls
 
 
@@ -230,21 +237,39 @@ def _cubic_sweep(seed):
         del sys.modules[spec.name]
 
 
-def test_certified_and_asymmetric_blocks_do_no_symmetry_work(monkeypatch):
+def test_certified_blocks_do_no_symmetry_work_and_asymmetric_ones_one_labelling(monkeypatch):
     calls = _spy_symmetry_work(monkeypatch)
-    # every cubic-sweep block is certified: no signature check, no labelling
+    # every cubic-sweep block is certified: no labelling, no maps
     for case in _cubic_sweep(1)[:10]:
         defect(HomogeneousForm.from_polynomial(parse_expression(case.text)))
-    assert calls == {"classes": 0, "labels": 0, "maps": 0}
-    # quintic-16 fails the signature check on both uncertified blocks
+    assert calls == {"labels": 0, "maps": 0}
+    # quintic-16's uncertified `full` has 64 components: one labelling, and
+    # its call for maps finds no permutation; A is eliminated whole
     defect(get_fixture("quintic-16-nodes").build())
-    assert calls == {"classes": 2, "labels": 0, "maps": 0}
+    assert calls == {"labels": 1, "maps": 1}
 
 
 def test_connected_symmetric_blocks_build_no_map(monkeypatch):
-    # quintic-130 is fixed by all of S_5, but A (25x126) and `full` are
-    # each one component: one labelling each, and no map is built
+    # quintic-130 is fixed by all of S_5, but its `full` is one component:
+    # one labelling, and no map is built
     calls = _spy_symmetry_work(monkeypatch)
     report = defect(get_fixture("quintic-vanstraten-130").build(), RankConfig(primes=(32633,)))
     assert report.defect == 29
-    assert calls == {"classes": 2, "labels": 2, "maps": 0}
+    assert calls == {"labels": 1, "maps": 0}
+
+
+def test_e2_piece_offers_maps_for_full_only(monkeypatch):
+    # both of sextic-285's blocks are uncertified at k = 3: A is offered no
+    # symmetries, `full` a callable that gives the maps of its 4 generators
+    offered = []
+    real = ranks._orbit_union
+
+    def spy(matrix, cut, symmetries):
+        offered.append(((matrix.rows, matrix.cols), symmetries))
+        return real(matrix, cut, symmetries)
+
+    monkeypatch.setattr(ranks, "_orbit_union", spy)
+    e2_piece(get_fixture("sextic-285-nodes").build(), 3, RankConfig(primes=(32633,)))
+    assert [shape for shape, _ in offered] == [(75, 330), (2550, 2710)]
+    assert offered[0][1] is None
+    assert callable(offered[1][1]) and len(offered[1][1]()) == 4
